@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,6 +163,10 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+        if self.model.kind == "composer" and self.decode.eos_id not in (0, -1):
+            # the composer's EOS logit sits on token 0
+            raise ConfigError("decode.eos_id must be 0 (the composer's EOS) "
+                              "or -1 with the composer model")
 
     def effective_sparsify(self) -> SparsifyConfig:
         """Sparsify config with ablation toggles folded into neutral values."""
@@ -190,40 +195,50 @@ _SECTION_TYPES = {
 }
 
 
+def _typed(value, tp, path: str):
+    """``value`` if it has the declared field type ``tp``, else ConfigError.
+
+    An int is accepted for a float; a bool is never accepted as a number.
+    """
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        (item,) = typing.get_args(tp)
+        for i, v in enumerate(value):
+            _typed(v, item, f"{path}[{i}]")
+        return value
+    accepted = (int, float) if tp is float else (tp,)
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path} must be of type {tp.__name__}, got {value!r}")
+    return value
+
+
 def _build_section(cls, data: dict, path: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    types = typing.get_type_hints(cls)
     # accept "lambda" as an alias since it is a Python keyword
     if cls is SparsifyConfig and "lambda" in data:
         data = dict(data)
         data["lambda_"] = data.pop("lambda")
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config field {path}.{key}")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config section {path}: {exc}") from exc
+        kwargs[key] = _typed(value, types[key], f"{path}.{key}")
+    return cls(**kwargs)
 
 
 def experiment_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
     cfg = ExperimentConfig()
+    types = typing.get_type_hints(ExperimentConfig)
     for key, value in data.items():
         if key in _SECTION_TYPES:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key} must be an object")
             setattr(cfg, key, _build_section(_SECTION_TYPES[key], value, key))
-        elif key in ("corpus", "out_csv", "out_diagnostics"):
-            setattr(cfg, key, str(value))
-        elif key == "seeds":
-            cfg.seeds = [int(s) for s in value]
-        elif key == "timing":
-            cfg.timing = bool(value)
-        elif key == "workers":
-            cfg.workers = int(value)
+        elif key in types:
+            setattr(cfg, key, _typed(value, types[key], key))
         else:
             raise ConfigError(f"unknown config field {key}")
     cfg.validate()

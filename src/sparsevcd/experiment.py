@@ -98,7 +98,7 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
         try:
             timing, result = metrics.measure_run(
                 lambda: decode(model, example.image, prompt, scfg, session))
-        except Exception as exc:  # noqa: BLE001 - a failed session aborts the row
+        except ValueError as exc:  # bad input aborts the row; engine bugs propagate
             row.error = f"{example.id}: {type(exc).__name__}: {exc}"
             row.chair = row.recall = row.accuracy = None
             return row

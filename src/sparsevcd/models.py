@@ -24,7 +24,8 @@ import numpy as np
 from sparsevcd.cache import KvCache
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
-from sparsevcd.numerics import matvec, weighted_sum_rows
+from sparsevcd.numerics import (causal_softmax, causal_weighted_sum, matvec,
+                                matvec_rows, weighted_sum_rows)
 from sparsevcd.rng import SplitMix64, combine
 
 RMS_EPS = 1e-12
@@ -34,6 +35,11 @@ _NOISE_SALT = 0x4E4F_4953
 
 def rms_normalize(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x) + RMS_EPS)
+
+
+def rms_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """``rms_normalize`` applied to each row of a 2-d block."""
+    return x / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMS_EPS)
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ class ModelInterface(abc.ABC):
     def lm_head(self, pooled: np.ndarray) -> np.ndarray: ...
 
     def pool_embeddings(self, embs: list[np.ndarray], mode: str = "mean") -> np.ndarray:
-        if not embs:
+        if len(embs) == 0:
             raise ValueError("cannot pool an empty embedding sequence")
         if mode == "last":
             return embs[-1]
@@ -226,42 +232,41 @@ class ToyTransformer(ModelInterface):
 
     def forward_sequence(self, embs: list[np.ndarray], n_layers: int | None = None):
         """Plain full-attention forward of a whole embedding sequence through
-        the first ``n_layers`` layers; returns the per-position hidden states.
+        the first ``n_layers`` layers; returns the per-position hidden states
+        as the rows of an ``(n, d_model)`` array.
 
         Cache-free: used by the contrastive shortcut's stop-layer path and by
-        anything needing a from-scratch forward.
+        anything needing a from-scratch forward. Runs layer-major, each layer
+        over all positions at once with causal attention; the row-batched
+        kernels keep every reduction order of ``forward_step``, so row ``i``
+        is bit-identical to the hidden state ``forward_step`` gives position
+        ``i`` over a fresh cache.
         """
         n_layers = self.layers if n_layers is None else n_layers
         if not 0 <= n_layers <= self.layers:
             raise ConfigError(f"stop layer {n_layers} outside [0, {self.layers}]")
-        states = [np.asarray(e, dtype=np.float64) for e in embs]
-        if n_layers == 0:
-            return states
-        keys = [[[] for _ in range(self.heads)] for _ in range(n_layers)]
-        vals = [[[] for _ in range(self.heads)] for _ in range(n_layers)]
-        out = []
-        for x in states:
-            for ell in range(n_layers):
-                xn = rms_normalize(x)
-                attn_out = np.zeros(self.d_model)
-                for h in range(self.heads):
-                    q = matvec(self.w_q[ell][h], xn)
-                    k = matvec(self.w_k[ell][h], xn)
-                    v = matvec(self.w_v[ell][h], xn)
-                    keys[ell][h].append(k)
-                    vals[ell][h].append(v)
-                    kmat = np.asarray(keys[ell][h])
-                    scores = matvec(kmat, q) / np.sqrt(self.head_dim)
-                    e = np.exp(scores - np.max(scores))
-                    row = e / float(np.add.accumulate(e)[-1])
-                    ctx = weighted_sum_rows(row, np.asarray(vals[ell][h]))
-                    attn_out += matvec(self.w_o[ell][h], ctx)
-                x = x + attn_out
-                xn2 = rms_normalize(x)
-                hidden_ff = np.maximum(matvec(self.w_ff1[ell], xn2), 0.0)
-                x = x + matvec(self.w_ff2[ell], hidden_ff)
-            out.append(x)
-        return out
+        n = len(embs)
+        if n == 0:
+            return np.zeros((0, self.d_model))
+        x = np.asarray(embs, dtype=np.float64)
+        if x.shape != (n, self.d_model):
+            raise ValueError(f"embedding block {x.shape} != ({n}, {self.d_model})")
+        scale = np.sqrt(self.head_dim)
+        for ell in range(n_layers):
+            xn = rms_normalize_rows(x)
+            attn_out = np.zeros((n, self.d_model))
+            for h in range(self.heads):
+                q = matvec_rows(self.w_q[ell][h], xn)
+                k = matvec_rows(self.w_k[ell][h], xn)
+                v = matvec_rows(self.w_v[ell][h], xn)
+                row = causal_softmax(matvec_rows(k, q) / scale)
+                ctx = causal_weighted_sum(row, v)
+                attn_out += matvec_rows(self.w_o[ell][h], ctx)
+            x = x + attn_out
+            xn2 = rms_normalize_rows(x)
+            hidden_ff = np.maximum(matvec_rows(self.w_ff1[ell], xn2), 0.0)
+            x = x + matvec_rows(self.w_ff2[ell], hidden_ff)
+        return x
 
     def lm_head(self, pooled: np.ndarray) -> np.ndarray:
         pooled = np.asarray(pooled, dtype=np.float64)

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from sparsevcd.config import DecodeConfig, ModelConfig, SparsifyConfig
+from sparsevcd.cli import main
+from sparsevcd.config import (DecodeConfig, ModelConfig, SparsifyConfig,
+                              experiment_from_dict)
 from sparsevcd.decoding import decode
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, build_toy_transformer
@@ -80,3 +83,37 @@ def test_recency_window_keeps_recent_tokens_retained():
                 assert recent not in pruned
             checked += 1
     assert checked > 0
+
+
+# each of these was accepted, or crashed with a stray TypeError, before the
+# section fields were checked against their declared types
+@pytest.mark.parametrize("doc", [
+    {"sparsify": {"per_head_mask": "false"}},
+    {"decode": {"max_len": 2.5}},
+    {"seeds": "012"},
+    {"sparsify": {"sparsity_rate": "0.5"}},
+])
+def test_mistyped_config_values_fail_as_config_errors(doc, tmp_path):
+    with pytest.raises(ConfigError):
+        experiment_from_dict(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 1
+
+
+def test_config_types_int_for_float_but_never_bool_for_number():
+    cfg = experiment_from_dict({"decode": {"alpha": 1}, "sparsify": {"lambda": 0}})
+    assert cfg.decode.alpha == 1 and cfg.sparsify.lambda_ == 0
+    for doc in [{"decode": {"max_len": True}}, {"decode": {"alpha": False}},
+                {"seeds": [0, True]}, {"timing": 1}, {"workers": 2.0},
+                {"model": {"prior": [0.5, "0.5"]}}, {"corpus": 3}]:
+        with pytest.raises(ConfigError):
+            experiment_from_dict(doc)
+
+
+def test_composer_rejects_eos_id_it_cannot_emit():
+    with pytest.raises(ConfigError):
+        experiment_from_dict({"model": {"kind": "composer"}, "decode": {"eos_id": 5}})
+    for eos_id in (0, -1):
+        experiment_from_dict({"model": {"kind": "composer"}, "decode": {"eos_id": eos_id}})
+    experiment_from_dict({"model": {"kind": "transformer"}, "decode": {"eos_id": 5}})

@@ -152,7 +152,7 @@ def test_contrastive_full_stop_layer_equals_theta_logits():
                              stop_layer=m.layers, pooling="last")
     hiddens = m.forward_sequence(embs)
     theta = m.lm_head(hiddens[-1])
-    assert np.allclose(phi, theta, atol=1e-9)
+    assert np.array_equal(phi, theta)
     assert res.diagnostics[0].logit_theta_argmax == int(np.argmax(theta))
 
 

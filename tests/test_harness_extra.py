@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sparsevcd import metrics
+from sparsevcd import experiment, metrics
 from sparsevcd.config import (AblationConfig, DecodeConfig, ExperimentConfig,
                               ModelConfig, SparsifyConfig)
 from sparsevcd.corpus import (TOKEN_BOS, GeneratorSpec, gen_corpus, load_corpus,
@@ -143,3 +143,17 @@ def test_session_seeds_shared_across_alpha(corpus_path):
     row_b = run_seed_row(cfg_b, corpus, 3)
     assert row_a.error == "" and row_b.error == ""
     assert combine(3, 0) == combine(3, 0)  # session seed derivation is stable
+
+
+def test_engine_bug_in_session_propagates(corpus_path, monkeypatch):
+    # only bad input (ValueError and its ConfigError/CorpusError subclasses)
+    # becomes a row's error cell; anything else is an engine bug
+    def broken_decode(*args, **kwargs):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr(experiment, "decode", broken_decode)
+    cfg = ExperimentConfig(model=ModelConfig(kind="composer", vocab=20, seed=5),
+                           decode=DecodeConfig(max_len=4), corpus=corpus_path,
+                           seeds=[0])
+    with pytest.raises(TypeError, match="engine bug"):
+        run_seed_row(cfg, load_corpus(corpus_path), 0)

@@ -1,5 +1,10 @@
+import copy
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
@@ -71,6 +76,43 @@ def test_forward_step_deterministic():
         return hidden
 
     assert np.array_equal(run(), run())
+
+
+@lru_cache(maxsize=None)
+def sized_model(d_model, heads, layers):
+    return build_toy_transformer(7, d_model=d_model, layers=layers, heads=heads,
+                                 vocab=64)
+
+
+def step_hiddens(model, embs, visual, n_layers):
+    """Hidden states from ``forward_step`` over a fresh cache, through the
+    first ``n_layers`` layers (zero layers leave the embeddings as they are)."""
+    if n_layers == 0:
+        return embs
+    stepper = model
+    if n_layers != model.layers:
+        stepper = copy.copy(model)
+        stepper.layers = n_layers
+    cache = stepper.new_cache()
+    return [stepper.forward_step(cache, e, visual=v)[0] for e, v in zip(embs, visual)]
+
+
+@given(st.sampled_from([(4, 1), (8, 2), (12, 3), (16, 2), (16, 4)]),
+       st.integers(1, 3), st.lists(st.tuples(st.booleans(), st.integers(0, 63)),
+                                   min_size=1, max_size=48),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_sequence_forward_equals_step_forward_bitwise(dims, layers, tokens, data):
+    d_model, heads = dims
+    m = sized_model(d_model, heads, layers)
+    n_layers = data.draw(st.integers(0, layers))
+    visual = [is_visual for is_visual, _ in tokens]
+    embs = [m.visual_base_embedding(t) if is_visual else m.embed_text([t])[0]
+            for is_visual, t in tokens]
+    seq = m.forward_sequence(embs, n_layers)
+    assert seq.shape == (len(embs), d_model)
+    for i, step in enumerate(step_hiddens(m, embs, visual, n_layers)):
+        assert np.array_equal(seq[i], step)
 
 
 def test_embed_visual_repetition_and_determinism():

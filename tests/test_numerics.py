@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevcd.numerics import NEG_INF, dot, matvec, stable_softmax, weighted_sum_rows
+from sparsevcd.numerics import (NEG_INF, causal_softmax, causal_weighted_sum, dot,
+                                matvec, matvec_rows, stable_softmax,
+                                weighted_sum_rows)
 
 # expected values frozen from an mpmath (50-digit) softmax evaluation
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -108,3 +110,83 @@ def test_weighted_sum_rows_matches_manual():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = weighted_sum_rows(w, m)
     assert np.allclose(out, [0.25 * 1 + 0.75 * 3, 0.25 * 2 + 0.75 * 4], atol=1e-15)
+
+
+# ------------------------------------------------------- row-batched kernels
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_matvec_rows_is_per_row_matvec_bitwise(rows, cols, out, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(out, cols)) * 10.0 ** rng.integers(-3, 4, size=(out, cols))
+    xs = rng.normal(size=(rows, cols))
+    got = matvec_rows(m, xs)
+    assert got.shape == (rows, out)
+    for i in range(rows):
+        assert bitwise_equal(got[i], matvec(m, xs[i]))
+
+
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_causal_kernels_are_per_prefix_calls_bitwise(n, cols, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(n, n)) * 30.0
+    values = rng.normal(size=(n, cols))
+    weights = causal_softmax(scores)
+    ctx = causal_weighted_sum(weights, values)
+    for i in range(n):
+        assert bitwise_equal(weights[i, : i + 1], stable_softmax(scores[i, : i + 1]))
+        assert bitwise_equal(ctx[i], weighted_sum_rows(weights[i, : i + 1], values[: i + 1]))
+    assert np.all(weights[np.triu_indices(n, 1)] == 0.0)
+
+
+def test_causal_rows_reduce_only_over_the_prefix():
+    rng = np.random.default_rng(3)
+    n = 9
+    scores = rng.normal(size=(n, n))
+    weights = rng.uniform(size=(n, n))
+    values = rng.normal(size=(n, 4))
+    noisy_scores, noisy_weights = scores.copy(), weights.copy()
+    upper = np.triu_indices(n, 1)
+    noisy_scores[upper] = np.inf
+    noisy_weights[upper] = 1e300
+    for i in range(n):
+        later_values = values.copy()
+        later_values[i + 1:] = rng.normal(size=(n - i - 1, 4)) * 1e6
+        assert bitwise_equal(causal_weighted_sum(weights, later_values)[i],
+                             causal_weighted_sum(weights, values)[i])
+    assert bitwise_equal(causal_softmax(noisy_scores), causal_softmax(scores))
+    assert bitwise_equal(causal_weighted_sum(noisy_weights, values),
+                         causal_weighted_sum(np.tril(weights), values))
+
+
+def test_row_batched_kernels_edge_shapes():
+    assert bitwise_equal(matvec_rows([[2.0, 3.0]], [[1.0, 1.0]]), [[5.0]])
+    assert bitwise_equal(matvec_rows(np.ones((3, 0)), np.ones((2, 0))), np.zeros((2, 3)))
+    assert matvec_rows(np.ones((3, 2)), np.ones((0, 2))).shape == (0, 3)
+    assert bitwise_equal(causal_softmax([[-5.0]]), [[1.0]])
+    assert bitwise_equal(causal_weighted_sum([[1.0]], [[2.0, 3.0]]), [[2.0, 3.0]])
+
+
+def test_row_batched_kernels_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        matvec_rows(np.ones((3, 4)), np.ones((2, 5)))
+    with pytest.raises(ValueError):
+        matvec_rows(np.ones(4), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        causal_softmax(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        causal_softmax([[NEG_INF]])
+    with pytest.raises(ValueError):
+        causal_softmax(np.ones((0, 0)))
+    with pytest.raises(ValueError):
+        causal_weighted_sum(np.ones((2, 3)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        causal_weighted_sum(np.ones((3, 3)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        causal_weighted_sum(np.ones((0, 0)), np.ones((0, 2)))
