@@ -23,7 +23,7 @@ from sparsevcd.models import ImageDescriptor, ModelInterface
 from sparsevcd.numerics import NEG_INF, matvec, stable_softmax, weighted_sum_rows
 from sparsevcd.rng import SplitMix64, combine, step_seed
 from sparsevcd.vats import (SaliencyScores, cluster_pruned, layer_visual_saliency,
-                            select_topS, visual_saliency)
+                            merge_clusters, select_topS, visual_saliency)
 
 _MASK_SALT = 0x4D41_534B
 
@@ -275,8 +275,7 @@ class EngineAttention:
         n_rows = cache.rows(layer)
         cand = raw_idx
         if cfg.prune_scope == "text_only":
-            vis_rows = set(cache.visual_rows(layer).tolist())
-            cand = np.array([i for i in cand if i not in vis_rows], dtype=np.int64)
+            cand = cand[~cache.visual_flags(layer)[cand]]
         n_forced = raw_idx.shape[0] - cand.shape[0]
         retain_cand = max(0, s_budget - n_forced)
         if retain_cand >= cand.shape[0]:
@@ -305,26 +304,7 @@ class EngineAttention:
             delta_p = (g + cfg.lambda_ * p_vec)[pruned]
             assignment = cluster_pruned(concat, delta_p, cfg.knn_k,
                                         rho_merge=cfg.rho_merge)
-            vis_flags = np.zeros(n_rows, dtype=bool)
-            vis_flags[cache.visual_rows(layer)] = True
-            for local_members, wts in zip(assignment.members, assignment.weights):
-                members = pruned[local_members]
-                agg_keys, agg_vals, agg_c, agg_r = [], [], [], []
-                for h in range(cache.heads):
-                    if head is not None and h != head:
-                        # per-head records only carry their own head's slots
-                        agg_keys.append(np.zeros(cache.dim))
-                        agg_vals.append(np.zeros(cache.dim))
-                        agg_c.append(0.0)
-                        agg_r.append(0.0)
-                        continue
-                    agg_keys.append(weighted_sum_rows(wts, cache.key_rows(layer, h)[members]))
-                    agg_vals.append(weighted_sum_rows(wts, cache.value_rows(layer, h)[members]))
-                    agg_c.append(float(np.add.accumulate(wts * cache.c_view(layer, h)[members])[-1]))
-                    agg_r.append(float(np.add.accumulate(wts * cache.r_view(layer, h)[members])[-1]))
-                vw = float(np.add.accumulate(wts * vis_flags[members])[-1])
-                records.append(MergedRecord(members, wts, agg_keys, agg_vals,
-                                            agg_c, agg_r, vw))
+            records = self._merge_records(layer, pruned, assignment, head)
         cache.set_sparsification(layer, mask_full, records, head=head)
         if self.keep_records:
             self._mask_snapshot.append({
@@ -338,6 +318,27 @@ class EngineAttention:
                 "attn_error": self._errors[-1],
             })
         return True
+
+    def _merge_records(self, layer, pruned, assignment, head) -> list[MergedRecord]:
+        """One record per cluster, merged in one call from a table gathered
+        at the pruned rows: per head its key, value, ``c`` and ``r``, then
+        the visual flag. Per-head records leave other heads' slots zero."""
+        cache, dim = self.cache, self.cache.dim
+        width = 2 * dim + 2
+        table = np.zeros((pruned.shape[0], cache.heads * width + 1))
+        per_head = table[:, :-1].reshape(pruned.shape[0], cache.heads, width)
+        for h in range(cache.heads) if head is None else [head]:
+            per_head[:, h, :dim] = cache.key_rows(layer, h)[pruned]
+            per_head[:, h, dim:-2] = cache.value_rows(layer, h)[pruned]
+            per_head[:, h, -2] = cache.c_view(layer, h)[pruned]
+            per_head[:, h, -1] = cache.r_view(layer, h)[pruned]
+        table[:, -1] = cache.visual_flags(layer)[pruned]
+        agg = merge_clusters(assignment, table)
+        agg_heads = agg[:, :-1].reshape(agg.shape[0], cache.heads, width)
+        return [MergedRecord(pruned[local], wts, list(a[:, :dim]), list(a[:, dim:-2]),
+                             a[:, -2].tolist(), a[:, -1].tolist(), float(vis))
+                for local, wts, a, vis in zip(assignment.members, assignment.weights,
+                                              agg_heads, agg[:, -1])]
 
 
 def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,

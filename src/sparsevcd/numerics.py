@@ -112,11 +112,13 @@ def causal_softmax(scores) -> np.ndarray:
     _check_causal("causal_softmax", s)
     if s.shape[0] == 0:
         raise ValueError("causal_softmax: empty support")
-    s = np.where(np.tri(s.shape[0], dtype=bool), s, NEG_INF)
+    tri = np.tri(s.shape[0], dtype=bool)
+    s = np.where(tri, s, NEG_INF)
     m = np.max(s, axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise ValueError("causal_softmax: empty support (a row is all -inf)")
-    e = np.exp(s - m)
+    # exp only below the diagonal; above it stays an exact zero
+    e = np.exp(s - m, out=np.zeros_like(s), where=tri)
     # trailing exact zeros leave a left-to-right positive sum unchanged
     total = np.add.accumulate(e, axis=1)[:, -1:]
     return e / total

@@ -9,7 +9,7 @@ import numpy as np
 
 from sparsevcd.cache import KvCache
 from sparsevcd.errors import ConfigError
-from sparsevcd.numerics import stable_softmax, weighted_sum_rows
+from sparsevcd.numerics import stable_softmax
 
 DENSITY_EPS = 1e-8
 
@@ -139,8 +139,16 @@ def objective_value(mask, scores: SaliencyScores) -> float:
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.add.accumulate(diff * diff, axis=2)[:, :, -1])
+    """Euclidean distances; each squared sum runs over the features in order."""
+    cols = points.T.copy()
+    acc = np.subtract.outer(cols[0], cols[0])
+    acc *= acc
+    diff = np.empty_like(acc)
+    for col in cols[1:]:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        acc += diff
+    return np.sqrt(acc, out=acc)
 
 
 def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
@@ -152,7 +160,8 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     strictly-denser point (the global peak gets the maximum pairwise
     distance). Centers are the top points by density * separation; the rest
     inherit, in decreasing-density order, the cluster of their nearest denser
-    point. All ties break on the lower index.
+    point. All ties break on the lower index. Each cluster's merge weights
+    are the softmax of its members' saliency.
     """
     points = np.asarray(keys, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -168,28 +177,22 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
                                  [np.array([0])], [np.array([1.0])])
     k = min(k, n - 1)
     dist = _pairwise_distances(points)
-    rho = np.empty(n)
-    for i in range(n):
-        nearest = np.sort(np.delete(dist[i], i))[:k]
-        rho[i] = 1.0 / (DENSITY_EPS + float(np.mean(nearest)))
+    off = dist.copy()
+    np.fill_diagonal(off, np.inf)
+    rho = 1.0 / (DENSITY_EPS + np.mean(np.sort(off, axis=1)[:, :k], axis=1))
 
     # total order: higher density first, lower index wins ties
     rank_order = np.lexsort((np.arange(n), -rho))
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[rank_order] = np.arange(n)
 
-    sep = np.empty(n)
-    nearest_denser = np.full(n, -1, dtype=np.int64)
-    max_pairwise = float(dist.max())
-    for pos, i in enumerate(rank_order):
-        if pos == 0:
-            sep[i] = max_pairwise
-            continue
-        higher = rank_order[:pos]
-        d = dist[i, higher]
-        best = int(np.lexsort((higher, d))[0])
-        nearest_denser[i] = higher[best]
-        sep[i] = d[best]
+    # nearest strictly-denser point; argmin keeps the lowest index on ties
+    denser = np.where(rank_of[None, :] < rank_of[:, None], dist, np.inf)
+    nearest_denser = np.argmin(denser, axis=1)
+    sep = denser[np.arange(n), nearest_denser]
+    peak = rank_order[0]
+    nearest_denser[peak] = -1
+    sep[peak] = dist.max()
 
     if n_clusters is None:
         n_clusters = max(1, int(np.ceil(rho_merge * n)))
@@ -199,8 +202,7 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     centers = np.sort(center_order[:n_clusters])
 
     labels = np.full(n, -1, dtype=np.int64)
-    for cid, c in enumerate(centers):
-        labels[c] = cid
+    labels[centers] = np.arange(n_clusters)
     for i in rank_order:
         if labels[i] >= 0:
             continue
@@ -211,23 +213,43 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
             j = centers[int(np.lexsort((centers, d))[0])]
         labels[i] = labels[j]
 
-    members = []
-    weights = []
-    for cid in range(n_clusters):
-        idx = np.nonzero(labels == cid)[0]
-        members.append(idx)
-        weights.append(stable_softmax(deltas[idx]))
+    # members ascending within each cluster; each softmax is one row of a
+    # -inf-padded block whose trailing exact zeros leave the row sum unchanged
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_clusters)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    cell = (labels[order], np.arange(n) - np.repeat(starts, sizes))
+    block = np.full((n_clusters, int(sizes.max())), -np.inf)
+    block[cell] = deltas[order]
+    e = np.exp(block - np.max(block, axis=1, keepdims=True))
+    flat_w = (e / np.add.accumulate(e, axis=1)[:, -1:])[cell]
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    members = [order[a:b] for a, b in spans]
+    weights = [flat_w[a:b] for a, b in spans]
     return ClusterAssignment(labels, centers, members, weights)
 
 
-def merge_clusters(assignment: ClusterAssignment, keys, values):
-    """Weighted-sum aggregate (key, value) per cluster using the assignment's
-    merge weights."""
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    out = []
-    for idx, w in zip(assignment.members, assignment.weights):
-        agg_k = weighted_sum_rows(w, keys[idx])
-        agg_v = weighted_sum_rows(w, values[idx])
-        out.append((agg_k, agg_v))
+def merge_clusters(assignment: ClusterAssignment, rows) -> np.ndarray:
+    """Merge-weighted sum of each cluster's member rows, as an
+    ``(n_clusters, rows.shape[1])`` block.
+
+    Row ``c`` is ``weighted_sum_rows(weights[c], rows[members[c]])`` bit for
+    bit: the loop runs over member slots, adding slot ``s`` of every cluster
+    with more than ``s`` members, top to bottom. Clusters are visited largest
+    first, so the clusters still adding at slot ``s`` are a prefix.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    sizes = np.array([m.shape[0] for m in assignment.members], dtype=np.int64)
+    terms = (np.concatenate(assignment.weights)[:, None]
+             * rows[np.concatenate(assignment.members)])
+    order = np.argsort(-sizes, kind="stable")
+    starts = (np.cumsum(sizes) - sizes)[order]
+    sizes = sizes[order]
+    agg = terms[starts]
+    for s in range(1, int(sizes[0])):
+        active = int(np.count_nonzero(sizes > s))
+        agg[:active] += terms[starts[:active] + s]
+    out = np.empty_like(agg)
+    out[order] = agg
     return out

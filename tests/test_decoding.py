@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsevcd.config import DecodeConfig, ModelConfig, SparsifyConfig
 from sparsevcd.corpus import TOKEN_BOS, GeneratorSpec, gen_corpus
@@ -295,3 +298,87 @@ def test_text_only_prune_scope_protects_visuals():
     for rec in res.forward_records:
         for snap in rec["layers"]:
             assert all(p >= 12 for p in snap["pruned"])  # visual rows 0..11 kept
+
+
+# ------------------------------------------------ engine pins off the bench
+
+# Paths the benchmark's workloads never take, pinned at their tokens and the
+# bytes of every step's primary-branch logits: (SparsifyConfig overrides,
+# tokens, sha256 of the concatenated ``logit_theta``).
+ENGINE_PINS = {
+    "per_head_mask": (
+        dict(sparsity_rate=0.7, per_head_mask=True),
+        [63, 23, 44, 63, 23, 44, 35, 53, 22, 9, 49, 23],
+        "9c839885df8fceddb0d2bf38f2af4ce81af161aacae1215c2f13d24364051109"),
+    "text_only": (
+        dict(sparsity_rate=0.5, prune_scope="text_only"),
+        [22, 9, 23, 44, 23, 44, 23, 44, 23, 44, 23, 44],
+        "43310df7b47efb26a556d6d0c8a89f16e53f33f6c7a71d3dec45811088410453"),
+    "logical_knn10": (
+        dict(knn_k=10),
+        [63, 23, 44, 23, 44, 23, 44, 23, 44, 51, 14, 23],
+        "395127647c4f6a2fdd1654fe51b88aabbfd5edad328ceb75123cba1ba2e4cbfa"),
+}
+
+
+def pinned_session(overrides):
+    """A seeded 100-token prefix (64 visual, 36 random text) and 12 steps."""
+    rng = np.random.default_rng(97)
+    m = transformer(35)
+    img = ImageDescriptor((3, 9, 14, 20), 16)
+    prompt = [int(t) for t in rng.integers(1, 64, size=36)]
+    scfg = SparsifyConfig(l_min=8, **overrides)
+    dcfg = DecodeConfig(max_len=12, seed=7, eos_id=-1)
+    res = decode(m, img, prompt, scfg, dcfg, diag_level="full")
+    theta = b"".join(d.detail.logit_theta.tobytes() for d in res.diagnostics)
+    return res.tokens, hashlib.sha256(theta).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_PINS))
+def test_engine_paths_match_pins(name):
+    overrides, tokens, digest = ENGINE_PINS[name]
+    assert pinned_session(overrides) == (tokens, digest)
+
+
+# ----------------------------------------------------- pinned equivalences
+
+sessions = st.fixed_dictionaries({
+    "model_seed": st.integers(0, 2**16),
+    "findings": st.lists(st.integers(1, 63), min_size=1, max_size=4, unique=True),
+    "per_finding": st.integers(1, 6),
+    "prompt": st.lists(st.integers(1, 63), min_size=8, max_size=24),
+    "decode_seed": st.integers(0, 2**16),
+})
+
+
+def session_inputs(draw):
+    m = transformer(draw["model_seed"])
+    img = ImageDescriptor(tuple(draw["findings"]), draw["per_finding"])
+    return m, img, draw["prompt"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(sessions, st.sampled_from(["logical", "compacted"]), st.sampled_from([0, 1]))
+def test_beam_width_one_equals_greedy_in_both_cache_modes(draw, mode, stop_layer):
+    m, img, prompt = session_inputs(draw)
+    scfg = SparsifyConfig(sparsity_rate=0.6, l_min=8, mode=mode, compact_band=2)
+    greedy = decode(m, img, prompt, scfg,
+                    DecodeConfig(max_len=8, seed=draw["decode_seed"],
+                                 stop_layer=stop_layer))
+    beam1 = decode(m, img, prompt, scfg,
+                   DecodeConfig(max_len=8, seed=draw["decode_seed"],
+                                stop_layer=stop_layer, mode="beam", beam_size=1))
+    assert greedy.tokens == beam1.tokens
+
+
+@settings(max_examples=12, deadline=None)
+@given(sessions)
+def test_logical_equals_compacted_when_nothing_is_pruned(draw):
+    m, img, prompt = session_inputs(draw)
+    dcfg = DecodeConfig(max_len=8, seed=draw["decode_seed"], eos_id=-1)
+    runs = [decode(m, img, prompt, SparsifyConfig(sparsity_rate=1.0, l_min=8, mode=mode),
+                   dcfg, diag_level="full")
+            for mode in ("logical", "compacted")]
+    assert runs[0].tokens == runs[1].tokens
+    for a, b in zip(runs[0].diagnostics, runs[1].diagnostics, strict=True):
+        assert np.array_equal(a.detail.logit_theta, b.detail.logit_theta)

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,7 +179,8 @@ def test_merge_singleton_is_identity():
                             [np.array([0])], [np.array([1.0])])
     keys = np.array([[1.5, -2.0]])
     vals = np.array([[0.5, 0.25]])
-    (agg_k, agg_v), = merge_clusters(asg, keys, vals)
+    agg_k, = merge_clusters(asg, keys)
+    agg_v, = merge_clusters(asg, vals)
     assert np.array_equal(agg_k, keys[0])
     assert np.array_equal(agg_v, vals[0])
 
@@ -185,7 +190,8 @@ def test_merge_identical_members():
                             [np.array([0, 1])], [np.array([0.3, 0.7])])
     keys = np.array([[2.0, 2.0], [2.0, 2.0]])
     vals = np.array([[1.0, 0.0], [1.0, 0.0]])
-    (agg_k, agg_v), = merge_clusters(asg, keys, vals)
+    agg_k, = merge_clusters(asg, keys)
+    agg_v, = merge_clusters(asg, vals)
     assert np.allclose(agg_k, [2.0, 2.0], atol=1e-15)
     assert np.allclose(agg_v, [1.0, 0.0], atol=1e-15)
 
@@ -193,5 +199,52 @@ def test_merge_identical_members():
 def test_merge_equal_saliency_averages():
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = cluster_pruned(pts, np.array([0.5, 0.5]), k=1, n_clusters=1)
-    (agg_k, _), = merge_clusters(out, pts, pts)
+    agg_k, = merge_clusters(out, pts)
     assert np.allclose(agg_k, [0.5, 0.5], atol=1e-12)
+
+
+# ------------------------------------------------- clustering regression pin
+
+CLUSTER_FIXTURE = Path(__file__).with_name("cluster_fixture.json")
+CLUSTER_NS = list(range(1, 41)) + [64, 100, 128, 256, 512]
+CLUSTER_KS = range(1, 13)  # numpy's mean sums pairwise from 8 terms up
+CLUSTER_FIELDS = ("labels", "centers", "members", "weights", "merged")
+
+
+def _cluster_case(kind: str, n: int):
+    """Seeded (points, deltas, rows): normal points, or a 3x3x3 integer grid
+    whose duplicates and tied saliencies exercise every tie-break."""
+    rng = np.random.default_rng([("normal", "grid").index(kind), n])
+    if kind == "normal":
+        points = rng.normal(size=(n, 6))
+        deltas = rng.normal(size=n)
+    else:
+        points = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+        deltas = rng.integers(-2, 3, size=n).astype(np.float64)
+    return points, deltas, rng.normal(size=(n, 5))
+
+
+def _cluster_digests(kind: str, n: int) -> dict:
+    points, deltas, rows = _cluster_case(kind, n)
+    hashes = {name: hashlib.sha256() for name in CLUSTER_FIELDS}
+    for k in CLUSTER_KS:
+        out = cluster_pruned(points, deltas, k)
+        sizes = np.array([m.shape[0] for m in out.members], dtype=np.int64)
+        hashes["labels"].update(out.labels.astype(np.int64).tobytes())
+        hashes["centers"].update(out.centers.astype(np.int64).tobytes())
+        hashes["members"].update(sizes.tobytes())
+        hashes["members"].update(np.concatenate(out.members).astype(np.int64).tobytes())
+        hashes["weights"].update(np.concatenate(out.weights).tobytes())
+        hashes["merged"].update(np.ascontiguousarray(merge_clusters(out, rows)).tobytes())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def test_clustering_and_merge_match_pinned_digests():
+    """Labels, centers, members and the bytes of the weights and merged rows
+    are pinned for n up to 512 and k up to 12, so a change to the clustering
+    or merge arithmetic that moves one bit fails here."""
+    pinned = json.loads(CLUSTER_FIXTURE.read_text())
+    assert len(pinned) == 2 * len(CLUSTER_NS)
+    for kind in ("normal", "grid"):
+        for n in CLUSTER_NS:
+            assert _cluster_digests(kind, n) == pinned[f"{kind}/{n}"], (kind, n)
