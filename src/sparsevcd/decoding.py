@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,24 +31,26 @@ _MASK_SALT = 0x4D41_534B
 def mask_visual(embeddings, rate: float, seed: int):
     """Independently drop each visual embedding with probability ``rate``.
 
-    At least one embedding always survives: after a bounded number of
-    re-draws a deterministic single survivor is kept (this is the only
-    possible outcome at rate = 1).
+    Returns the kept rows as an ``(m, d)`` block and their indices. At least
+    one embedding always survives: after a bounded number of re-draws a
+    deterministic single survivor is kept (this is the only possible outcome
+    at rate = 1).
     """
-    if not embeddings:
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if len(embeddings) == 0:
         raise ValueError("mask_visual: no visual embeddings")
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mask_visual: rate must lie in [0, 1]")
     n = len(embeddings)
     if rate == 0.0:
-        return list(embeddings), list(range(n))
+        return embeddings, list(range(n))
     for attempt in range(16):
         stream = SplitMix64(combine(seed, _MASK_SALT, attempt))
         kept = [i for i in range(n) if stream.uniform() >= rate]
         if kept:
-            return [embeddings[i] for i in kept], kept
+            return embeddings[kept], kept
     survivor = combine(seed, _MASK_SALT, 0xFEED) % n
-    return [embeddings[survivor]], [survivor]
+    return embeddings[[survivor]], [survivor]
 
 
 def plausible_set(p_theta, gamma: float) -> np.ndarray:
@@ -78,18 +80,27 @@ def fuse(logit_theta, logit_phi, alpha: float, plausible: np.ndarray) -> np.ndar
     return out
 
 
-def contrastive_logits(model: ModelInterface, prompt_ids, visual_embeddings,
+def _block(embs, d_model: int) -> np.ndarray:
+    """Embedding rows as an ``(n, d_model)`` array (``(0, d_model)`` if none)."""
+    block = np.asarray(embs, dtype=np.float64)
+    return block.reshape(0, d_model) if block.size == 0 else block
+
+
+def contrastive_logits(model: ModelInterface, prompt_block, visual_embeddings,
                        history_ids, stop_layer: int = 0,
                        pooling: str = "mean") -> np.ndarray:
     """Contrastive-branch logits via the LM-head shortcut.
 
-    ``stop_layer = 0`` pools the raw embeddings of (masked visuals, prompt,
-    history) and applies the head directly; ``stop_layer > 0`` first runs that
-    prefix through the leading decoder layers with a throwaway cache (models
-    without decoder layers always take the direct path).
+    ``prompt_block`` is the embedded prompt, one row per token (an
+    ``(n, d_model)`` array or a list of rows). The kept visual embeddings,
+    the prompt and the embedded history are joined into one block;
+    ``stop_layer = 0`` pools that block and applies the head directly;
+    ``stop_layer > 0`` first runs it through the leading decoder layers
+    (models without decoder layers always take the direct path).
     """
-    embs = list(visual_embeddings) + model.embed_text(prompt_ids) \
-        + model.embed_text(history_ids)
+    d = model.d_model
+    embs = np.concatenate([_block(visual_embeddings, d), _block(prompt_block, d),
+                           _block(model.embed_text(history_ids), d)])
     if stop_layer > 0 and hasattr(model, "forward_sequence"):
         hiddens = model.forward_sequence(embs, stop_layer)
         pooled = model.pool_embeddings(hiddens, pooling)
@@ -386,22 +397,25 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     cache = model.new_cache(mode=scfg.mode,
                             accumulate_raw_scores=scfg.sac_input == "raw_scores")
     controller = EngineAttention(cache, model, scfg, keep_records=keep_records)
-    vis_embs = model.embed_visual(image)
+    # embedded once: prefill steps through these rows and every contrastive
+    # call gathers from them
+    vis_block = _block(model.embed_visual(image), model.d_model)
+    prompt_block = _block(model.embed_text(prompt_ids), model.d_model)
     hidden = None
-    for e in vis_embs:
+    for e in vis_block:
         hidden, _ = model.forward_step(cache, e, attend=controller.attend, visual=True)
         controller.flush_forward()
-    for e in model.embed_text(prompt_ids):
+    for e in prompt_block:
         hidden, _ = model.forward_step(cache, e, attend=controller.attend)
         controller.flush_forward()
     prefill_len = cache.n_logical
 
     if dcfg.mode == "beam":
-        result = _beam_decode(model, cache, controller, hidden, vis_embs,
-                              prompt_ids, scfg, dcfg, keep_records)
+        result = _beam_decode(model, cache, controller, hidden, vis_block,
+                              prompt_block, scfg, dcfg, keep_records)
     else:
-        result = _greedy_decode(model, cache, controller, hidden, vis_embs,
-                                prompt_ids, scfg, dcfg, keep_records)
+        result = _greedy_decode(model, cache, controller, hidden, vis_block,
+                                prompt_block, scfg, dcfg, keep_records)
     result.prefill_len = prefill_len
     result.wall_seconds = time.perf_counter() - t0
     result.memory_elements = (result.peak_rows * model.head_dim * 2
@@ -409,17 +423,16 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     return result
 
 
-def _branch_logits(model, vis_embs, prompt_ids, history, dcfg, n_generated):
-    seed = step_seed(dcfg.seed, n_generated)
-    if dcfg.visual_mask_rate > 0.0:
-        kept, _ = mask_visual(vis_embs, dcfg.visual_mask_rate, seed)
-    else:
-        kept = list(vis_embs)
-    return contrastive_logits(model, prompt_ids, kept, history,
-                              stop_layer=dcfg.stop_layer, pooling=dcfg.pooling)
+def _kept_visuals(vis_block: np.ndarray, dcfg: DecodeConfig, n_generated: int) -> np.ndarray:
+    """The visual rows the contrastive branch keeps after ``n_generated``
+    tokens: the mask is seeded by the step alone, so every hypothesis of
+    that length shares it."""
+    kept, _ = mask_visual(vis_block, dcfg.visual_mask_rate,
+                          step_seed(dcfg.seed, n_generated))
+    return kept
 
 
-def _greedy_decode(model, cache, controller, hidden, vis_embs, prompt_ids,
+def _greedy_decode(model, cache, controller, hidden, vis_block, prompt_block,
                    scfg, dcfg, keep_records) -> DecodeResult:
     tokens: list[int] = []
     diags: list[StepDiagnostics] = []
@@ -430,8 +443,10 @@ def _greedy_decode(model, cache, controller, hidden, vis_embs, prompt_ids,
         plaus = plausible_set(p_theta, dcfg.gamma_apc)
         logit_phi = None
         if dcfg.alpha > 0.0:
-            logit_phi = _branch_logits(model, vis_embs, prompt_ids, tokens,
-                                       dcfg, len(tokens))
+            kept = _kept_visuals(vis_block, dcfg, len(tokens))
+            logit_phi = contrastive_logits(model, prompt_block, kept, tokens,
+                                           stop_layer=dcfg.stop_layer,
+                                           pooling=dcfg.pooling)
         fused = fuse(logit_theta, logit_phi, dcfg.alpha, plaus)
         chosen = int(np.argmax(fused))
         is_eos = chosen == dcfg.eos_id
@@ -473,7 +488,7 @@ class _Beam:
     diags: list[StepDiagnostics]
 
 
-def _beam_decode(model, cache, controller, hidden, vis_embs, prompt_ids,
+def _beam_decode(model, cache, controller, hidden, vis_block, prompt_block,
                  scfg, dcfg, keep_records) -> DecodeResult:
     beams = [_Beam(cache, controller, hidden, [], 0.0, False, [])]
     audit: list[tuple[float, float]] = []
@@ -481,50 +496,59 @@ def _beam_decode(model, cache, controller, hidden, vis_embs, prompt_ids,
     for step in range(dcfg.max_len):
         if all(b.finished for b in beams):
             break
+        # every live beam holds ``step`` tokens, so one mask serves them all
+        kept_visuals = _kept_visuals(vis_block, dcfg, step) if dcfg.alpha > 0.0 else None
         candidates = []  # (score, beam_idx, token, diag)
         for bi, beam in enumerate(beams):
             if beam.finished:
                 candidates.append((beam.score, bi, -1, None))
                 continue
+            t_beam = time.perf_counter()
             logit_theta = model.lm_head(beam.hidden)
             p_theta = stable_softmax(logit_theta)
             plaus = plausible_set(p_theta, dcfg.gamma_apc)
             logit_phi = None
             if dcfg.alpha > 0.0:
-                logit_phi = _branch_logits(model, vis_embs, prompt_ids,
-                                           beam.tokens, dcfg, len(beam.tokens))
+                logit_phi = contrastive_logits(model, prompt_block, kept_visuals,
+                                               beam.tokens, stop_layer=dcfg.stop_layer,
+                                               pooling=dcfg.pooling)
             fused = fuse(logit_theta, logit_phi, dcfg.alpha, plaus)
             log_probs = _log_softmax(fused)
             order = np.lexsort((np.arange(log_probs.shape[0]), -log_probs))
+            # per-beam fields; each candidate fills in its own token
+            beam_diag = StepDiagnostics(
+                step=step, chosen=-1, is_eos=False, p_theta_chosen=0.0,
+                p_theta_max=float(np.max(p_theta)),
+                plausible_size=int(plaus.sum()),
+                attn_error_mean=beam.controller.mean_error(),
+                cache_rows=beam.cache.max_rows(),
+                retained_raw=beam.controller.retained_raw(),
+                logit_theta_argmax=int(np.argmax(logit_theta)),
+                fused_argmax=int(np.argmax(fused)),
+                step_seconds=time.perf_counter() - t_beam,
+            )
             for t in order[: dcfg.beam_size]:
                 t = int(t)
                 if not np.isfinite(log_probs[t]):
                     continue
-                diag = StepDiagnostics(
-                    step=step, chosen=t, is_eos=t == dcfg.eos_id,
-                    p_theta_chosen=float(p_theta[t]),
-                    p_theta_max=float(np.max(p_theta)),
-                    plausible_size=int(plaus.sum()),
-                    attn_error_mean=beam.controller.mean_error(),
-                    cache_rows=beam.cache.max_rows(),
-                    retained_raw=beam.controller.retained_raw(),
-                    logit_theta_argmax=int(np.argmax(logit_theta)),
-                    fused_argmax=int(np.argmax(fused)),
-                    step_seconds=0.0,
-                )
+                diag = replace(beam_diag, chosen=t, is_eos=t == dcfg.eos_id,
+                               p_theta_chosen=float(p_theta[t]))
                 candidates.append((beam.score + float(log_probs[t]), bi, t, diag))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         kept = candidates[: dcfg.beam_size]
         dropped = candidates[dcfg.beam_size:]
         if dropped:
             audit.append((min(c[0] for c in kept), max(c[0] for c in dropped)))
+        # the parent's cache is dead after this step: its last kept child
+        # takes it over, and only the earlier siblings clone it
+        last_child = {bi: i for i, (_, bi, token, _) in enumerate(kept) if token != -1}
         new_beams = []
-        for score, bi, token, diag in kept:
+        for i, (score, bi, token, diag) in enumerate(kept):
             parent = beams[bi]
             if token == -1:
                 new_beams.append(parent)
                 continue
-            new_cache = parent.cache.clone()
+            new_cache = parent.cache if last_child[bi] == i else parent.cache.clone()
             new_controller = EngineAttention(new_cache, model, scfg,
                                              keep_records=False)
             if token == dcfg.eos_id:

@@ -366,7 +366,7 @@ class PlantedPriorComposer(ModelInterface):
     def pool_embeddings(self, embs: list[np.ndarray], mode: str = "mean") -> np.ndarray:
         # sum pooling regardless of mode: the head decodes visible fractions
         # and emission counts from block sums
-        if not embs:
+        if len(embs) == 0:
             raise ValueError("cannot pool an empty embedding sequence")
         stack = np.asarray(embs)
         return np.add.accumulate(stack, axis=0)[-1]

@@ -13,6 +13,18 @@ left-to-right order, as the per-row ``matvec`` / ``stable_softmax`` /
 bit-identical to the per-row result. They loop over the reduced axis in
 Python (one column, or one causal suffix, at a time) instead of building a
 three-axis product.
+
+``matvec`` picks its kernel by shape, with the same bits either way. Below
+``COLUMN_LOOP_RATIO`` rows per column it reduces ``m * v`` with
+``np.add.accumulate`` along each row. From there up it runs a Python loop
+over the columns (``out += m[:, k] * v[k]``), which adds the same products
+in the same order. Measured on a 2-vCPU VM (Python 3.11, numpy 2.4), per
+call: at 8 columns, 2048 rows take 112-124 us with ``accumulate`` and
+34-40 us with the loop, and 14 rows take 5 us and 11-21 us; the two cross at
+about 300-384 rows for 8 columns, 350-400 for 16 and about 600 for 40.
+A ratio of 48 keeps the toy transformer's attention over up to 383 rows
+(8 columns per head), its weight matrices and the composer's 40-column
+attention on ``accumulate``, and sends long attention supports to the loop.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 NEG_INF = float("-inf")
+COLUMN_LOOP_RATIO = 48
 
 
 def as_vector(x) -> np.ndarray:
@@ -57,7 +70,12 @@ def matvec(m, v) -> np.ndarray:
         return np.zeros(0)
     if m.shape[1] == 0:
         return np.zeros(m.shape[0])
-    return np.add.accumulate(m * v, axis=1)[:, -1]
+    if m.shape[0] < COLUMN_LOOP_RATIO * m.shape[1]:
+        return np.add.accumulate(m * v, axis=1)[:, -1]
+    out = m[:, 0] * v[0]
+    for k in range(1, m.shape[1]):
+        out += m[:, k] * v[k]
+    return out
 
 
 def weighted_sum_rows(weights, m) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sparsevcd.models import ImageDescriptor, build_toy_transformer, model_from_
 from sparsevcd.numerics import NEG_INF, stable_softmax
 from sparsevcd.oracle import reference_full_decode
 from sparsevcd.rng import combine
+from sparsevcd.vats import cluster_pruned
 
 
 def transformer(seed=1):
@@ -62,6 +64,17 @@ def test_mask_visual_deterministic_per_seed():
     _, c = mask_visual(embs, 0.5, seed=6)
     assert a == b
     assert a != c
+
+
+def test_mask_visual_accepts_an_embedding_block():
+    embs = [np.full(3, float(i)) for i in range(20)]
+    kept, idx = mask_visual(np.array(embs), 0.5, seed=5)
+    from_list, idx_from_list = mask_visual(embs, 0.5, seed=5)
+    assert idx == idx_from_list
+    assert np.array_equal(kept, np.array(embs)[idx])
+    assert np.array_equal(from_list, kept)
+    with pytest.raises(ValueError):
+        mask_visual(np.zeros((0, 3)), 0.5, seed=5)
 
 
 # ---------------------------------------------------------- plausible_set
@@ -137,7 +150,8 @@ def test_alpha_continuity_piecewise_constant():
 def test_contrastive_composer_masked_all_gives_prior_argmax():
     cfg = ModelConfig(kind="composer", vocab=20, seed=2, sigma=0.0)
     model = model_from_config(cfg)
-    logits = contrastive_logits(model, [TOKEN_BOS], [], [], stop_layer=0)
+    logits = contrastive_logits(model, model.embed_text([TOKEN_BOS]), [], [],
+                                stop_layer=0)
     findings = model.finding_ids
     best = findings[int(np.argmax(model.prior))]
     assert int(np.argmax(logits[findings])) == list(findings).index(best)
@@ -151,7 +165,7 @@ def test_contrastive_full_stop_layer_equals_theta_logits():
                  disabled_decode(max_len=1, pooling="last"))
     # theta logits for the same prefix: full forward, last hidden
     embs = m.embed_visual(img) + m.embed_text(prompt)
-    phi = contrastive_logits(m, prompt, m.embed_visual(img), [],
+    phi = contrastive_logits(m, m.embed_text(prompt), m.embed_visual(img), [],
                              stop_layer=m.layers, pooling="last")
     hiddens = m.forward_sequence(embs)
     theta = m.lm_head(hiddens[-1])
@@ -163,11 +177,12 @@ def test_contrastive_stop_layers_differ_and_finite():
     m = transformer(3)
     img = ImageDescriptor((4, 5), 2)
     vis = m.embed_visual(img)
-    l0 = contrastive_logits(m, [1], vis, [2, 3], stop_layer=0)
-    l1 = contrastive_logits(m, [1], vis, [2, 3], stop_layer=1)
+    prompt = m.embed_text([1])
+    l0 = contrastive_logits(m, prompt, vis, [2, 3], stop_layer=0)
+    l1 = contrastive_logits(m, prompt, vis, [2, 3], stop_layer=1)
     assert np.all(np.isfinite(l0)) and np.all(np.isfinite(l1))
     assert not np.allclose(l0, l1)
-    assert np.array_equal(l1, contrastive_logits(m, [1], vis, [2, 3], stop_layer=1))
+    assert np.array_equal(l1, contrastive_logits(m, prompt, vis, [2, 3], stop_layer=1))
 
 
 # ------------------------------------------------------------- decode loop
@@ -220,6 +235,15 @@ def test_beam_width_one_equals_greedy():
     beam1 = decode(m, img, [1], disabled_sparsify(),
                    disabled_decode(max_len=10, mode="beam", beam_size=1))
     assert greedy.tokens == beam1.tokens
+
+
+def test_beam_diagnostics_record_step_time():
+    m = transformer(23)
+    img = ImageDescriptor((4, 9), 3)
+    res = decode(m, img, [1, 2, 3], SparsifyConfig(l_min=4),
+                 DecodeConfig(max_len=6, mode="beam", beam_size=3, seed=2, eos_id=-1))
+    assert len(res.diagnostics) == 6
+    assert all(d.step_seconds > 0.0 for d in res.diagnostics)
 
 
 def test_beam_monotonicity_audit():
@@ -340,6 +364,50 @@ def test_engine_paths_match_pins(name):
     assert pinned_session(overrides) == (tokens, digest)
 
 
+# Compacted beam search with the visual mask on, pinned per (stop_layer,
+# eos_id): tokens, sha256 of the ``beam_audit`` float bytes, sha256 of the
+# winner's diagnostics (all fields but the timing) and peak rows. EOS 23
+# ends the winning beam after one token, so finished beams are carried.
+BEAM_PINS = {
+    (0, -1): ([40, 37, 55, 55, 55, 37, 55, 37, 55, 37],
+              "b69c65a91fd763aabb03d1af86e9765c36a5b32dd51e62c5fb80a0e01b303162",
+              "6a75828577ad68ff34c8a41a86aaa7679448d80b45819a68ba59935a698d4671", 90),
+    (0, 23): ([40],
+              "0ba1d60d36b21abca54d4a40d93901993eea5f9bad09e67258fc3d54dff8e31b",
+              "f3e206bc1b1321597e646da5ca1450ffbf5eb9a0fdff961d099dd30b9506c60e", 90),
+    (1, -1): ([40, 37, 55, 55, 55, 55, 55, 37, 6, 37],
+              "2d3fcd5b49febf4acb07b3fec1ec428fba56137279d3ab413a106426c7990f65",
+              "8f639e89c9809ba90245ba1bbad96af393cb5ddbd729b20cbfbf5d98c3f8f95b", 90),
+    (1, 23): ([40],
+              "480895c3f747dfee966844f42cd623b86f5af6d64db3fe74fb9ff84f3e7d8f99",
+              "f3e206bc1b1321597e646da5ca1450ffbf5eb9a0fdff961d099dd30b9506c60e", 90),
+}
+
+
+def beam_pinned_session(stop_layer, eos_id):
+    """A 120-token prefix (48 visual, 72 random text) compacted down to 90
+    rows, then 10 beam steps of width 4 with half the visuals masked."""
+    rng = np.random.default_rng(211)
+    m = transformer(41)
+    img = ImageDescriptor((5, 11, 17, 30), 12)
+    prompt = [int(t) for t in rng.integers(1, 64, size=72)]
+    scfg = SparsifyConfig(mode="compacted", sparsity_rate=0.5, compact_band=8, l_min=8)
+    dcfg = DecodeConfig(mode="beam", beam_size=4, visual_mask_rate=0.5, max_len=10,
+                        seed=13, stop_layer=stop_layer, eos_id=eos_id)
+    res = decode(m, img, prompt, scfg, dcfg)
+    audit = np.array(res.beam_audit, dtype=np.float64).tobytes()
+    diags = repr([(d.step, d.chosen, d.is_eos, d.p_theta_chosen, d.p_theta_max,
+                   d.plausible_size, d.attn_error_mean, d.cache_rows, d.retained_raw,
+                   d.logit_theta_argmax, d.fused_argmax) for d in res.diagnostics])
+    return (res.tokens, hashlib.sha256(audit).hexdigest(),
+            hashlib.sha256(diags.encode()).hexdigest(), res.peak_rows)
+
+
+@pytest.mark.parametrize("stop_layer,eos_id", sorted(BEAM_PINS))
+def test_compacted_beam_matches_pins(stop_layer, eos_id):
+    assert beam_pinned_session(stop_layer, eos_id) == BEAM_PINS[(stop_layer, eos_id)]
+
+
 # ----------------------------------------------------- pinned equivalences
 
 sessions = st.fixed_dictionaries({
@@ -382,3 +450,29 @@ def test_logical_equals_compacted_when_nothing_is_pruned(draw):
     assert runs[0].tokens == runs[1].tokens
     for a, b in zip(runs[0].diagnostics, runs[1].diagnostics, strict=True):
         assert np.array_equal(a.detail.logit_theta, b.detail.logit_theta)
+
+
+@settings(max_examples=12, deadline=None)
+@given(sessions, st.sampled_from(["logical", "compacted"]))
+def test_logits_finite_and_attention_and_merge_weights_normalised(draw, mode):
+    m, img, prompt = session_inputs(draw)
+    scfg = SparsifyConfig(sparsity_rate=0.5, l_min=8, mode=mode, compact_band=2)
+    dcfg = DecodeConfig(max_len=8, seed=draw["decode_seed"], eos_id=-1)
+    merge_weights = []
+
+    def spy(*args, **kwargs):
+        assignment = cluster_pruned(*args, **kwargs)
+        merge_weights.extend(assignment.weights)
+        return assignment
+
+    with mock.patch("sparsevcd.decoding.cluster_pruned", spy):
+        res = decode(m, img, prompt, scfg, dcfg, diag_level="full")
+    for d in res.diagnostics:
+        assert np.all(np.isfinite(d.detail.logit_theta))
+    rows = [snap["row"] for rec in res.forward_records for snap in rec["rows"]]
+    assert rows
+    for row in rows:
+        assert abs(np.add.accumulate(row)[-1] - 1.0) <= 1e-12
+    assert merge_weights
+    for w in merge_weights:
+        assert abs(np.add.accumulate(w)[-1] - 1.0) <= 1e-12

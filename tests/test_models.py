@@ -224,6 +224,15 @@ def test_composer_repeat_suppression():
     assert logits[6] < -100.0
 
 
+def test_composer_pools_an_embedding_block():
+    c = composer(sigma=0.0)
+    embs = c.embed_visual(ImageDescriptor((6, 9), tokens_per_finding=3)) + c.embed_text([6])
+    block = np.array(embs)
+    assert np.array_equal(c.pool_embeddings(block), c.pool_embeddings(embs))
+    with pytest.raises(ValueError):
+        c.pool_embeddings(np.zeros((0, c.d_model)))
+
+
 def test_composer_determinism_same_seed():
     a, b = composer(seed=21), composer(seed=21)
     assert np.array_equal(a.noise, b.noise)

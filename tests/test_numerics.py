@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevcd.numerics import (NEG_INF, causal_softmax, causal_weighted_sum, dot,
-                                matvec, matvec_rows, stable_softmax,
-                                weighted_sum_rows)
+from sparsevcd.numerics import (COLUMN_LOOP_RATIO, NEG_INF, causal_softmax,
+                                causal_weighted_sum, dot, matvec, matvec_rows,
+                                stable_softmax, weighted_sum_rows)
 
 # expected values frozen from an mpmath (50-digit) softmax evaluation
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -117,6 +117,35 @@ def test_weighted_sum_rows_matches_manual():
 def bitwise_equal(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_row_matvec(m, v):
+    """Reference: each row's products summed left to right on their own."""
+    return np.array([np.add.accumulate(row * v)[-1] if v.shape[0] else 0.0
+                     for row in m])
+
+
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_matvec_is_per_row_accumulate_bitwise(cols, frac, seed):
+    # rows from 0 to twice the column-loop threshold for this column count,
+    # so both kernels are drawn
+    rows = int(frac * 2 * COLUMN_LOOP_RATIO * max(cols, 1))
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(rows, cols))
+    v = rng.normal(size=cols)
+    got = matvec(m, v)
+    assert got.shape == (rows,)
+    assert bitwise_equal(got, per_row_matvec(m, v))
+
+
+@pytest.mark.parametrize("cols", [1, 8, 40])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_matvec_kernels_agree_at_the_threshold(cols, offset):
+    rng = np.random.default_rng(cols)
+    m = rng.normal(size=(COLUMN_LOOP_RATIO * cols + offset, cols))
+    v = rng.normal(size=cols)
+    assert bitwise_equal(matvec(m, v), per_row_matvec(m, v))
 
 
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
