@@ -1,4 +1,4 @@
-"""Per-layer/per-head key-value store with logical retention masks, merged-token
+"""Per-layer key-value store with logical retention masks, merged-token
 records, visual-token flags, and attention accumulators.
 
 A cache instance is owned by exactly one decode session. Two maintenance modes:
@@ -7,111 +7,91 @@ A cache instance is owned by exactly one decode session. Two maintenance modes:
   boolean mask plus virtual merged-token records, recomputed per step.
 * ``compacted`` — pruned rows are physically evicted and each cluster is
   appended as one aggregate row (exempt from later pruning).
+
+Layout: each layer keeps all of its rows in one growable float64 buffer,
+one column per row. A column holds, per head, the key; then per head the
+value; then per head the column accumulator ``c`` and the visual-mass
+accumulator ``r``; then the row's retention mask, visual flag and aggregate
+flag. So a head's keys are a ``(dim, rows)`` block, the heads' keys an
+``(H, dim, rows)`` block, and ``c`` / ``r`` ``(H, rows)`` blocks; the
+accessors hand them out as views (keys and values transposed to
+``(H, rows, dim)``). Appending a token writes one column; growing,
+compacting and cloning a layer each move one buffer. A layer's merged
+records are one block too (``MergedRecords``).
+
+Attention runs once per layer over head groups: all heads when the layer
+shares one mask, one head per group when per-head overlays are installed.
+A group is a slice of heads, or a head number for a group of one: its
+arrays then drop the head axis, and the same kernels run on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevcd.numerics import matvec, stable_softmax
-
-
-class _Rows:
-    """Growable (n, dim) float64 buffer."""
-
-    def __init__(self, dim: int, cap: int = 16):
-        self.dim = dim
-        self.data = np.zeros((cap, dim))
-        self.n = 0
-
-    def append(self, row: np.ndarray) -> int:
-        if self.n == self.data.shape[0]:
-            grown = np.zeros((2 * self.data.shape[0], self.dim))
-            grown[: self.n] = self.data[: self.n]
-            self.data = grown
-        self.data[self.n] = row
-        self.n += 1
-        return self.n - 1
-
-    def view(self) -> np.ndarray:
-        return self.data[: self.n]
-
-    def replace(self, rows: np.ndarray) -> None:
-        self.n = rows.shape[0]
-        cap = max(16, self.n)
-        self.data = np.zeros((cap, self.dim))
-        self.data[: self.n] = rows
-
-    def clone(self) -> "_Rows":
-        out = _Rows(self.dim, self.data.shape[0])
-        out.data = self.data.copy()
-        out.n = self.n
-        return out
-
-
-class _Scalars:
-    """Growable 1-d float64 buffer."""
-
-    def __init__(self, cap: int = 16):
-        self.data = np.zeros(cap)
-        self.n = 0
-
-    def append(self, value: float) -> None:
-        if self.n == self.data.shape[0]:
-            grown = np.zeros(2 * self.data.shape[0])
-            grown[: self.n] = self.data[: self.n]
-            self.data = grown
-        self.data[self.n] = value
-        self.n += 1
-
-    def view(self) -> np.ndarray:
-        return self.data[: self.n]
-
-    def replace(self, values: np.ndarray) -> None:
-        self.n = values.shape[0]
-        self.data = np.zeros(max(16, self.n))
-        self.data[: self.n] = values
-
-    def clone(self) -> "_Scalars":
-        out = _Scalars(self.data.shape[0])
-        out.data = self.data.copy()
-        out.n = self.n
-        return out
+from sparsevcd.numerics import matvec, stable_softmax, weighted_sum_rows
+from sparsevcd.sac import calibrate_scores
 
 
 @dataclass
-class MergedRecord:
-    """One cluster of pruned tokens merged into a virtual aggregate row."""
+class MergedRecords:
+    """A layer's clusters of pruned rows, each merged into one virtual
+    aggregate row; cluster ``j`` is column ``j`` of every block."""
 
-    members: np.ndarray          # physical row indices of the members
-    weights: np.ndarray          # merge weights, sum to 1
-    keys: list[np.ndarray]       # aggregate key per head
-    values: list[np.ndarray]     # aggregate value per head
-    c: list[float]               # merge-weighted member column accumulators
-    r: list[float]               # merge-weighted member visual-mass accumulators
-    visual_weight: float         # total merge weight carried by visual members
+    members: np.ndarray        # (total,) physical rows of the members, cluster by cluster
+    sizes: np.ndarray          # (m,) members per cluster
+    weights: np.ndarray        # (total,) merge weights; each cluster's sum to 1
+    keys: np.ndarray           # (H, dim, m) aggregate keys
+    values: np.ndarray         # (H, dim, m) aggregate values
+    c: np.ndarray              # (H, m) merge-weighted member column accumulators
+    r: np.ndarray              # (H, m) merge-weighted member visual-mass accumulators
+    visual_weight: np.ndarray  # (m,) merge weight carried by visual members
+
+    def __len__(self) -> int:
+        return self.sizes.shape[0]
+
+    @classmethod
+    def empty(cls, heads: int, dim: int) -> "MergedRecords":
+        return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+                   np.zeros((heads, dim, 0)), np.zeros((heads, dim, 0)),
+                   np.zeros((heads, 0)), np.zeros((heads, 0)), np.zeros(0))
 
 
 @dataclass
 class SupportView:
-    """Attention support for one (layer, head): retained raws then aggregates."""
+    """Attention support for one head group of a layer: retained raw rows,
+    then the virtual aggregates."""
 
-    keys: np.ndarray
-    values: np.ndarray
-    c: np.ndarray
-    raw_idx: np.ndarray          # physical indices of the retained raw entries
-    records: list[MergedRecord]  # logical-mode virtual aggregates, in order
+    heads: int | slice         # a head number drops the head axis below
+    keys: np.ndarray           # (G, size, dim)
+    values: np.ndarray         # (G, size, dim)
+    c: np.ndarray              # (G, size)
+    raw_idx: np.ndarray | slice  # physical rows of the retained raw entries
+    n_raw: int
+    records: MergedRecords     # logical-mode virtual aggregates, in order
 
     @property
     def size(self) -> int:
-        return self.keys.shape[0]
+        return self.keys.shape[-2]
 
     @property
-    def n_raw(self) -> int:
-        return self.raw_idx.shape[0]
+    def head_ids(self) -> range:
+        h = self.heads
+        return range(h, h + 1) if isinstance(h, int) else range(h.start, h.stop)
+
+
+@dataclass
+class Attention:
+    """One layer's attention: context per head, and per head the attention
+    row and the raw scaled scores over that head's support."""
+
+    context: np.ndarray        # (H, dim)
+    rows: list[np.ndarray]
+    scores: list[np.ndarray]
+    supports: list[SupportView]
 
 
 @dataclass
@@ -122,24 +102,96 @@ class CompactStats:
 
 
 class _LayerState:
-    def __init__(self, heads: int, dim: int):
-        self.keys = [_Rows(dim) for _ in range(heads)]
-        self.values = [_Rows(dim) for _ in range(heads)]
-        self.mask = _Scalars()      # 1.0 retained / 0.0 pruned, raw+agg rows
-        self.visual = _Scalars()
-        self.is_agg = _Scalars()
-        self.born = _Scalars()      # logical index; -1 for aggregates
-        self.c = [_Scalars() for _ in range(heads)]
-        self.r = [_Scalars() for _ in range(heads)]
-        self.raw_appends = 0        # raw tokens ever appended, eviction-proof
+    """One layer's rows, one column each; see the module docstring."""
+
+    def __init__(self, heads: int, dim: int, cap: int = 16):
+        hd = heads * dim
+        self.heads, self.dim = heads, dim
+        self._keys = slice(0, hd)
+        self._values = slice(hd, 2 * hd)
+        self._c = slice(2 * hd, 2 * hd + heads)
+        self._r = slice(2 * hd + heads, 2 * hd + 2 * heads)
+        self.n = 0
+        self._adopt(np.zeros((2 * hd + 2 * heads + 3, cap)))
         self.raw_present = 0        # raw rows physically present
-        self.merged: list[MergedRecord] = []
-        self.merged_ph: dict[int, list[MergedRecord]] = {}
+        self.no_records = MergedRecords.empty(heads, dim)  # shared: never written
+        self.merged = self.no_records
+        # False: the shared mask keeps every row and no records are installed
+        self.pruning = False
+        self.merged_ph: dict[int, MergedRecords] = {}
         self.mask_ph: dict[int, np.ndarray] = {}
 
+    def _adopt(self, data: np.ndarray) -> None:
+        """Take ``data`` as the buffer, with full-capacity views of its
+        fields: ``(H, dim, cap)`` keys and values, ``(H, cap)`` ``c`` and
+        ``r``, and the three flag rows."""
+        shape = (self.heads, self.dim, data.shape[1])
+        self.data = data
+        self.k_all = data[self._keys].reshape(shape)
+        self.v_all = data[self._values].reshape(shape)
+        self.c_all = data[self._c]
+        self.r_all = data[self._r]
+        self.flags = data[-3:]      # mask, visual, aggregate
+
+    # live views, (H, n) / (n,)
     @property
-    def n_rows(self) -> int:
-        return self.keys[0].n
+    def c(self) -> np.ndarray:
+        return self.c_all[:, : self.n]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.r_all[:, : self.n]
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.flags[0, : self.n]
+
+    @property
+    def visual(self) -> np.ndarray:
+        return self.flags[1, : self.n]
+
+    @property
+    def is_agg(self) -> np.ndarray:
+        return self.flags[2, : self.n]
+
+    def append(self, keys: np.ndarray, values: np.ndarray, visual: bool) -> int:
+        if self.n == self.data.shape[1]:
+            grown = np.zeros((self.data.shape[0], 2 * self.n))
+            grown[:, : self.n] = self.data[:, : self.n]
+            self._adopt(grown)
+        # columns past n are zero, so the new row's c and r start at 0
+        col = self.data[:, self.n]
+        col[self._keys] = keys.reshape(-1)
+        col[self._values] = values.reshape(-1)
+        col[-3:] = (1.0, 1.0 if visual else 0.0, 0.0)
+        self.n += 1
+        self.raw_present += 1
+        return self.n - 1
+
+    def aggregate_columns(self, rec: MergedRecords) -> np.ndarray:
+        """The records as retained, non-visual aggregate columns."""
+        m = len(rec)
+        flags = np.zeros((3, m))
+        flags[0] = 1.0
+        flags[2] = 1.0
+        hd = self.heads * self.dim
+        return np.concatenate([rec.keys.reshape(hd, m), rec.values.reshape(hd, m),
+                               rec.c, rec.r, flags])
+
+    def replace(self, columns: np.ndarray) -> None:
+        self.n = columns.shape[1]
+        data = np.zeros((self.data.shape[0], max(16, self.n)))
+        data[:, : self.n] = columns
+        self._adopt(data)
+
+    def clone(self) -> "_LayerState":
+        out = _LayerState.__new__(_LayerState)
+        out.__dict__.update(self.__dict__)
+        out._adopt(self.data.copy())
+        # records and overlay masks are replaced, never written in place
+        out.merged_ph = dict(self.merged_ph)
+        out.mask_ph = dict(self.mask_ph)
+        return out
 
 
 class KvCache:
@@ -157,67 +209,52 @@ class KvCache:
         self.mode = mode
         self.accumulate_raw_scores = accumulate_raw_scores
         self.sqrt_dim = math.sqrt(dim)
+        # head groups; a lone head is addressed by its number, so its blocks
+        # drop the head axis (numpy calls on 1-d rows cost less than on 2-d)
+        self._all_heads = [slice(0, heads) if heads > 1 else 0]
+        self._each_head = list(range(heads))
         self._layers = [_LayerState(heads, dim) for _ in range(layers)]
         self.n_logical = 0
         self.peak_rows = 0
 
     # ------------------------------------------------------------------ rows
 
-    def append(self, layer: int, head: int, key, value, visual: bool = False) -> int:
-        """Append one token's key/value for (layer, head); returns the row index.
-
-        The logical length advances once per token (on the layer-0/head-0
-        append), not once per head.
-        """
-        key = np.asarray(key, dtype=np.float64)
-        value = np.asarray(value, dtype=np.float64)
-        if key.shape != (self.dim,) or value.shape != (self.dim,):
-            raise ValueError(
-                f"append: expected vectors of dim {self.dim}, got {key.shape} and {value.shape}"
-            )
+    def append(self, layer: int, keys, values, visual: bool = False) -> int:
+        """Append one token's keys and values, ``(heads, dim)`` each, to a
+        layer; returns the row index. The logical length advances on the
+        layer-0 append."""
+        keys = np.asarray(keys, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        shape = (self.heads, self.dim)
+        if keys.shape != shape or values.shape != shape:
+            raise ValueError(f"append: expected ({self.heads}, {self.dim}) blocks, "
+                             f"got {keys.shape} and {values.shape}")
         st = self._layers[layer]
-        if head == 0:
-            st.mask.append(1.0)
-            st.visual.append(1.0 if visual else 0.0)
-            st.is_agg.append(0.0)
-            st.born.append(float(st.raw_appends))
-            st.raw_appends += 1
-            st.raw_present += 1
-            for h in range(self.heads):
-                st.c[h].append(0.0)
-                st.r[h].append(0.0)
-            if layer == 0:
-                self.n_logical += 1
-        else:
-            if st.keys[head].n != st.keys[0].n - 1:
-                raise ValueError("append: heads must be filled in order 0..H-1 per token")
-        pos = st.keys[head].append(key)
-        st.values[head].append(value)
-        if head == self.heads - 1:
-            self.peak_rows = max(self.peak_rows, st.n_rows)
+        pos = st.append(keys, values, visual)
+        if layer == 0:
+            self.n_logical += 1
+        self.peak_rows = max(self.peak_rows, st.n)
         return pos
 
     def rows(self, layer: int) -> int:
-        return self._layers[layer].n_rows
+        return self._layers[layer].n
 
     def max_rows(self) -> int:
-        return max(st.n_rows for st in self._layers)
+        return max(st.n for st in self._layers)
 
     # ------------------------------------------------------------- flags/sets
 
     def visual_rows(self, layer: int) -> np.ndarray:
-        st = self._layers[layer]
-        return np.nonzero(st.visual.view() > 0.5)[0]
+        return np.nonzero(self.visual_flags(layer))[0]
 
     def visual_flags(self, layer: int) -> np.ndarray:
-        return self._layers[layer].visual.view() > 0.5
+        return self._layers[layer].visual > 0.5
 
     def has_visual(self, layer: int = 0) -> bool:
-        return bool(np.any(self._layers[layer].visual.view() > 0.5))
+        return bool(np.any(self.visual_flags(layer)))
 
     def raw_rows(self, layer: int) -> np.ndarray:
-        st = self._layers[layer]
-        return np.nonzero(st.is_agg.view() < 0.5)[0]
+        return np.nonzero(self._layers[layer].is_agg < 0.5)[0]
 
     def raw_present(self, layer: int) -> int:
         return self._layers[layer].raw_present
@@ -226,105 +263,148 @@ class KvCache:
         st = self._layers[layer]
         if head is not None and head in st.mask_ph:
             return st.mask_ph[head]
-        return st.mask.view() > 0.5
+        return st.mask > 0.5
 
-    def born_view(self, layer: int) -> np.ndarray:
-        return self._layers[layer].born.view()
+    def key_block(self, layer: int) -> np.ndarray:
+        """Every head's keys as an ``(H, rows, dim)`` view."""
+        st = self._layers[layer]
+        return st.k_all[:, :, : st.n].transpose(0, 2, 1)
+
+    def c_block(self, layer: int) -> np.ndarray:
+        """Every head's column accumulators, ``(H, rows)``, writable."""
+        return self._layers[layer].c
+
+    def r_block(self, layer: int) -> np.ndarray:
+        """Every head's visual-mass accumulators, ``(H, rows)``, writable."""
+        return self._layers[layer].r
 
     def c_view(self, layer: int, head: int) -> np.ndarray:
-        return self._layers[layer].c[head].view()
+        return self._layers[layer].c[head]
 
     def r_view(self, layer: int, head: int) -> np.ndarray:
-        return self._layers[layer].r[head].view()
+        return self._layers[layer].r[head]
 
     def key_rows(self, layer: int, head: int) -> np.ndarray:
-        return self._layers[layer].keys[head].view()
+        st = self._layers[layer]
+        return st.k_all[head, :, : st.n].T
 
     def value_rows(self, layer: int, head: int) -> np.ndarray:
-        return self._layers[layer].values[head].view()
+        st = self._layers[layer]
+        return st.v_all[head, :, : st.n].T
+
+    def gather(self, layer: int, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` of the layer as a ``(len(idx), fields)`` table: per
+        head the key, per head the value, ``c`` and ``r`` per head, then the
+        mask, visual and aggregate flags (merging it column by column merges
+        each field)."""
+        return self._layers[layer].data[:, idx].T
+
+    def merged_records(self, layer: int, members: np.ndarray, sizes: np.ndarray,
+                       weights: np.ndarray, merged: np.ndarray) -> MergedRecords:
+        """Records from a merged ``gather`` table, one row per cluster:
+        ``members`` (physical rows, cluster by cluster), ``sizes`` and
+        ``weights`` as in ``MergedRecords``."""
+        st, cols = self._layers[layer], merged.T
+        block = (self.heads, self.dim, cols.shape[1])
+        return MergedRecords(members, sizes, weights, cols[st._keys].reshape(block),
+                             cols[st._values].reshape(block), cols[st._c], cols[st._r],
+                             cols[-2].copy())
 
     # -------------------------------------------------------------- attention
 
-    def support(self, layer: int, head: int) -> SupportView:
-        """Current attention support: retained rows followed by virtual aggregates."""
+    def head_groups(self, layer: int) -> list[int | slice]:
+        """All heads together, or one head per group once per-head
+        overlays are installed."""
+        return self._each_head if self._layers[layer].mask_ph else self._all_heads
+
+    def support(self, layer: int, heads: int | slice) -> SupportView:
+        """Current attention support of a head group: retained rows followed
+        by virtual aggregates."""
         st = self._layers[layer]
-        mask = self.mask_view(layer, head)
-        K = st.keys[head].view()
-        V = st.values[head].view()
-        c = st.c[head].view()
-        if head in st.mask_ph:
-            records = st.merged_ph.get(head, [])
+        n = st.n
+        first = heads if isinstance(heads, int) else heads.start
+        if first in st.mask_ph:
+            mask, records = st.mask_ph[first], st.merged_ph[first]
         else:
-            records = st.merged
-        if mask.all() and not records:
-            return SupportView(K, V, c, np.arange(K.shape[0]), [])
-        idx = np.nonzero(mask)[0]
-        keys = K[idx]
-        values = V[idx]
-        cs = c[idx]
-        if records:
-            keys = np.vstack([keys] + [rec.keys[head][None, :] for rec in records])
-            values = np.vstack([values] + [rec.values[head][None, :] for rec in records])
-            cs = np.concatenate([cs, np.array([rec.c[head] for rec in records])])
-        return SupportView(keys, values, cs, idx, list(records))
+            mask, records = (st.mask > 0.5 if st.pruning else None), st.merged
+        if mask is None or (mask.all() and not len(records)):
+            return SupportView(heads, st.k_all[heads, ..., :n].swapaxes(-1, -2),
+                               st.v_all[heads, ..., :n].swapaxes(-1, -2), st.c_all[heads, :n],
+                               slice(0, n), n, records)
+        raw_idx = np.nonzero(mask)[0]
+        K = np.concatenate([st.k_all[heads][..., raw_idx], records.keys[heads]], axis=-1)
+        V = np.concatenate([st.v_all[heads][..., raw_idx], records.values[heads]], axis=-1)
+        c = np.concatenate([st.c_all[heads][..., raw_idx], records.c[heads]], axis=-1)
+        return SupportView(heads, K.swapaxes(-1, -2), V.swapaxes(-1, -2), c,
+                           raw_idx, raw_idx.shape[0], records)
 
-    def masked_attention(self, layer: int, head: int, q) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled-dot attention over the current support.
+    def attend(self, layer: int, q, beta: float = 0.0) -> Attention:
+        """Scaled-dot attention of each head's query (``q`` is
+        ``(heads, dim)``) over its support, one head group at a time.
 
-        Returns (attention row, raw scaled scores); pruned tokens contribute
-        nothing. Raises on empty support.
+        ``beta > 0`` applies sinking-attention calibration to the scores
+        (penalty weights: the softmax of the support's ``c``). Every
+        attention row is folded into the accumulators; pruned tokens
+        contribute nothing. Raises on an empty support.
         """
         q = np.asarray(q, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"masked_attention: query dim {q.shape} != {self.dim}")
-        sup = self.support(layer, head)
-        if sup.size == 0:
-            raise ValueError("masked_attention: empty support")
-        scores = matvec(sup.keys, q) / self.sqrt_dim
-        return stable_softmax(scores), scores
-
-    def attention_error(self, layer: int, head: int, q) -> float:
-        """Squared attention deviation of the current mask:
-        sum over pruned raw rows of <K_i, q>^2 (aggregates excluded)."""
-        q = np.asarray(q, dtype=np.float64)
-        st = self._layers[layer]
-        mask = self.mask_view(layer, head)
-        raw = st.is_agg.view() < 0.5
-        pruned = np.nonzero(raw & ~mask)[0]
-        if pruned.shape[0] == 0:
-            return 0.0
-        ip = matvec(st.keys[head].view()[pruned], q)
-        return float(np.add.accumulate(ip * ip)[-1])
+        if q.shape != (self.heads, self.dim):
+            raise ValueError(f"attend: query block {q.shape} != ({self.heads}, {self.dim})")
+        context = np.empty((self.heads, self.dim))
+        rows, scores, supports = [], [], []
+        query_row = self.rows(layer) - 1
+        for heads in self.head_groups(layer):
+            sup = self.support(layer, heads)
+            if sup.size == 0:
+                raise ValueError("attend: empty support")
+            s = matvec(sup.keys, q[heads]) / self.sqrt_dim
+            cal = calibrate_scores(s, stable_softmax(sup.c), beta) if beta > 0.0 else s
+            row = stable_softmax(cal)
+            context[heads] = weighted_sum_rows(row, sup.values)
+            self.record_attention(layer, heads, row, s, sup, query_row)
+            if row.ndim == 1:
+                rows.append(row)
+                scores.append(s)
+            else:
+                rows.extend(row)
+                scores.extend(s)
+            supports.append(sup)
+        return Attention(context, rows, scores, supports)
 
     # ----------------------------------------------------------- accumulators
 
-    def record_attention(self, layer: int, head: int, row: np.ndarray,
+    def record_attention(self, layer: int, heads: int | slice, rows: np.ndarray,
                          scores: np.ndarray, support: SupportView,
                          query_row: int) -> None:
-        """Fold one step's attention row into the accumulators.
+        """Fold one step's attention rows (``(G, size)``, one per head of
+        the group, or one ``(size,)`` row) into the accumulators.
 
-        ``row`` indexes the support; column sums get the row (or the raw
-        scores when the cache accumulates raw scores), with aggregate entries
-        redistributed to their members by merge weight. The querying token's
-        visual-mass entry gets the probability mass landing on visual rows.
+        Rows index the support; column sums get the rows (or the raw scores
+        when the cache accumulates raw scores), with aggregate entries
+        redistributed to their members by merge weight (clusters are
+        disjoint, so one scatter adds each member once). The querying
+        token's visual-mass entry gets the probability mass landing on
+        visual rows: the raw rows' flags, then the records' visual weights,
+        summed along the row.
         """
         st = self._layers[layer]
-        contrib = scores if self.accumulate_raw_scores else row
+        contrib = scores if self.accumulate_raw_scores else rows
         n_raw = support.n_raw
-        c = st.c[head]
-        c.data[: c.n][support.raw_idx] += contrib[:n_raw]
-        vis_flags = st.visual.view()[support.raw_idx] > 0.5
-        vis_mass = float(np.add.accumulate(row[:n_raw] * vis_flags)[-1]) if n_raw else 0.0
-        for j, rec in enumerate(support.records):
-            amount = contrib[n_raw + j]
-            c.data[: c.n][rec.members] += amount * rec.weights
-            vis_mass += float(row[n_raw + j]) * rec.visual_weight
-        st.r[head].data[query_row] += vis_mass
+        rec = support.records
+        c = st.c_all[heads]
+        c[..., support.raw_idx] += contrib[..., :n_raw]
+        flags = st.flags[1, support.raw_idx]
+        if len(rec):
+            amounts = np.repeat(contrib[..., n_raw:], rec.sizes, axis=-1)
+            c[..., rec.members] += amounts * rec.weights
+            flags = np.concatenate([flags, rec.visual_weight])
+        st.r_all[heads, query_row] += np.add.accumulate(rows * flags, axis=-1)[..., -1]
 
     # ---------------------------------------------------------- sparsification
 
     def set_sparsification(self, layer: int, mask: np.ndarray,
-                           records: list[MergedRecord], head: int | None = None) -> None:
+                           records: MergedRecords | None = None,
+                           head: int | None = None) -> None:
         """Install a raw-row retention mask plus merged records for a layer.
 
         ``head=None`` installs the shared per-layer mask; an integer head
@@ -332,19 +412,24 @@ class KvCache:
         """
         st = self._layers[layer]
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != st.n_rows:
+        if mask.shape[0] != st.n:
             raise ValueError("set_sparsification: mask length must equal row count")
+        if records is None:
+            records = st.no_records
         if head is None:
-            st.mask.data[: st.mask.n] = mask.astype(np.float64)
-            st.merged = list(records)
+            st.mask[:] = mask
+            st.merged = records
+            st.pruning = True
         else:
             st.mask_ph[head] = mask
-            st.merged_ph[head] = list(records)
+            st.merged_ph[head] = records
 
     def clear_sparsification(self, layer: int) -> None:
         st = self._layers[layer]
-        st.mask.data[: st.mask.n] = 1.0
-        st.merged = []
+        if st.pruning:
+            st.mask[:] = 1.0
+            st.merged = st.no_records
+            st.pruning = False
         st.mask_ph.clear()
         st.merged_ph.clear()
 
@@ -358,69 +443,29 @@ class KvCache:
         if not self.has_pending_prune():
             stats.no_op = True
             return stats
-        for layer in range(self.layers):
-            st = self._layers[layer]
+        for st in self._layers:
             if st.mask_ph:
                 raise ValueError("compact: per-head masks cannot be compacted")
-            mask = st.mask.view() > 0.5
-            if mask.all() and not st.merged:
+            mask = st.mask > 0.5
+            if mask.all() and not len(st.merged):
                 continue
             keep = np.nonzero(mask)[0]
-            records = st.merged
-            stats.evicted += int(st.n_rows - keep.shape[0])
-            stats.aggregates += len(records)
-            for h in range(self.heads):
-                new_k = st.keys[h].view()[keep]
-                new_v = st.values[h].view()[keep]
-                new_c = st.c[h].view()[keep]
-                new_r = st.r[h].view()[keep]
-                if records:
-                    new_k = np.vstack([new_k] + [rec.keys[h][None, :] for rec in records])
-                    new_v = np.vstack([new_v] + [rec.values[h][None, :] for rec in records])
-                    new_c = np.concatenate([new_c, np.array([rec.c[h] for rec in records])])
-                    new_r = np.concatenate([new_r, np.array([rec.r[h] for rec in records])])
-                st.keys[h].replace(new_k)
-                st.values[h].replace(new_v)
-                st.c[h].replace(new_c)
-                st.r[h].replace(new_r)
-            n_agg = len(records)
-            st.mask.replace(np.ones(keep.shape[0] + n_agg))
-            st.visual.replace(np.concatenate([st.visual.view()[keep], np.zeros(n_agg)]))
-            st.is_agg.replace(np.concatenate([st.is_agg.view()[keep], np.ones(n_agg)]))
-            st.born.replace(np.concatenate([st.born.view()[keep], -np.ones(n_agg)]))
-            st.raw_present = int((st.is_agg.view() < 0.5).sum())
-            st.merged = []
-            self.peak_rows = max(self.peak_rows, st.n_rows)
+            stats.evicted += int(st.n - keep.shape[0])
+            stats.aggregates += len(st.merged)
+            st.replace(np.concatenate([st.data[:, keep], st.aggregate_columns(st.merged)],
+                                      axis=1))
+            st.raw_present = int((st.is_agg < 0.5).sum())
+            st.merged = st.no_records
+            st.pruning = False
+            self.peak_rows = max(self.peak_rows, st.n)
         return stats
 
     # ----------------------------------------------------------------- misc
 
     def clone(self) -> "KvCache":
-        out = KvCache(self.layers, self.heads, self.dim, self.mode,
-                      self.accumulate_raw_scores)
-        out.n_logical = self.n_logical
-        out.peak_rows = self.peak_rows
-        out._layers = []
-        for st in self._layers:
-            new = _LayerState(self.heads, self.dim)
-            new.keys = [b.clone() for b in st.keys]
-            new.values = [b.clone() for b in st.values]
-            new.mask = st.mask.clone()
-            new.visual = st.visual.clone()
-            new.is_agg = st.is_agg.clone()
-            new.born = st.born.clone()
-            new.c = [b.clone() for b in st.c]
-            new.r = [b.clone() for b in st.r]
-            new.raw_appends = st.raw_appends
-            new.raw_present = st.raw_present
-            new.merged = [MergedRecord(rec.members.copy(), rec.weights.copy(),
-                                       [k.copy() for k in rec.keys],
-                                       [v.copy() for v in rec.values],
-                                       list(rec.c), list(rec.r), rec.visual_weight)
-                          for rec in st.merged]
-            new.mask_ph = {h: m.copy() for h, m in st.mask_ph.items()}
-            new.merged_ph = {h: list(rs) for h, rs in st.merged_ph.items()}
-            out._layers.append(new)
+        out = KvCache.__new__(KvCache)
+        out.__dict__.update(self.__dict__)
+        out._layers = [st.clone() for st in self._layers]
         return out
 
     def dump_step_record(self, layer: int) -> dict:
@@ -428,8 +473,8 @@ class KvCache:
         st = self._layers[layer]
         return {
             "layer": layer,
-            "rows": int(st.n_rows),
-            "mask": [int(v) for v in (st.mask.view() > 0.5)],
-            "visual": [int(v) for v in (st.visual.view() > 0.5)],
-            "aggregates": len(st.merged) + int(st.is_agg.view().sum()),
+            "rows": int(st.n),
+            "mask": [int(v) for v in (st.mask > 0.5)],
+            "visual": [int(v) for v in (st.visual > 0.5)],
+            "aggregates": len(st.merged) + int(st.is_agg.sum()),
         }

@@ -16,14 +16,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from sparsevcd.cache import KvCache, MergedRecord
+from sparsevcd.cache import KvCache, MergedRecords
 from sparsevcd.config import DecodeConfig, SparsifyConfig
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, ModelInterface
-from sparsevcd.numerics import NEG_INF, matvec, stable_softmax, weighted_sum_rows
+from sparsevcd.numerics import NEG_INF, matvec, stable_softmax
 from sparsevcd.rng import SplitMix64, combine, step_seed
-from sparsevcd.vats import (SaliencyScores, cluster_pruned, layer_visual_saliency,
-                            merge_clusters, select_topS, visual_saliency)
+from sparsevcd.sac import calibrate_scores
+from sparsevcd.vats import (SaliencyScores, attention_error, cluster_pruned,
+                            layer_visual_saliency, merge_clusters, select_topS,
+                            visual_saliency)
 
 _MASK_SALT = 0x4D41_534B
 
@@ -197,43 +199,32 @@ class EngineAttention:
 
     # -- attention callback -------------------------------------------------
 
-    def attend(self, layer: int, qs):
+    def attend(self, layer: int, q):
         cache, cfg = self.cache, self.cfg
         if cfg.mode == "logical":
             cache.clear_sparsification(layer)
         if cfg.sparsity_rate < 1.0 and cache.n_logical > cfg.l_min:
-            planned = self._plan(layer, qs)
+            planned = self._plan(layer, q)
         else:
             planned = False
-        results = []
-        for h, q in enumerate(qs):
-            sup = cache.support(layer, h)
-            scores = matvec(sup.keys, q) / cache.sqrt_dim
-            if cfg.sac_enabled and cfg.beta > 0.0:
-                w = stable_softmax(sup.c)
-                cal = (1.0 + cfg.beta) * scores - cfg.beta * (w * scores)
-            else:
-                cal = scores
-            row = stable_softmax(cal)
-            ctx = weighted_sum_rows(row, sup.values)
-            cache.record_attention(layer, h, row, scores, sup,
-                                   query_row=cache.rows(layer) - 1)
-            if self.keep_records:
-                vis_full = cache.visual_flags(layer)
-                vis = list(vis_full[sup.raw_idx]) + [rec.visual_weight > 0.5
-                                                     for rec in sup.records]
-                self._rows_snapshot.append({
-                    "layer": layer, "head": h,
-                    "row": row.copy(), "visual": np.asarray(vis, dtype=bool),
-                })
-            results.append((ctx, row, sup.size))
+        att = cache.attend(layer, q, beta=cfg.beta if cfg.sac_enabled else 0.0)
+        if self.keep_records:
+            vis_full = cache.visual_flags(layer)
+            for sup in att.supports:
+                vis = np.concatenate([vis_full[sup.raw_idx],
+                                      sup.records.visual_weight > 0.5])
+                for h in sup.head_ids:
+                    self._rows_snapshot.append({
+                        "layer": layer, "head": h,
+                        "row": att.rows[h].copy(), "visual": vis,
+                    })
         if planned and cfg.mode == "compacted":
             cache.compact()
-        return results
+        return att.context, att.rows
 
     # -- sparsification planning ---------------------------------------------
 
-    def _plan(self, layer: int, qs) -> bool:
+    def _plan(self, layer: int, q) -> bool:
         cache, cfg = self.cache, self.cfg
         n_rows = cache.rows(layer)
         n_raw = cache.raw_present(layer)
@@ -247,9 +238,7 @@ class EngineAttention:
             return False
 
         raw_idx = cache.raw_rows(layer)
-        heads = range(cache.heads)
-        keys_full = [cache.key_rows(layer, h) for h in heads]
-        ip = [matvec(keys_full[h], qs[h]) for h in heads]
+        ip = matvec(cache.key_block(layer), q)   # (H, rows) unscaled inner products
 
         if cfg.lambda_ > 0.0 and cache.has_visual(layer):
             if cfg.mode == "logical":
@@ -259,30 +248,26 @@ class EngineAttention:
         else:
             p_vec = np.zeros(n_rows)
 
-        def head_g(h: int) -> np.ndarray:
-            if cfg.sac_enabled and cfg.beta > 0.0 and cfg.sac_before_vats:
-                w = stable_softmax(cache.c_view(layer, h))
-                cal = (1.0 + cfg.beta) * ip[h] - cfg.beta * (w * ip[h])
-                return cal * cal
-            return ip[h] * ip[h]
+        cal = ip
+        if cfg.sac_enabled and cfg.beta > 0.0 and cfg.sac_before_vats:
+            cal = calibrate_scores(ip, stable_softmax(cache.c_block(layer)), cfg.beta)
+        g_heads = cal * cal
 
         if cfg.per_head_mask:
             any_pruned = False
-            for h in heads:
-                pruned = self._plan_one(layer, raw_idx, s_budget, head_g(h),
-                                        p_vec, [keys_full[h]], [ip[h]], head=h)
+            for h in range(cache.heads):
+                pruned = self._plan_one(layer, raw_idx, s_budget, g_heads[h], p_vec,
+                                        ip, head=h)
                 any_pruned = any_pruned or pruned
             return any_pruned
-        g = head_g(0)
-        for h in range(1, cache.heads):
-            g = g + head_g(h)
-        g = g / cache.heads
-        return self._plan_one(layer, raw_idx, s_budget, g, p_vec, keys_full, ip,
-                              head=None)
+        g = np.add.accumulate(g_heads, axis=0)[-1] / cache.heads
+        return self._plan_one(layer, raw_idx, s_budget, g, p_vec, ip, head=None)
 
-    def _plan_one(self, layer, raw_idx, s_budget, g, p_vec, keys_list, ip_list,
-                  head) -> bool:
+    def _plan_one(self, layer, raw_idx, s_budget, g, p_vec, ip, head) -> bool:
+        """Plan the shared mask (``head=None``, scored over all heads) or
+        one head's overlay."""
         cache, cfg = self.cache, self.cfg
+        heads = slice(0, cache.heads) if head is None else slice(head, head + 1)
         n_rows = cache.rows(layer)
         cand = raw_idx
         if cfg.prune_scope == "text_only":
@@ -302,20 +287,17 @@ class EngineAttention:
         if pruned.shape[0] == 0:
             return False
         mask_full[pruned] = False
+        self._errors.append(attention_error(ip[heads], pruned))
 
-        err = 0.0
-        for ip in ip_list:
-            contrib = ip[pruned]
-            err += float(np.add.accumulate(contrib * contrib)[-1])
-        self._errors.append(err / len(ip_list))
-
-        records: list[MergedRecord] = []
+        records = None
         if cfg.merge_pruned:
-            concat = np.hstack([k[pruned] for k in keys_list])
+            # head-major features: head 0's key, then head 1's, ...
+            keys = cache.key_block(layer)[heads][:, pruned]
+            concat = keys.transpose(1, 0, 2).reshape(pruned.shape[0], -1)
             delta_p = (g + cfg.lambda_ * p_vec)[pruned]
             assignment = cluster_pruned(concat, delta_p, cfg.knn_k,
                                         rho_merge=cfg.rho_merge)
-            records = self._merge_records(layer, pruned, assignment, head)
+            records = self._merge_records(layer, pruned, assignment)
         cache.set_sparsification(layer, mask_full, records, head=head)
         if self.keep_records:
             self._mask_snapshot.append({
@@ -323,33 +305,21 @@ class EngineAttention:
                 "head": head,
                 "retained": int(mask_full.sum()),
                 "pruned": [int(i) for i in pruned],
-                "clusters": len(records),
+                "clusters": 0 if records is None else len(records),
                 "delta": [float(v) for v in (g + cfg.lambda_ * p_vec)],
                 "visual_saliency": [float(v) for v in p_vec],
                 "attn_error": self._errors[-1],
             })
         return True
 
-    def _merge_records(self, layer, pruned, assignment, head) -> list[MergedRecord]:
-        """One record per cluster, merged in one call from a table gathered
-        at the pruned rows: per head its key, value, ``c`` and ``r``, then
-        the visual flag. Per-head records leave other heads' slots zero."""
-        cache, dim = self.cache, self.cache.dim
-        width = 2 * dim + 2
-        table = np.zeros((pruned.shape[0], cache.heads * width + 1))
-        per_head = table[:, :-1].reshape(pruned.shape[0], cache.heads, width)
-        for h in range(cache.heads) if head is None else [head]:
-            per_head[:, h, :dim] = cache.key_rows(layer, h)[pruned]
-            per_head[:, h, dim:-2] = cache.value_rows(layer, h)[pruned]
-            per_head[:, h, -2] = cache.c_view(layer, h)[pruned]
-            per_head[:, h, -1] = cache.r_view(layer, h)[pruned]
-        table[:, -1] = cache.visual_flags(layer)[pruned]
-        agg = merge_clusters(assignment, table)
-        agg_heads = agg[:, :-1].reshape(agg.shape[0], cache.heads, width)
-        return [MergedRecord(pruned[local], wts, list(a[:, :dim]), list(a[:, dim:-2]),
-                             a[:, -2].tolist(), a[:, -1].tolist(), float(vis))
-                for local, wts, a, vis in zip(assignment.members, assignment.weights,
-                                              agg_heads, agg[:, -1])]
+    def _merge_records(self, layer, pruned, assignment) -> MergedRecords:
+        """One record per cluster, merged in one call from the cache's
+        table of the pruned rows (every head's fields and the flags)."""
+        cache = self.cache
+        merged = merge_clusters(assignment, cache.gather(layer, pruned))
+        sizes = np.array([m.shape[0] for m in assignment.members], dtype=np.int64)
+        return cache.merged_records(layer, pruned[np.concatenate(assignment.members)], sizes,
+                                    np.concatenate(assignment.weights), merged)
 
 
 def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,

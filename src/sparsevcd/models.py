@@ -24,8 +24,7 @@ import numpy as np
 from sparsevcd.cache import KvCache
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
-from sparsevcd.numerics import (causal_softmax, causal_weighted_sum, matvec,
-                                matvec_rows, weighted_sum_rows)
+from sparsevcd.numerics import causal_softmax, causal_weighted_sum, matvec, matvec_rows
 from sparsevcd.rng import SplitMix64, combine
 
 RMS_EPS = 1e-12
@@ -34,7 +33,8 @@ _NOISE_SALT = 0x4E4F_4953
 
 
 def rms_normalize(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x) + RMS_EPS)
+    # np.mean of a vector is np.add.reduce over it divided by its length
+    return x / np.sqrt(np.add.reduce(x * x) / x.shape[0] + RMS_EPS)
 
 
 def rms_normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -85,10 +85,12 @@ class ModelInterface(abc.ABC):
                      visual: bool = False):
         """Process one input embedding against the cache.
 
-        ``attend``: optional callable ``(layer, qs) -> [(ctx, row, size)]``
-        supplied by the decode engine to apply sparsification/calibration;
-        when omitted, plain cache-masked attention is used and the attention
-        rows are folded into the cache accumulators here.
+        ``attend``: optional callable ``(layer, q) -> (context, rows)``, with
+        ``q`` and ``context`` ``(heads, head_dim)`` blocks and ``rows`` one
+        attention row per head, supplied by the decode engine to apply
+        sparsification/calibration; when omitted, plain cache-masked
+        attention is used and the attention rows are folded into the cache
+        accumulators here.
 
         Returns ``(hidden, rows)`` with ``rows[layer][head]`` the attention
         row over that head's support.
@@ -111,16 +113,10 @@ class ModelInterface(abc.ABC):
         return KvCache(self.layers, self.heads, self.head_dim, mode,
                        accumulate_raw_scores)
 
-    def _plain_attend(self, cache: KvCache, layer: int, qs: list[np.ndarray]):
-        out = []
-        for h, q in enumerate(qs):
-            sup = cache.support(layer, h)
-            row, scores = cache.masked_attention(layer, h, q)
-            ctx = weighted_sum_rows(row, sup.values)
-            cache.record_attention(layer, h, row, scores, sup,
-                                   query_row=cache.rows(layer) - 1)
-            out.append((ctx, row, sup.size))
-        return out
+    @staticmethod
+    def _plain_attend(cache: KvCache, layer: int, q: np.ndarray):
+        att = cache.attend(layer, q)
+        return att.context, att.rows
 
 
 class ToyTransformer(ModelInterface):
@@ -167,6 +163,12 @@ class ToyTransformer(ModelInterface):
             self.w_ff1.append(draw((self.d_ff, d_model)))
             self.w_ff2.append(draw((d_model, self.d_ff)))
         self.unembedding = draw((vocab, d_model))
+        # per layer: every head's W_q, then W_k, then W_v as one row stack
+        # (each output row reduces on its own, so the bits equal per-head
+        # products), and the heads' W_o as one (H, d_model, head_dim) block
+        self.w_qkv = [np.vstack(self.w_q[ell] + self.w_k[ell] + self.w_v[ell])
+                      for ell in range(layers)]
+        self.w_o_heads = [np.stack(self.w_o[ell]) for ell in range(layers)]
 
     def weight_checksum(self) -> float:
         parts = [self.embedding, self.unembedding]
@@ -206,25 +208,19 @@ class ToyTransformer(ModelInterface):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
         all_rows = []
         for ell in range(self.layers):
-            xn = rms_normalize(x)
-            qs = []
-            for h in range(self.heads):
-                q = matvec(self.w_q[ell][h], xn)
-                k = matvec(self.w_k[ell][h], xn)
-                v = matvec(self.w_v[ell][h], xn)
-                cache.append(ell, h, k, v, visual=visual)
-                qs.append(q)
+            q, k, v = matvec(self.w_qkv[ell], rms_normalize(x)).reshape(
+                3, self.heads, self.head_dim)
+            cache.append(ell, k, v, visual=visual)
             if attend is not None:
-                results = attend(ell, qs)
+                ctx, rows = attend(ell, q)
             else:
-                results = self._plain_attend(cache, ell, qs)
-            attn_out = np.zeros(self.d_model)
-            layer_rows = []
-            for h, (ctx, row, _size) in enumerate(results):
-                attn_out += matvec(self.w_o[ell][h], ctx)
-                layer_rows.append(row)
-            all_rows.append(layer_rows)
-            x = x + attn_out
+                ctx, rows = self._plain_attend(cache, ell, q)
+            all_rows.append(rows)
+            # W_o per head, then the heads summed in order from +0.0 (adding
+            # +0.0 to head 0 only turns a -0.0 into +0.0, as a zero start would)
+            per_head = matvec(self.w_o_heads[ell], ctx)
+            per_head[0] += 0.0
+            x = x + np.add.accumulate(per_head, axis=0)[-1]
             xn2 = rms_normalize(x)
             hidden_ff = np.maximum(matvec(self.w_ff1[ell], xn2), 0.0)
             x = x + matvec(self.w_ff2[ell], hidden_ff)
@@ -254,11 +250,10 @@ class ToyTransformer(ModelInterface):
         scale = np.sqrt(self.head_dim)
         for ell in range(n_layers):
             xn = rms_normalize_rows(x)
+            qkv = matvec_rows(self.w_qkv[ell], xn).reshape(n, 3, self.heads, self.head_dim)
             attn_out = np.zeros((n, self.d_model))
             for h in range(self.heads):
-                q = matvec_rows(self.w_q[ell][h], xn)
-                k = matvec_rows(self.w_k[ell][h], xn)
-                v = matvec_rows(self.w_v[ell][h], xn)
+                q, k, v = qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h]
                 row = causal_softmax(matvec_rows(k, q) / scale)
                 ctx = causal_weighted_sum(row, v)
                 attn_out += matvec_rows(self.w_o[ell][h], ctx)
@@ -376,15 +371,14 @@ class PlantedPriorComposer(ModelInterface):
         x = np.asarray(emb, dtype=np.float64)
         if x.shape != (self.d_model,):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
-        cache.append(0, 0, x, x, visual=visual)
-        q = np.zeros(self.d_model)
+        cache.append(0, x[None], x[None], visual=visual)
+        q = np.zeros((1, self.d_model))
         if attend is not None:
-            results = attend(0, [q])
+            ctx, rows = attend(0, q)
         else:
-            results = self._plain_attend(cache, 0, [q])
-        ctx, row, size = results[0]
-        hidden = ctx * float(size)
-        return hidden, [[row]]
+            ctx, rows = self._plain_attend(cache, 0, q)
+        hidden = ctx[0] * float(rows[0].shape[0])
+        return hidden, [rows]
 
     def lm_head(self, pooled: np.ndarray) -> np.ndarray:
         pooled = np.asarray(pooled, dtype=np.float64)

@@ -5,6 +5,17 @@ All arithmetic is float64. Reductions use strict left-to-right accumulation
 so identical inputs reproduce identical bits. ``-inf`` is the only legal
 sentinel for masked logits; NaN anywhere is a bug.
 
+The head-axis kernels are ``matvec``, ``weighted_sum_rows`` and
+``stable_softmax`` given a head block: a leading axis of ``G`` heads, each
+reduced on its own (``(G, n, k)`` rows against ``(G, k)`` queries,
+``(G, n)`` weights over ``(G, n, k)`` rows, ``(G, n)`` scores). Head ``g``
+of a block result is bit-identical to the 2-d (or 1-d) call on head ``g``'s
+slice: every element is reduced over the same terms in the same order, the
+dot over the features left to right, the weighted sum over the rows top to
+bottom, the softmax total along the row. Nothing is summed across heads.
+The blocks may be strided views (the cache keeps each head's rows
+column-major, one column per row); the order does not depend on the layout.
+
 The row-batched kernels (``matvec_rows``, ``causal_softmax``,
 ``causal_weighted_sum``) process a block of rows at once and keep that
 order: every output element is reduced over the same terms, in the same
@@ -15,16 +26,19 @@ Python (one column, or one causal suffix, at a time) instead of building a
 three-axis product.
 
 ``matvec`` picks its kernel by shape, with the same bits either way. Below
-``COLUMN_LOOP_RATIO`` rows per column it reduces ``m * v`` with
-``np.add.accumulate`` along each row. From there up it runs a Python loop
-over the columns (``out += m[:, k] * v[k]``), which adds the same products
-in the same order. Measured on a 2-vCPU VM (Python 3.11, numpy 2.4), per
-call: at 8 columns, 2048 rows take 112-124 us with ``accumulate`` and
-34-40 us with the loop, and 14 rows take 5 us and 11-21 us; the two cross at
-about 300-384 rows for 8 columns, 350-400 for 16 and about 600 for 40.
-A ratio of 48 keeps the toy transformer's attention over up to 383 rows
-(8 columns per head), its weight matrices and the composer's 40-column
-attention on ``accumulate``, and sends long attention supports to the loop.
+``COLUMN_LOOP_RATIO`` rows per column (rows counted over all heads of a
+block) it reduces ``m * v`` with ``np.add.accumulate`` along each row. From
+there up it runs a Python loop over the columns (``out += m[..., k] *
+v[..., k]``), which adds the same products in the same order. The loop pays
+a fixed cost per column and the ``accumulate`` a larger cost per element,
+so long blocks go to the loop. Measured on a 2-vCPU VM (Python 3.11, numpy
+2.4), per call, on column-major head blocks (the cache's layout): at 2
+heads of 8 columns, 64 rows take 15 us with ``accumulate`` and 18 us with
+the loop, 256 rows 43 us and 26 us, 512 rows 85 us and 37 us; one head of
+40 columns (the composer) crosses at about 400 rows. A ratio of 16 sends
+the toy transformer's attention from 64 rows per head (2 heads) to the
+loop and keeps its weight matrices and the composer's attention, at most
+14 rows, on ``accumulate``.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 NEG_INF = float("-inf")
-COLUMN_LOOP_RATIO = 48
+COLUMN_LOOP_RATIO = 16
 
 
 def as_vector(x) -> np.ndarray:
@@ -61,45 +75,54 @@ def dot(a, b) -> float:
 
 
 def matvec(m, v) -> np.ndarray:
-    """Row-wise dot of ``m`` against ``v``, left-to-right per row."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"matvec: shape mismatch {m.shape} vs {v.shape[0]}")
-    if m.shape[0] == 0:
-        return np.zeros(0)
-    if m.shape[1] == 0:
-        return np.zeros(m.shape[0])
-    if m.shape[0] < COLUMN_LOOP_RATIO * m.shape[1]:
-        return np.add.accumulate(m * v, axis=1)[:, -1]
-    out = m[:, 0] * v[0]
-    for k in range(1, m.shape[1]):
-        out += m[:, k] * v[k]
+    """Row-wise dot of ``m`` against ``v``, left-to-right per row.
+
+    ``m`` is ``(n, k)`` against ``v`` ``(k,)``, or a head block
+    ``(G, n, k)`` against ``(G, k)``: head ``g``'s rows against ``v[g]``.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if not 2 <= m.ndim <= 3 or v.shape != m.shape[:-2] + m.shape[-1:]:
+        raise ValueError(f"matvec: shape mismatch {m.shape} vs {v.shape}")
+    k = m.shape[-1]
+    if m.size == 0:
+        return np.zeros(m.shape[:-1])
+    if m.size < COLUMN_LOOP_RATIO * k * k:
+        return np.add.accumulate(m * v[..., None, :], axis=-1)[..., -1]
+    out = m[..., 0] * v[..., 0:1]
+    for j in range(1, k):
+        out += m[..., j] * v[..., j:j + 1]
     return out
 
 
 def weighted_sum_rows(weights, m) -> np.ndarray:
-    """Sum of matrix rows scaled by ``weights``, accumulated top-to-bottom."""
-    m = as_matrix(m)
-    w = as_vector(weights)
-    if w.shape[0] != m.shape[0]:
-        raise ValueError(f"weighted_sum_rows: {w.shape[0]} weights for {m.shape[0]} rows")
-    if m.shape[0] == 0:
+    """Sum of matrix rows scaled by ``weights``, accumulated top-to-bottom.
+
+    ``(n,)`` weights over ``(n, k)`` rows, or a head block: ``(G, n)``
+    weights over ``(G, n, k)`` rows, one sum per head.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if not 2 <= m.ndim <= 3 or w.shape != m.shape[:-1]:
+        raise ValueError(f"weighted_sum_rows: {w.shape} weights for {m.shape} rows")
+    if m.shape[-2] == 0:
         raise ValueError("weighted_sum_rows: empty matrix")
-    return np.add.accumulate(w[:, None] * m, axis=0)[-1, :]
+    return np.add.accumulate(w[..., None] * m, axis=-2)[..., -1, :]
 
 
 def stable_softmax(x) -> np.ndarray:
-    """Max-subtracted softmax; -inf entries get probability exactly 0."""
-    x = as_vector(x)
-    if x.shape[0] == 0:
+    """Max-subtracted softmax along the last axis (a vector, or one row per
+    head); -inf entries get probability exactly 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"stable_softmax: expected a vector or a head block, got {x.shape}")
+    if x.shape[-1] == 0:
         raise ValueError("stable_softmax: empty support")
-    m = np.max(x)
-    if not np.isfinite(m):
+    m = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise ValueError("stable_softmax: empty support (all entries are -inf)")
     e = np.exp(x - m)
-    total = float(np.add.accumulate(e)[-1])
-    return e / total
+    return e / np.add.accumulate(e, axis=-1)[..., -1:]
 
 
 def matvec_rows(m, xs) -> np.ndarray:

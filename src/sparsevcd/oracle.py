@@ -109,24 +109,30 @@ def reference_full_decode(model: ToyTransformer, prompt_ids, image: ImageDescrip
 
 
 def _recompute_last_hidden(model: ToyTransformer, embs) -> np.ndarray:
-    sqrt_d = math.sqrt(model.head_dim)
-    keys = [[[] for _ in range(model.heads)] for _ in range(model.layers)]
-    vals = [[[] for _ in range(model.heads)] for _ in range(model.layers)]
+    hd = model.head_dim
+    sqrt_d = math.sqrt(hd)
+    # every position's key and value, written in place; rows past the
+    # current position are never read
+    keys = np.zeros((model.layers, model.heads, len(embs), hd))
+    vals = np.zeros_like(keys)
+    # q, k and v of a head in one product: each output row reduces on its
+    # own, so the bits equal three separate products
+    w_qkv = [[np.vstack([model.w_q[ell][h], model.w_k[ell][h], model.w_v[ell][h]])
+              for h in range(model.heads)] for ell in range(model.layers)]
     hidden = None
-    for emb in embs:
+    for pos, emb in enumerate(embs):
         x = np.asarray(emb, dtype=np.float64)
         for ell in range(model.layers):
             xn = x / np.sqrt(np.mean(x * x) + RMS_EPS)
             attn_out = np.zeros(model.d_model)
             for h in range(model.heads):
-                q = _mv(model.w_q[ell][h], xn)
-                k = _mv(model.w_k[ell][h], xn)
-                v = _mv(model.w_v[ell][h], xn)
-                keys[ell][h].append(k)
-                vals[ell][h].append(v)
-                scores = _mv(np.asarray(keys[ell][h]), q) / sqrt_d
+                qkv = _mv(w_qkv[ell][h], xn)
+                q = qkv[:hd]
+                keys[ell, h, pos] = qkv[hd:2 * hd]
+                vals[ell, h, pos] = qkv[2 * hd:]
+                scores = _mv(keys[ell, h, :pos + 1], q) / sqrt_d
                 row = _softmax(scores)
-                ctx = np.add.accumulate(row[:, None] * np.asarray(vals[ell][h]), axis=0)[-1, :]
+                ctx = np.add.accumulate(row[:, None] * vals[ell, h, :pos + 1], axis=0)[-1, :]
                 attn_out += _mv(model.w_o[ell][h], ctx)
             x = x + attn_out
             xn2 = x / np.sqrt(np.mean(x * x) + RMS_EPS)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevcd.cache import KvCache
 from sparsevcd.numerics import stable_softmax
 
 
@@ -33,27 +32,19 @@ def penalty_weights_from(cumulative, beta: float = 0.0) -> PenaltyWeights:
     return PenaltyWeights(stable_softmax(c), beta)
 
 
-def penalty_weights(cache: KvCache, layer: int, head: int,
-                    beta: float = 0.0) -> PenaltyWeights:
-    """Penalty weights over a head's current attention support, from its
-    column accumulators."""
-    sup = cache.support(layer, head)
-    if sup.size == 0:
-        raise ValueError("penalty_weights: no tokens")
-    return PenaltyWeights(stable_softmax(sup.c), beta)
-
-
 def calibrate_scores(scores, weights, beta: float) -> np.ndarray:
-    """Calibrated pre-softmax scores: ``(1 + beta) * s - beta * (w * s)``.
+    """Calibrated pre-softmax scores: ``(1 + beta) * s - beta * (w * s)``,
+    elementwise, for one support or a ``(G, n)`` block of head rows.
 
     ``beta = 0`` returns the scores bit-exactly unchanged.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if beta == 0.0:
+    if beta <= 0.0:
+        if beta < 0:
+            raise ValueError("beta must be non-negative")
         return s.copy()
-    w = weights.w if isinstance(weights, PenaltyWeights) else np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights.w if isinstance(weights, PenaltyWeights) else weights,
+                   dtype=np.float64)
     if w.shape != s.shape:
-        raise ValueError("scores and penalty weights must have equal lengths")
+        raise ValueError("scores and penalty weights must have equal shapes")
     return (1.0 + beta) * s - beta * (w * s)

@@ -81,24 +81,24 @@ def visual_saliency(cache: KvCache, layers) -> np.ndarray:
     n = cache.rows(layers[0])
     if n == 0:
         raise ValueError("visual_saliency: empty cache")
-    acc = np.zeros(n)
-    count = 0
+    block = []
     for ell in layers:
         if cache.rows(ell) != n:
             raise ValueError("visual_saliency: row sets diverge across the requested layers")
-        for h in range(cache.heads):
-            acc = acc + cache.r_view(ell, h)
-            count += 1
-    return stable_softmax(acc / count)
+        block.append(cache.r_block(ell))
+    return _mean_softmax(np.concatenate(block))
 
 
 def layer_visual_saliency(cache: KvCache, layer: int) -> np.ndarray:
     """Layer-local saliency, used when compaction has made row sets diverge."""
-    n = cache.rows(layer)
-    acc = np.zeros(n)
-    for h in range(cache.heads):
-        acc = acc + cache.r_view(layer, h)
-    return stable_softmax(acc / cache.heads)
+    return _mean_softmax(cache.r_block(layer))
+
+
+def _mean_softmax(r_rows: np.ndarray) -> np.ndarray:
+    """Softmax of the mean of the ``r`` rows, summed in order (layer by
+    layer, head by head). The accumulators only ever add non-negative mass
+    to +0.0, so starting the sum at the first row equals starting at 0.0."""
+    return stable_softmax(np.add.accumulate(r_rows, axis=0)[-1] / r_rows.shape[0])
 
 
 def select_topS(scores: SaliencyScores, s: int, w_recent: int = 0) -> SparsifyMask:
@@ -124,6 +124,21 @@ def select_topS(scores: SaliencyScores, s: int, w_recent: int = 0) -> SparsifyMa
         order = np.lexsort((open_idx, -delta))
         flags[open_idx[order[:budget]]] = True
     return SparsifyMask(flags, s, w_recent)
+
+
+def attention_error(ip, pruned) -> float:
+    """Squared attention deviation of pruning rows ``pruned``: per head the
+    sum of ``<K_i, q>**2`` over the pruned rows, top to bottom, averaged
+    over the heads. ``ip`` is the ``(heads, rows)`` block of unscaled inner
+    products."""
+    ip = np.asarray(ip, dtype=np.float64)
+    pruned = np.asarray(pruned, dtype=np.int64)
+    if pruned.shape[0] == 0:
+        return 0.0
+    terms = ip[:, pruned]
+    per_head = np.add.accumulate(terms * terms, axis=1)[:, -1]
+    # non-negative terms: summing from head 0 equals summing from 0.0
+    return float(np.add.accumulate(per_head)[-1] / ip.shape[0])
 
 
 def objective_value(mask, scores: SaliencyScores) -> float:

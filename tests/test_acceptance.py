@@ -84,10 +84,10 @@ def test_c03_normalization_suite():
 
         cache = KvCache(1, 1, 2)
         for i in range(12):
-            cache.append(0, 0, rng.normal(size=2), rng.normal(size=2),
+            cache.append(0, [rng.normal(size=2)], [rng.normal(size=2)],
                          visual=(i < 3))
         for _ in range(1000):
-            cache._layers[0].r[0].data[:12] = rng.normal(size=12) * 4
+            cache.r_view(0, 0)[:] = rng.normal(size=12) * 4
             p = visual_saliency(cache, [0])
             assert abs(p.sum() - 1.0) < 1e-9
 
@@ -97,13 +97,13 @@ def test_c03_normalization_suite():
 
         acache = KvCache(1, 1, 4)
         for _ in range(24):
-            acache.append(0, 0, rng.normal(size=4), rng.normal(size=4))
+            acache.append(0, [rng.normal(size=4)], [rng.normal(size=4)])
         for _ in range(1000):
             mask = rng.random(24) < 0.7
             if not mask.any():
                 mask[0] = True
-            acache.set_sparsification(0, mask, [])
-            row, _ = acache.masked_attention(0, 0, rng.normal(size=4))
+            acache.set_sparsification(0, mask)
+            row = acache.attend(0, rng.normal(size=(1, 4))).rows[0]
             assert abs(row.sum() - 1.0) < 1e-9
             assert np.all(row >= 0.0)
 

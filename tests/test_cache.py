@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from sparsevcd.cache import KvCache, MergedRecord
+from sparsevcd.cache import KvCache, MergedRecords
 from sparsevcd.models import build_toy_transformer
+from sparsevcd.numerics import matvec
+from sparsevcd.vats import attention_error
 
 
 def fill_cache(n_tokens, layers=1, heads=1, dim=4, seed=0, mode="logical"):
@@ -10,9 +12,27 @@ def fill_cache(n_tokens, layers=1, heads=1, dim=4, seed=0, mode="logical"):
     cache = KvCache(layers, heads, dim, mode=mode)
     for _ in range(n_tokens):
         for ell in range(layers):
-            for h in range(heads):
-                cache.append(ell, h, rng.normal(size=dim), rng.normal(size=dim))
+            pairs = [(rng.normal(size=dim), rng.normal(size=dim)) for _ in range(heads)]
+            cache.append(ell, [k for k, _ in pairs], [v for _, v in pairs])
     return cache, rng
+
+
+def record(members, weights, keys, vals, cs, rs):
+    """One non-visual cluster: per head its key, value, ``c`` and ``r``."""
+    return members, weights, keys, vals, cs, rs
+
+
+def merged(clusters):
+    """The clusters as one ``MergedRecords`` block."""
+    return MergedRecords(
+        np.concatenate([cl[0] for cl in clusters]),
+        np.array([len(cl[0]) for cl in clusters]),
+        np.concatenate([cl[1] for cl in clusters]),
+        np.stack([np.stack(cl[2]) for cl in clusters], axis=-1),
+        np.stack([np.stack(cl[3]) for cl in clusters], axis=-1),
+        np.array([cl[4] for cl in clusters], dtype=np.float64).T,
+        np.array([cl[5] for cl in clusters], dtype=np.float64).T,
+        np.zeros(len(clusters)))
 
 
 def singleton_record(cache, layer, member):
@@ -20,14 +40,27 @@ def singleton_record(cache, layer, member):
     vals = [cache.value_rows(layer, h)[member].copy() for h in range(cache.heads)]
     cs = [float(cache.c_view(layer, h)[member]) for h in range(cache.heads)]
     rs = [float(cache.r_view(layer, h)[member]) for h in range(cache.heads)]
-    return MergedRecord(np.array([member]), np.array([1.0]), keys, vals, cs, rs, 0.0)
+    return record(np.array([member]), np.array([1.0]), keys, vals, cs, rs)
+
+
+def attend_head0(cache, q):
+    """Head 0's attention row and raw scaled scores, from the per-layer
+    attention path of a one-head cache."""
+    att = cache.attend(0, np.reshape(q, (1, -1)))
+    return att.rows[0], att.scores[0]
+
+
+def pruned_error(cache, q):
+    """The engine's attention error of the installed layer-0 mask."""
+    pruned = np.nonzero(~cache.mask_view(0))[0]
+    return attention_error(matvec(cache.key_block(0), np.reshape(q, (1, -1))), pruned)
 
 
 def test_append_positions_and_length():
     cache = KvCache(1, 1, 3)
-    assert cache.append(0, 0, [1.0, 0, 0], [0, 1.0, 0]) == 0
+    assert cache.append(0, [[1.0, 0, 0]], [[0, 1.0, 0]]) == 0
     assert cache.n_logical == 1
-    assert cache.append(0, 0, [0, 1.0, 0], [0, 0, 1.0]) == 1
+    assert cache.append(0, [[0, 1.0, 0]], [[0, 0, 1.0]]) == 1
     assert cache.n_logical == 2
     assert cache.rows(0) == 2
 
@@ -35,7 +68,7 @@ def test_append_positions_and_length():
 def test_append_dim_mismatch():
     cache = KvCache(1, 1, 3)
     with pytest.raises(ValueError):
-        cache.append(0, 0, [1.0, 2.0], [1.0, 2.0, 3.0])
+        cache.append(0, [[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
 
 def test_append_after_compaction_position():
@@ -46,13 +79,13 @@ def test_append_after_compaction_position():
     mask[[2, 5, 7]] = False
     rec_keys = [np.mean(cache.key_rows(0, 0)[[2, 5, 7]], axis=0)]
     rec_vals = [np.mean(cache.value_rows(0, 0)[[2, 5, 7]], axis=0)]
-    rec = MergedRecord(np.array([2, 5, 7]), np.array([1 / 3] * 3),
-                       rec_keys, rec_vals, [0.0], [0.0], 0.0)
-    cache.set_sparsification(0, mask, [rec])
+    rec = record(np.array([2, 5, 7]), np.array([1 / 3] * 3),
+                 rec_keys, rec_vals, [0.0], [0.0])
+    cache.set_sparsification(0, mask, merged([rec]))
     stats = cache.compact()
     assert stats.evicted == 3 and stats.aggregates == 1
     assert cache.rows(0) == 8
-    pos = cache.append(0, 0, rng.normal(size=4), rng.normal(size=4))
+    pos = cache.append(0, [rng.normal(size=4)], [rng.normal(size=4)])
     assert pos == 8
     assert cache.n_logical == 11
 
@@ -60,7 +93,7 @@ def test_append_after_compaction_position():
 def test_masked_attention_all_retained_equals_full_bitwise():
     cache, rng = fill_cache(8)
     q = rng.normal(size=4)
-    row, scores = cache.masked_attention(0, 0, q)
+    row, scores = attend_head0(cache, q)
     K = cache.key_rows(0, 0)
     ref_scores = np.add.accumulate(K * q, axis=1)[:, -1] / np.sqrt(4)
     e = np.exp(ref_scores - np.max(ref_scores))
@@ -73,8 +106,8 @@ def test_masked_attention_single_retained():
     cache, rng = fill_cache(5)
     mask = np.zeros(5, dtype=bool)
     mask[3] = True
-    cache.set_sparsification(0, mask, [])
-    row, _ = cache.masked_attention(0, 0, rng.normal(size=4))
+    cache.set_sparsification(0, mask)
+    row, _ = attend_head0(cache, rng.normal(size=4))
     assert row.shape == (1,)
     assert row[0] == 1.0
 
@@ -84,8 +117,8 @@ def test_masked_attention_matches_bruteforce_over_retained():
     q = rng.normal(size=4)
     mask = np.ones(8, dtype=bool)
     mask[[1, 4, 6]] = False
-    cache.set_sparsification(0, mask, [])
-    row, _ = cache.masked_attention(0, 0, q)
+    cache.set_sparsification(0, mask)
+    row, _ = attend_head0(cache, q)
     # independent brute force over the 5 retained rows
     kept = [i for i in range(8) if mask[i]]
     scores = []
@@ -100,29 +133,29 @@ def test_masked_attention_matches_bruteforce_over_retained():
 
 def test_masked_attention_empty_support():
     cache, rng = fill_cache(3)
-    cache.set_sparsification(0, np.zeros(3, dtype=bool), [])
+    cache.set_sparsification(0, np.zeros(3, dtype=bool))
     with pytest.raises(ValueError):
-        cache.masked_attention(0, 0, rng.normal(size=4))
+        attend_head0(cache, rng.normal(size=4))
 
 
 def test_attention_error_all_retained_is_zero():
     cache, rng = fill_cache(6)
-    assert cache.attention_error(0, 0, rng.normal(size=4)) == 0.0
+    assert pruned_error(cache, rng.normal(size=4)) == 0.0
 
 
 def test_attention_error_all_pruned_and_termwise():
     cache, rng = fill_cache(6, seed=5)
     q = rng.normal(size=4)
     K = cache.key_rows(0, 0).copy()
-    cache.set_sparsification(0, np.zeros(6, dtype=bool), [])
-    full = cache.attention_error(0, 0, q)
+    cache.set_sparsification(0, np.zeros(6, dtype=bool))
+    full = pruned_error(cache, q)
     expected = sum(float(np.dot(K[i], q)) ** 2 for i in range(6))
     assert abs(full - expected) < 1e-12
 
     mask = np.ones(6, dtype=bool)
     mask[[2, 4]] = False
-    cache.set_sparsification(0, mask, [])
-    partial = cache.attention_error(0, 0, q)
+    cache.set_sparsification(0, mask)
+    partial = pruned_error(cache, q)
     expected = sum(float(np.dot(K[i], q)) ** 2 for i in (2, 4))
     assert abs(partial - expected) < 1e-12
 
@@ -136,8 +169,8 @@ def test_attention_error_superset_monotone():
     previous = None
     for i in order:
         mask[i] = True
-        cache.set_sparsification(0, mask.copy(), [])
-        err = cache.attention_error(0, 0, q)
+        cache.set_sparsification(0, mask.copy())
+        err = pruned_error(cache, q)
         if previous is not None:
             assert err <= previous + 1e-15
         previous = err
@@ -151,15 +184,27 @@ def test_compact_noop_reported():
     assert cache.rows(0) == 4
 
 
+def test_compact_evicts_pruned_rows_without_records():
+    # pruning without merging (merge_pruned=False) compacts to the kept rows
+    cache, _ = fill_cache(10, heads=2)
+    keys = cache.key_rows(0, 1).copy()
+    mask = np.ones(10, dtype=bool)
+    mask[[0, 4, 9]] = False
+    cache.set_sparsification(0, mask)
+    stats = cache.compact()
+    assert stats.evicted == 3 and stats.aggregates == 0
+    assert cache.rows(0) == 7
+    assert np.array_equal(cache.key_rows(0, 1), keys[mask])
+
+
 def test_compact_four_pruned_one_cluster():
     cache, _ = fill_cache(10)
     mask = np.ones(10, dtype=bool)
     mask[[1, 3, 5, 7]] = False
     keys = [np.mean(cache.key_rows(0, 0)[[1, 3, 5, 7]], axis=0)]
     vals = [np.mean(cache.value_rows(0, 0)[[1, 3, 5, 7]], axis=0)]
-    rec = MergedRecord(np.array([1, 3, 5, 7]), np.full(4, 0.25), keys, vals,
-                       [0.0], [0.0], 0.0)
-    cache.set_sparsification(0, mask, [rec])
+    rec = record(np.array([1, 3, 5, 7]), np.full(4, 0.25), keys, vals, [0.0], [0.0])
+    cache.set_sparsification(0, mask, merged([rec]))
     cache.compact()
     assert cache.rows(0) == 7  # 10 - 4 + 1
 
@@ -173,7 +218,7 @@ def test_logical_vs_compacted_argmax_with_singleton_clusters():
         mask = np.ones(9, dtype=bool)
         mask[[2, 6]] = False
         recs = [singleton_record(cache, 0, 2), singleton_record(cache, 0, 6)]
-        cache.set_sparsification(0, mask, recs)
+        cache.set_sparsification(0, mask, merged(recs))
         if mode == "compacted":
             cache.compact()
         return cache, rng
@@ -181,8 +226,8 @@ def test_logical_vs_compacted_argmax_with_singleton_clusters():
     logical, rng_a = build("logical")
     compacted, rng_b = build("compacted")
     q = rng_a.normal(size=4)
-    row_a, scores_a = logical.masked_attention(0, 0, q)
-    row_b, scores_b = compacted.masked_attention(0, 0, q)
+    row_a, scores_a = attend_head0(logical, q)
+    row_b, scores_b = attend_head0(compacted, q)
     assert np.array_equal(scores_a, scores_b)
     assert int(np.argmax(row_a)) == int(np.argmax(row_b))
 
@@ -206,20 +251,20 @@ def test_accumulator_column_sums_match_replay():
 
 def test_visual_flags_and_clone():
     cache = KvCache(1, 1, 2)
-    cache.append(0, 0, [1.0, 0.0], [1.0, 0.0], visual=True)
-    cache.append(0, 0, [0.0, 1.0], [0.0, 1.0])
+    cache.append(0, [[1.0, 0.0]], [[1.0, 0.0]], visual=True)
+    cache.append(0, [[0.0, 1.0]], [[0.0, 1.0]])
     assert list(cache.visual_rows(0)) == [0]
     twin = cache.clone()
-    twin.append(0, 0, [1.0, 1.0], [1.0, 1.0])
+    twin.append(0, [[1.0, 1.0]], [[1.0, 1.0]])
     assert cache.rows(0) == 2 and twin.rows(0) == 3
     assert np.array_equal(twin.key_rows(0, 0)[:2], cache.key_rows(0, 0))
 
 
 def test_dump_step_record_shape():
     cache = KvCache(1, 1, 2)
-    cache.append(0, 0, [1.0, 0.0], [0.0, 1.0], visual=True)
-    cache.append(0, 0, [0.0, 1.0], [1.0, 0.0])
-    cache.set_sparsification(0, np.array([True, False]), [])
+    cache.append(0, [[1.0, 0.0]], [[0.0, 1.0]], visual=True)
+    cache.append(0, [[0.0, 1.0]], [[1.0, 0.0]])
+    cache.set_sparsification(0, np.array([True, False]))
     rec = cache.dump_step_record(0)
     assert rec == {"layer": 0, "rows": 2, "mask": [1, 0], "visual": [1, 0],
                    "aggregates": 0}

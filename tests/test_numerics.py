@@ -148,6 +148,48 @@ def test_matvec_kernels_agree_at_the_threshold(cols, offset):
     assert bitwise_equal(matvec(m, v), per_row_matvec(m, v))
 
 
+@given(st.integers(1, 4), st.integers(1, 16), st.floats(0.0, 1.0), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_head_blocks_are_per_head_calls_bitwise(heads, cols, frac, column_major, seed):
+    # rows from 0 to twice the column-loop threshold for the whole block, so
+    # both matvec kernels are drawn, on row-major and column-major blocks
+    rows = int(frac * 2 * COLUMN_LOOP_RATIO * cols / heads)
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(heads, rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(heads, rows, cols))
+    if column_major:
+        block = np.ascontiguousarray(block.transpose(0, 2, 1)).transpose(0, 2, 1)
+    q = rng.normal(size=(heads, cols))
+    got = matvec(block, q)
+    assert got.shape == (heads, rows)
+    for g in range(heads):
+        assert bitwise_equal(got[g], per_row_matvec(block[g], q[g]))
+    if rows == 0:
+        return
+    w = rng.uniform(size=(heads, rows))
+    scores = rng.normal(size=(heads, rows)) * 30.0
+    ctx = weighted_sum_rows(w, block)
+    probs = stable_softmax(scores)
+    for g in range(heads):
+        assert bitwise_equal(ctx[g], np.add.accumulate(w[g][:, None] * block[g], axis=0)[-1])
+        assert bitwise_equal(probs[g], stable_softmax(scores[g]))
+
+
+def test_head_blocks_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        matvec(np.ones((2, 3, 4)), np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        matvec(np.ones((1, 2, 3, 4)), np.ones((1, 2, 4)))
+    with pytest.raises(ValueError):
+        weighted_sum_rows(np.ones((2, 3)), np.ones((2, 4, 5)))
+    with pytest.raises(ValueError):
+        weighted_sum_rows(np.ones((2, 0)), np.ones((2, 0, 5)))
+    with pytest.raises(ValueError, match="empty support"):
+        stable_softmax([[0.0, 1.0], [NEG_INF, NEG_INF]])
+    with pytest.raises(ValueError):
+        stable_softmax(np.ones((2, 2, 2)))
+
+
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_matvec_rows_is_per_row_matvec_bitwise(rows, cols, out, seed):

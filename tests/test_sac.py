@@ -3,7 +3,7 @@ import pytest
 
 from sparsevcd.cache import KvCache
 from sparsevcd.numerics import stable_softmax
-from sparsevcd.sac import PenaltyWeights, calibrate_scores, penalty_weights, penalty_weights_from
+from sparsevcd.sac import PenaltyWeights, calibrate_scores, penalty_weights_from
 
 # frozen from an mpmath (50-digit) softmax of [3, 1, 0]
 SOFTMAX_310 = [0.8437947344813395, 0.11419519938459448, 0.04201006613406605]
@@ -29,9 +29,9 @@ def test_weights_match_softmax_reference():
 def test_weights_from_cache_support():
     cache = KvCache(1, 1, 2)
     for i in range(3):
-        cache.append(0, 0, [float(i), 0.0], [0.0, 1.0])
-    cache._layers[0].c[0].data[:3] = np.array([3.0, 1.0, 0.0])
-    pw = penalty_weights(cache, 0, 0, beta=0.1)
+        cache.append(0, [[float(i), 0.0]], [[0.0, 1.0]])
+    cache.c_view(0, 0)[:] = np.array([3.0, 1.0, 0.0])
+    pw = penalty_weights_from(cache.support(0, slice(0, 1)).c[0], beta=0.1)
     assert np.allclose(pw.w, SOFTMAX_310, atol=1e-12)
     assert pw.beta == 0.1
 
@@ -41,7 +41,7 @@ def test_weights_empty_error():
         penalty_weights_from([])
     cache = KvCache(1, 1, 2)
     with pytest.raises(ValueError):
-        penalty_weights(cache, 0, 0)
+        penalty_weights_from(cache.support(0, slice(0, 1)).c[0])
 
 
 def test_beta_zero_is_bit_exact_identity():

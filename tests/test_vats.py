@@ -20,11 +20,10 @@ def cache_with_r(r_values, heads=1, visual_first=True):
     n = len(r_values)
     cache = KvCache(1, heads, 2)
     for i in range(n):
-        for h in range(heads):
-            cache.append(0, h, [float(i), 0.0], [0.0, 1.0],
-                         visual=(i == 0 and visual_first))
+        cache.append(0, [[float(i), 0.0]] * heads, [[0.0, 1.0]] * heads,
+                     visual=(i == 0 and visual_first))
     for h in range(heads):
-        cache._layers[0].r[h].data[:n] = np.asarray(r_values, dtype=np.float64)
+        cache.r_view(0, h)[:] = np.asarray(r_values, dtype=np.float64)
     return cache
 
 
