@@ -244,9 +244,6 @@ class KvCache:
 
     # ------------------------------------------------------------- flags/sets
 
-    def visual_rows(self, layer: int) -> np.ndarray:
-        return np.nonzero(self.visual_flags(layer))[0]
-
     def visual_flags(self, layer: int) -> np.ndarray:
         return self._layers[layer].visual > 0.5
 
@@ -467,14 +464,3 @@ class KvCache:
         out.__dict__.update(self.__dict__)
         out._layers = [st.clone() for st in self._layers]
         return out
-
-    def dump_step_record(self, layer: int) -> dict:
-        """JSON-serialisable snapshot of a layer's retention state."""
-        st = self._layers[layer]
-        return {
-            "layer": layer,
-            "rows": int(st.n),
-            "mask": [int(v) for v in (st.mask > 0.5)],
-            "visual": [int(v) for v in (st.visual > 0.5)],
-            "aggregates": len(st.merged) + int(st.is_agg.sum()),
-        }

@@ -84,15 +84,31 @@ def _cmd_gen_corpus(args) -> int:
     return 0
 
 
+def _parse_ids(flag: str, text: str, vocab: int) -> list[int]:
+    """Comma-separated token ids, each inside the model vocabulary."""
+    try:
+        ids = [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} expects comma-separated integer ids, got {text!r}") from exc
+    if any(not 0 <= t < vocab for t in ids):
+        raise ConfigError(f"{flag}: ids {text!r} outside the model vocabulary of size {vocab}")
+    return ids
+
+
 def _cmd_decode(args) -> int:
     cfg = _load_cfg(args)
     model = model_from_config(cfg.model)
     if args.image:
-        finding_ids = tuple(int(t) for t in args.image.split(","))
+        finding_ids = tuple(_parse_ids("--image", args.image, model.vocab))
+        if args.tokens_per_finding < 1:
+            raise ConfigError("--tokens-per-finding must be positive")
         image = ImageDescriptor(finding_ids, args.tokens_per_finding)
-        prompt = [int(t) for t in args.prompt.split(",")] if args.prompt else [TOKEN_BOS]
+        prompt = _parse_ids("--prompt", args.prompt, model.vocab) if args.prompt else [TOKEN_BOS]
     elif cfg.corpus:
         corpus = load_corpus(cfg.corpus)
+        if not 0 <= args.example_index < len(corpus.examples):
+            raise ConfigError(f"--example-index {args.example_index} outside the corpus's "
+                              f"{len(corpus.examples)} examples")
         example = corpus.examples[args.example_index]
         image = example.image
         prompt = example.question or [TOKEN_BOS]

@@ -4,15 +4,16 @@ Per generated token: the primary branch runs calibrated (sinking-attention)
 sparse (visual-aware top-S) attention through the model; the contrastive
 branch stochastically masks the visual tokens and sends embeddings through
 the LM head (optionally after a few decoder layers); an adaptive plausibility
-constraint restricts fusion; the fused logits drive greedy argmax or beam
-search. Fully deterministic given the configured seeds.
+constraint restricts fusion; the fused logits drive one search loop over a
+list of beams, of which greedy argmax is width 1. Fully deterministic given
+the configured seeds.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,6 +184,12 @@ class EngineAttention:
         self._errors = []
         self._mask_snapshot = []
         self._rows_snapshot = []
+
+    def fork(self) -> "EngineAttention":
+        """A controller over a clone of the cache, keeping the records so far."""
+        twin = EngineAttention(self.cache.clone(), self.model, self.cfg, self.keep_records)
+        twin.forward_records = list(self.forward_records)
+        return twin
 
     def mean_error(self) -> float:
         if not self.last_errors:
@@ -362,30 +369,21 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     prompt_ids = [int(t) for t in prompt_ids]
     _validate(model, image, prompt_ids, scfg, dcfg)
     t0 = time.perf_counter()
-    keep_records = diag_level == "full"
 
     cache = model.new_cache(mode=scfg.mode,
                             accumulate_raw_scores=scfg.sac_input == "raw_scores")
-    controller = EngineAttention(cache, model, scfg, keep_records=keep_records)
+    controller = EngineAttention(cache, model, scfg, keep_records=diag_level == "full")
     # embedded once: prefill steps through these rows and every contrastive
     # call gathers from them
     vis_block = _block(model.embed_visual(image), model.d_model)
     prompt_block = _block(model.embed_text(prompt_ids), model.d_model)
-    hidden = None
-    for e in vis_block:
-        hidden, _ = model.forward_step(cache, e, attend=controller.attend, visual=True)
-        controller.flush_forward()
-    for e in prompt_block:
-        hidden, _ = model.forward_step(cache, e, attend=controller.attend)
-        controller.flush_forward()
+    for block, visual in ((vis_block, True), (prompt_block, False)):
+        for e in block:
+            hidden, _ = model.forward_step(cache, e, attend=controller.attend, visual=visual)
+            controller.flush_forward()
     prefill_len = cache.n_logical
 
-    if dcfg.mode == "beam":
-        result = _beam_decode(model, cache, controller, hidden, vis_block,
-                              prompt_block, scfg, dcfg, keep_records)
-    else:
-        result = _greedy_decode(model, cache, controller, hidden, vis_block,
-                                prompt_block, scfg, dcfg, keep_records)
+    result = _search(model, controller, hidden, vis_block, prompt_block, dcfg)
     result.prefill_len = prefill_len
     result.wall_seconds = time.perf_counter() - t0
     result.memory_elements = (result.peak_rows * model.head_dim * 2
@@ -393,151 +391,119 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     return result
 
 
-def _kept_visuals(vis_block: np.ndarray, dcfg: DecodeConfig, n_generated: int) -> np.ndarray:
-    """The visual rows the contrastive branch keeps after ``n_generated``
-    tokens: the mask is seeded by the step alone, so every hypothesis of
-    that length shares it."""
-    kept, _ = mask_visual(vis_block, dcfg.visual_mask_rate,
-                          step_seed(dcfg.seed, n_generated))
-    return kept
-
-
-def _greedy_decode(model, cache, controller, hidden, vis_block, prompt_block,
-                   scfg, dcfg, keep_records) -> DecodeResult:
-    tokens: list[int] = []
-    diags: list[StepDiagnostics] = []
-    for step in range(dcfg.max_len):
-        t_step = time.perf_counter()
-        logit_theta = model.lm_head(hidden)
-        p_theta = stable_softmax(logit_theta)
-        plaus = plausible_set(p_theta, dcfg.gamma_apc)
-        logit_phi = None
-        if dcfg.alpha > 0.0:
-            kept = _kept_visuals(vis_block, dcfg, len(tokens))
-            logit_phi = contrastive_logits(model, prompt_block, kept, tokens,
-                                           stop_layer=dcfg.stop_layer,
-                                           pooling=dcfg.pooling)
-        fused = fuse(logit_theta, logit_phi, dcfg.alpha, plaus)
-        chosen = int(np.argmax(fused))
-        is_eos = chosen == dcfg.eos_id
-        detail = None
-        if keep_records:
-            detail = FusedStep(logit_theta, logit_phi, plaus, fused, chosen)
-        diags.append(StepDiagnostics(
-            step=step, chosen=chosen, is_eos=is_eos,
-            p_theta_chosen=float(p_theta[chosen]),
-            p_theta_max=float(np.max(p_theta)),
-            plausible_size=int(plaus.sum()),
-            attn_error_mean=controller.mean_error(),
-            cache_rows=cache.max_rows(),
-            retained_raw=controller.retained_raw(),
-            logit_theta_argmax=int(np.argmax(logit_theta)),
-            fused_argmax=chosen,
-            step_seconds=time.perf_counter() - t_step,
-            detail=detail,
-        ))
-        if is_eos:
-            break
-        tokens.append(chosen)
-        emb = model.embed_text([chosen])[0]
-        hidden, _ = model.forward_step(cache, emb, attend=controller.attend)
-        controller.flush_forward()
-    return DecodeResult(tokens=tokens, diagnostics=diags,
-                        forward_records=controller.forward_records,
-                        peak_rows=cache.peak_rows)
-
-
 @dataclass
 class _Beam:
-    cache: KvCache
     controller: EngineAttention
     hidden: np.ndarray
     tokens: list[int]
-    score: float
-    finished: bool
     diags: list[StepDiagnostics]
+    score: float = 0.0
+    finished: bool = False
 
 
-def _beam_decode(model, cache, controller, hidden, vis_block, prompt_block,
-                 scfg, dcfg, keep_records) -> DecodeResult:
-    beams = [_Beam(cache, controller, hidden, [], 0.0, False, [])]
+def _search(model, controller, hidden, vis_block, prompt_block, dcfg) -> DecodeResult:
+    """The step loop over a list of beams; greedy decoding is width 1.
+
+    Every live beam fuses its primary and contrastive logits on its
+    plausible set. When candidates compete (width > 1), each beam proposes
+    its ``width`` best tokens by fused log-probability, ties to the lower
+    id, and the ``width`` best hypotheses survive. A lone candidate is never
+    ranked: at width 1 the token is ``argmax(fused)``.
+    """
+    width = dcfg.beam_size if dcfg.mode == "beam" else 1
+    beams = [_Beam(controller, hidden, [], [])]
     audit: list[tuple[float, float]] = []
-    peak_rows = cache.peak_rows
+    peak_rows = controller.cache.peak_rows
     for step in range(dcfg.max_len):
-        if all(b.finished for b in beams):
-            break
-        # every live beam holds ``step`` tokens, so one mask serves them all
-        kept_visuals = _kept_visuals(vis_block, dcfg, step) if dcfg.alpha > 0.0 else None
-        candidates = []  # (score, beam_idx, token, diag)
+        kept_visuals = None
+        candidates = []  # (score, beam index, token, scoring); -1 carries a finished beam
         for bi, beam in enumerate(beams):
             if beam.finished:
                 candidates.append((beam.score, bi, -1, None))
                 continue
-            t_beam = time.perf_counter()
+            t0 = time.perf_counter()
             logit_theta = model.lm_head(beam.hidden)
             p_theta = stable_softmax(logit_theta)
             plaus = plausible_set(p_theta, dcfg.gamma_apc)
             logit_phi = None
             if dcfg.alpha > 0.0:
+                if kept_visuals is None:
+                    # the mask is seeded by the step alone and every live
+                    # beam holds ``step`` tokens, so one mask serves them all
+                    kept_visuals, _ = mask_visual(vis_block, dcfg.visual_mask_rate,
+                                                  step_seed(dcfg.seed, step))
                 logit_phi = contrastive_logits(model, prompt_block, kept_visuals,
                                                beam.tokens, stop_layer=dcfg.stop_layer,
                                                pooling=dcfg.pooling)
             fused = fuse(logit_theta, logit_phi, dcfg.alpha, plaus)
+            top = int(np.argmax(fused))
+            scored = (logit_theta, p_theta, plaus, logit_phi, fused, top,
+                      time.perf_counter() - t0)
+            if width == 1:
+                candidates.append((beam.score, bi, top, scored))
+                continue
             log_probs = _log_softmax(fused)
             order = np.lexsort((np.arange(log_probs.shape[0]), -log_probs))
-            # per-beam fields; each candidate fills in its own token
-            beam_diag = StepDiagnostics(
-                step=step, chosen=-1, is_eos=False, p_theta_chosen=0.0,
-                p_theta_max=float(np.max(p_theta)),
-                plausible_size=int(plaus.sum()),
-                attn_error_mean=beam.controller.mean_error(),
-                cache_rows=beam.cache.max_rows(),
-                retained_raw=beam.controller.retained_raw(),
-                logit_theta_argmax=int(np.argmax(logit_theta)),
-                fused_argmax=int(np.argmax(fused)),
-                step_seconds=time.perf_counter() - t_beam,
-            )
-            for t in order[: dcfg.beam_size]:
+            for t in order[:width]:
                 t = int(t)
-                if not np.isfinite(log_probs[t]):
-                    continue
-                diag = replace(beam_diag, chosen=t, is_eos=t == dcfg.eos_id,
-                               p_theta_chosen=float(p_theta[t]))
-                candidates.append((beam.score + float(log_probs[t]), bi, t, diag))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        kept = candidates[: dcfg.beam_size]
-        dropped = candidates[dcfg.beam_size:]
-        if dropped:
-            audit.append((min(c[0] for c in kept), max(c[0] for c in dropped)))
-        # the parent's cache is dead after this step: its last kept child
-        # takes it over, and only the earlier siblings clone it
-        last_child = {bi: i for i, (_, bi, token, _) in enumerate(kept) if token != -1}
-        new_beams = []
-        for i, (score, bi, token, diag) in enumerate(kept):
+                if np.isfinite(log_probs[t]):
+                    candidates.append((beam.score + float(log_probs[t]), bi, t, scored))
+        # the parent's state is dead after this step: its last kept child
+        # takes it over in place, and only the earlier siblings fork it (a
+        # lone candidate is its parent's last child)
+        last_child = {}
+        if width > 1:
+            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+            if len(candidates) > width:
+                audit.append((min(c[0] for c in candidates[:width]),
+                              max(c[0] for c in candidates[width:])))
+                del candidates[width:]
+            last_child = {c[1]: i for i, c in enumerate(candidates) if c[2] != -1}
+        new_beams, live = [], False
+        for i, (score, bi, token, scored) in enumerate(candidates):
             parent = beams[bi]
             if token == -1:
                 new_beams.append(parent)
                 continue
-            new_cache = parent.cache if last_child[bi] == i else parent.cache.clone()
-            new_controller = EngineAttention(new_cache, model, scfg,
-                                             keep_records=False)
-            if token == dcfg.eos_id:
-                new_beams.append(_Beam(new_cache, new_controller, parent.hidden,
-                                       list(parent.tokens), score, True,
-                                       parent.diags + [diag]))
-                continue
-            emb = model.embed_text([token])[0]
-            new_hidden, _ = model.forward_step(new_cache, emb,
-                                               attend=new_controller.attend)
-            new_controller.flush_forward()
-            peak_rows = max(peak_rows, new_cache.peak_rows)
-            new_beams.append(_Beam(new_cache, new_controller, new_hidden,
-                                   parent.tokens + [token], score, False,
-                                   parent.diags + [diag]))
+            # built once per kept candidate, from its parent's scoring and state
+            logit_theta, p_theta, plaus, logit_phi, fused, top, seconds = scored
+            ctl = parent.controller
+            diag = StepDiagnostics(
+                step=step, chosen=token, is_eos=token == dcfg.eos_id,
+                p_theta_chosen=float(p_theta[token]),
+                p_theta_max=float(np.max(p_theta)),
+                plausible_size=int(plaus.sum()),
+                attn_error_mean=ctl.mean_error(),
+                cache_rows=ctl.cache.max_rows(),
+                retained_raw=ctl.retained_raw(),
+                logit_theta_argmax=int(np.argmax(logit_theta)),
+                fused_argmax=top,
+                step_seconds=seconds,
+                detail=(FusedStep(logit_theta, logit_phi, plaus, fused, token)
+                        if ctl.keep_records else None),
+            )
+            if last_child.get(bi, i) == i:
+                child = parent
+                child.diags.append(diag)
+            else:
+                child = _Beam(ctl.fork(), parent.hidden, list(parent.tokens),
+                              parent.diags + [diag])
+            child.score = score
+            if diag.is_eos:
+                child.finished = True
+            else:
+                live = True
+                child.tokens.append(token)
+                emb = model.embed_text([token])[0]
+                child.hidden, _ = model.forward_step(child.controller.cache, emb,
+                                                     attend=child.controller.attend)
+                child.controller.flush_forward()
+                peak_rows = max(peak_rows, child.controller.cache.peak_rows)
+            new_beams.append(child)
         beams = new_beams
-    winner = min(range(len(beams)), key=lambda i: (-beams[i].score, i))
-    best = beams[winner]
-    peak_rows = max(peak_rows, max(b.cache.peak_rows for b in beams))
+        if not live:
+            break
+    best = min(beams, key=lambda b: -b.score)  # the first beam on ties
     return DecodeResult(tokens=best.tokens, diagnostics=best.diags,
-                        forward_records=[], beam_audit=audit,
-                        peak_rows=peak_rows)
+                        forward_records=best.controller.forward_records,
+                        beam_audit=audit, peak_rows=peak_rows)

@@ -24,7 +24,7 @@ import numpy as np
 from sparsevcd.cache import KvCache
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
-from sparsevcd.numerics import causal_softmax, causal_weighted_sum, matvec, matvec_rows
+from sparsevcd.numerics import causal_softmax, causal_weighted_sum, matvec
 from sparsevcd.rng import SplitMix64, combine
 
 RMS_EPS = 1e-12
@@ -33,13 +33,10 @@ _NOISE_SALT = 0x4E4F_4953
 
 
 def rms_normalize(x: np.ndarray) -> np.ndarray:
-    # np.mean of a vector is np.add.reduce over it divided by its length
-    return x / np.sqrt(np.add.reduce(x * x) / x.shape[0] + RMS_EPS)
-
-
-def rms_normalize_rows(x: np.ndarray) -> np.ndarray:
-    """``rms_normalize`` applied to each row of a 2-d block."""
-    return x / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMS_EPS)
+    """RMS-normalise a vector, or each row of a block, over the last axis (a
+    vector's mean square stays a scalar, which is cheaper per token)."""
+    ms = np.add.reduce(x * x, axis=-1, keepdims=x.ndim > 1) / x.shape[-1]
+    return x / np.sqrt(ms + RMS_EPS)
 
 
 @dataclass(frozen=True)
@@ -249,18 +246,17 @@ class ToyTransformer(ModelInterface):
             raise ValueError(f"embedding block {x.shape} != ({n}, {self.d_model})")
         scale = np.sqrt(self.head_dim)
         for ell in range(n_layers):
-            xn = rms_normalize_rows(x)
-            qkv = matvec_rows(self.w_qkv[ell], xn).reshape(n, 3, self.heads, self.head_dim)
+            qkv = matvec(self.w_qkv[ell], rms_normalize(x)).reshape(
+                n, 3, self.heads, self.head_dim)
             attn_out = np.zeros((n, self.d_model))
             for h in range(self.heads):
                 q, k, v = qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h]
-                row = causal_softmax(matvec_rows(k, q) / scale)
+                row = causal_softmax(matvec(k, q) / scale)
                 ctx = causal_weighted_sum(row, v)
-                attn_out += matvec_rows(self.w_o[ell][h], ctx)
+                attn_out += matvec(self.w_o[ell][h], ctx)
             x = x + attn_out
-            xn2 = rms_normalize_rows(x)
-            hidden_ff = np.maximum(matvec_rows(self.w_ff1[ell], xn2), 0.0)
-            x = x + matvec_rows(self.w_ff2[ell], hidden_ff)
+            hidden_ff = np.maximum(matvec(self.w_ff1[ell], rms_normalize(x)), 0.0)
+            x = x + matvec(self.w_ff2[ell], hidden_ff)
         return x
 
     def lm_head(self, pooled: np.ndarray) -> np.ndarray:

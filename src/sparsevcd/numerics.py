@@ -16,20 +16,22 @@ bottom, the softmax total along the row. Nothing is summed across heads.
 The blocks may be strided views (the cache keeps each head's rows
 column-major, one column per row); the order does not depend on the layout.
 
-The row-batched kernels (``matvec_rows``, ``causal_softmax``,
-``causal_weighted_sum``) process a block of rows at once and keep that
+``matvec`` also takes a row block: an ``(n, k)`` matrix against ``(b, k)``
+rows gives the ``(b, n)`` block whose row ``i`` is bit-identical to
+``matvec(m, v[i])``. The causal kernels (``causal_softmax``,
+``causal_weighted_sum``) process a block of rows at once and keep the same
 order: every output element is reduced over the same terms, in the same
-left-to-right order, as the per-row ``matvec`` / ``stable_softmax`` /
-``weighted_sum_rows`` call it replaces, so row ``i`` of a batched result is
-bit-identical to the per-row result. They loop over the reduced axis in
-Python (one column, or one causal suffix, at a time) instead of building a
-three-axis product.
+left-to-right order, as the per-row ``stable_softmax`` /
+``weighted_sum_rows`` call it replaces. They loop over the causal suffix in
+Python instead of building a three-axis product.
 
 ``matvec`` picks its kernel by shape, with the same bits either way. Below
 ``COLUMN_LOOP_RATIO`` rows per column (rows counted over all heads of a
-block) it reduces ``m * v`` with ``np.add.accumulate`` along each row. From
-there up it runs a Python loop over the columns (``out += m[..., k] *
-v[..., k]``), which adds the same products in the same order. The loop pays
+block, or ``b * n`` for a row block) it reduces ``m * v`` with
+``np.add.accumulate`` along each row. From there up it runs a Python loop
+over the columns (``out += m[..., k] * v[..., k]``), which adds the same
+products in the same order; a row block's matrix is first laid out
+column-major, so each column the loop reads is contiguous. The loop pays
 a fixed cost per column and the ``accumulate`` a larger cost per element,
 so long blocks go to the loop. Measured on a 2-vCPU VM (Python 3.11, numpy
 2.4), per call, on column-major head blocks (the cache's layout): at 2
@@ -49,13 +51,6 @@ NEG_INF = float("-inf")
 COLUMN_LOOP_RATIO = 16
 
 
-def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    return v
-
-
 def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
@@ -63,31 +58,26 @@ def as_matrix(x) -> np.ndarray:
     return np.ascontiguousarray(m)
 
 
-def dot(a, b) -> float:
-    """Inner product with fixed left-to-right accumulation."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dot: length mismatch {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.add.accumulate(a * b)[-1])
-
-
 def matvec(m, v) -> np.ndarray:
     """Row-wise dot of ``m`` against ``v``, left-to-right per row.
 
-    ``m`` is ``(n, k)`` against ``v`` ``(k,)``, or a head block
-    ``(G, n, k)`` against ``(G, k)``: head ``g``'s rows against ``v[g]``.
+    ``m`` is ``(n, k)`` against ``v`` ``(k,)``; or a head block
+    ``(G, n, k)`` against ``(G, k)``: head ``g``'s rows against ``v[g]``;
+    or ``(n, k)`` against a row block ``(b, k)``, giving ``(b, n)``: row
+    ``i`` is ``m`` against ``v[i]``.
     """
     m = np.asarray(m, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    size = m.size
     if not 2 <= m.ndim <= 3 or v.shape != m.shape[:-2] + m.shape[-1:]:
-        raise ValueError(f"matvec: shape mismatch {m.shape} vs {v.shape}")
+        if m.ndim != 2 or v.ndim != 2 or v.shape[1] != m.shape[1]:
+            raise ValueError(f"matvec: shape mismatch {m.shape} vs {v.shape}")
+        size *= v.shape[0]  # a row block
+        m = np.asfortranarray(m)
     k = m.shape[-1]
-    if m.size == 0:
-        return np.zeros(m.shape[:-1])
-    if m.size < COLUMN_LOOP_RATIO * k * k:
+    if size == 0:
+        return np.zeros((m * v[..., None, :]).shape[:-1])
+    if size < COLUMN_LOOP_RATIO * k * k:
         return np.add.accumulate(m * v[..., None, :], axis=-1)[..., -1]
     out = m[..., 0] * v[..., 0:1]
     for j in range(1, k):
@@ -123,22 +113,6 @@ def stable_softmax(x) -> np.ndarray:
         raise ValueError("stable_softmax: empty support (all entries are -inf)")
     e = np.exp(x - m)
     return e / np.add.accumulate(e, axis=-1)[..., -1:]
-
-
-def matvec_rows(m, xs) -> np.ndarray:
-    """``matvec(m, xs[i])`` for every row ``i`` of ``xs``, as an
-    ``(len(xs), len(m))`` block; each sum runs over the columns in order."""
-    m = as_matrix(m)
-    xs = as_matrix(xs)
-    if m.shape[1] != xs.shape[1]:
-        raise ValueError(f"matvec_rows: shape mismatch {m.shape} vs {xs.shape}")
-    if m.shape[1] == 0:
-        return np.zeros((xs.shape[0], m.shape[0]))
-    mt = m.T.copy()
-    out = xs[:, 0:1] * mt[0]
-    for k in range(1, mt.shape[0]):
-        out += xs[:, k:k + 1] * mt[k]
-    return out
 
 
 def _check_causal(name: str, block: np.ndarray) -> None:

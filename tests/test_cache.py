@@ -253,18 +253,9 @@ def test_visual_flags_and_clone():
     cache = KvCache(1, 1, 2)
     cache.append(0, [[1.0, 0.0]], [[1.0, 0.0]], visual=True)
     cache.append(0, [[0.0, 1.0]], [[0.0, 1.0]])
-    assert list(cache.visual_rows(0)) == [0]
+    assert list(np.nonzero(cache.visual_flags(0))[0]) == [0]
     twin = cache.clone()
     twin.append(0, [[1.0, 1.0]], [[1.0, 1.0]])
     assert cache.rows(0) == 2 and twin.rows(0) == 3
     assert np.array_equal(twin.key_rows(0, 0)[:2], cache.key_rows(0, 0))
 
-
-def test_dump_step_record_shape():
-    cache = KvCache(1, 1, 2)
-    cache.append(0, [[1.0, 0.0]], [[0.0, 1.0]], visual=True)
-    cache.append(0, [[0.0, 1.0]], [[1.0, 0.0]])
-    cache.set_sparsification(0, np.array([True, False]))
-    rec = cache.dump_step_record(0)
-    assert rec == {"layer": 0, "rows": 2, "mask": [1, 0], "visual": [1, 0],
-                   "aggregates": 0}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparsevcd.cli import main
+from sparsevcd.corpus import GeneratorSpec, gen_corpus, write_corpus
 from sparsevcd.config import (DecodeConfig, ModelConfig, SparsifyConfig,
                               experiment_from_dict)
 from sparsevcd.decoding import decode
@@ -117,3 +118,22 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     for eos_id in (0, -1):
         experiment_from_dict({"model": {"kind": "composer"}, "decode": {"eos_id": eos_id}})
     experiment_from_dict({"model": {"kind": "transformer"}, "decode": {"eos_id": 5}})
+
+
+# each of these exited 3 (a stray ValueError or IndexError), or decoded the
+# wrong example, before the decode arguments were checked where parsed
+@pytest.mark.parametrize("argv", [
+    ["--image", "4,99999,9"],
+    ["--image", ","],
+    ["--image", "4", "--prompt", "x"],
+    ["--image", "4", "--tokens-per-finding", "0"],
+    ["--example-index", "7"],
+    ["--example-index", "-1"],
+])
+def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, gen_corpus(GeneratorSpec(), seed=0, n=3))
+    if "--example-index" in argv:
+        argv = ["--corpus", str(corpus)] + argv
+    assert main(["decode", "--set", "decode.max_len=2"] + argv) == 1
+    assert "config error" in capsys.readouterr().err

@@ -437,6 +437,63 @@ def test_beam_width_one_equals_greedy_in_both_cache_modes(draw, mode, stop_layer
                    DecodeConfig(max_len=8, seed=draw["decode_seed"],
                                 stop_layer=stop_layer, mode="beam", beam_size=1))
     assert greedy.tokens == beam1.tokens
+    assert diagnostic_fields(greedy) == diagnostic_fields(beam1)
+    assert greedy.peak_rows == beam1.peak_rows
+
+
+def diagnostic_fields(res):
+    """Every ``StepDiagnostics`` field but the timing, step by step."""
+    return [{f.name: getattr(d, f.name) for f in dataclasses.fields(d)
+             if f.name != "step_seconds"} for d in res.diagnostics]
+
+
+def canonical(record):
+    """A forward record with its arrays as (dtype, shape, bytes)."""
+    if isinstance(record, dict):
+        return {k: canonical(v) for k, v in record.items()}
+    if isinstance(record, list):
+        return [canonical(v) for v in record]
+    if isinstance(record, np.ndarray):
+        return (record.dtype.str, record.shape, record.tobytes())
+    return record
+
+
+def full_session(cache_mode, diag_level="full", **decode_kw):
+    """A 60-token prefix (24 visual, 36 random text) with planning on."""
+    rng = np.random.default_rng(5)
+    m = transformer(29)
+    img = ImageDescriptor((6, 13, 21), 8)
+    prompt = [int(t) for t in rng.integers(1, 64, size=36)]
+    scfg = SparsifyConfig(sparsity_rate=0.6, l_min=8, mode=cache_mode, compact_band=4)
+    dcfg = DecodeConfig(max_len=8, seed=3, stop_layer=1, **decode_kw)
+    return decode(m, img, prompt, scfg, dcfg, diag_level=diag_level)
+
+
+@pytest.mark.parametrize("cache_mode", ["logical", "compacted"])
+def test_beam_width_one_keeps_greedys_full_diagnostics(cache_mode):
+    greedy = full_session(cache_mode)
+    beam1 = full_session(cache_mode, mode="beam", beam_size=1)
+    assert greedy.tokens == beam1.tokens
+    assert [d.detail.logit_theta.tobytes() for d in greedy.diagnostics] == \
+        [d.detail.logit_theta.tobytes() for d in beam1.diagnostics]
+    assert greedy.forward_records
+    assert canonical(greedy.forward_records) == canonical(beam1.forward_records)
+
+
+# EOS 60 ends the logical winner after one token while the other beams run
+# on; EOS 42 ends every compacted beam at the first step
+@pytest.mark.parametrize("cache_mode,eos_id", [("logical", -1), ("logical", 60),
+                                               ("compacted", -1), ("compacted", 42)])
+def test_beam_winner_keeps_its_full_diagnostics(cache_mode, eos_id):
+    res = full_session(cache_mode, mode="beam", beam_size=3, eos_id=eos_id)
+    summary = full_session(cache_mode, "summary", mode="beam", beam_size=3, eos_id=eos_id)
+    assert res.tokens == summary.tokens and res.beam_audit == summary.beam_audit
+    assert res.beam_audit
+    # the prefill, then one forward per token on the winner's path (an EOS
+    # ends the path without a forward)
+    assert len(res.forward_records) == res.prefill_len + len(res.tokens)
+    assert [d.detail.chosen for d in res.diagnostics] == [d.chosen for d in res.diagnostics]
+    assert [d.chosen for d in res.diagnostics if not d.is_eos] == res.tokens
 
 
 @settings(max_examples=12, deadline=None)

@@ -4,11 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevcd.numerics import (COLUMN_LOOP_RATIO, NEG_INF, causal_softmax,
-                                causal_weighted_sum, dot, matvec, matvec_rows,
-                                stable_softmax, weighted_sum_rows)
+                                causal_weighted_sum, matvec, stable_softmax,
+                                weighted_sum_rows)
 
 # expected values frozen from an mpmath (50-digit) softmax evaluation
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
+
+
+def dot(a, b) -> float:
+    """An inner product is ``matvec`` on a one-row matrix."""
+    return float(matvec([a], b)[0])
 
 
 def test_dot_orthogonal():
@@ -192,11 +197,11 @@ def test_head_blocks_reject_bad_shapes():
 
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_matvec_rows_is_per_row_matvec_bitwise(rows, cols, out, seed):
+def test_matvec_row_block_is_per_row_matvec_bitwise(rows, cols, out, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(out, cols)) * 10.0 ** rng.integers(-3, 4, size=(out, cols))
     xs = rng.normal(size=(rows, cols))
-    got = matvec_rows(m, xs)
+    got = matvec(m, xs)
     assert got.shape == (rows, out)
     for i in range(rows):
         assert bitwise_equal(got[i], matvec(m, xs[i]))
@@ -237,18 +242,18 @@ def test_causal_rows_reduce_only_over_the_prefix():
 
 
 def test_row_batched_kernels_edge_shapes():
-    assert bitwise_equal(matvec_rows([[2.0, 3.0]], [[1.0, 1.0]]), [[5.0]])
-    assert bitwise_equal(matvec_rows(np.ones((3, 0)), np.ones((2, 0))), np.zeros((2, 3)))
-    assert matvec_rows(np.ones((3, 2)), np.ones((0, 2))).shape == (0, 3)
+    assert bitwise_equal(matvec([[2.0, 3.0]], [[1.0, 1.0]]), [[5.0]])
+    assert bitwise_equal(matvec(np.ones((3, 0)), np.ones((2, 0))), np.zeros((2, 3)))
+    assert matvec(np.ones((3, 2)), np.ones((0, 2))).shape == (0, 3)
     assert bitwise_equal(causal_softmax([[-5.0]]), [[1.0]])
     assert bitwise_equal(causal_weighted_sum([[1.0]], [[2.0, 3.0]]), [[2.0, 3.0]])
 
 
 def test_row_batched_kernels_reject_bad_shapes():
     with pytest.raises(ValueError):
-        matvec_rows(np.ones((3, 4)), np.ones((2, 5)))
+        matvec(np.ones((3, 4)), np.ones((2, 5)))
     with pytest.raises(ValueError):
-        matvec_rows(np.ones(4), np.ones((2, 4)))
+        matvec(np.ones(4), np.ones((2, 4)))
     with pytest.raises(ValueError):
         causal_softmax(np.ones((2, 3)))
     with pytest.raises(ValueError):
