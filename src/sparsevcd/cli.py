@@ -9,6 +9,7 @@ document (``--config``) supplies the model/sparsify/decode/ablation blocks;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -27,7 +28,7 @@ from sparsevcd.models import ImageDescriptor, model_from_config
 def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     if not overrides:
         return cfg
-    data = experiment._config_as_dict(cfg)
+    data = dataclasses.asdict(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects section.field=value, got {item!r}")
@@ -123,13 +124,7 @@ def _cmd_decode(args) -> int:
               f"plausible={d.plausible_size} rows={d.cache_rows} "
               f"attn_err={d.attn_error_mean:.6g}")
     if args.diagnostics:
-        payload = {"steps": [{
-            "step": d.step, "chosen": d.chosen, "is_eos": d.is_eos,
-            "p_theta_chosen": d.p_theta_chosen, "p_theta_max": d.p_theta_max,
-            "plausible_size": d.plausible_size,
-            "attn_error_mean": d.attn_error_mean,
-            "cache_rows": d.cache_rows, "retained_raw": d.retained_raw,
-        } for d in result.diagnostics]}
+        payload = {"steps": [d.as_record() for d in result.diagnostics]}
         if args.full_diag:
             payload["forwards"] = [{
                 "errors": rec["errors"],

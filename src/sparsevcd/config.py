@@ -44,6 +44,8 @@ class ModelConfig:
         if self.kind == "composer":
             if self.prior and self.finding_ids and len(self.prior) != len(self.finding_ids):
                 raise ConfigError("model.prior must have one weight per finding id")
+            if len(set(self.finding_ids)) != len(self.finding_ids):
+                raise ConfigError("model.finding_ids must be distinct")
 
 
 @dataclass
@@ -80,6 +82,8 @@ class SparsifyConfig:
             raise ConfigError("sparsify.knn_k must be at least 1")
         if not 0.0 < self.early_layer_frac <= 1.0:
             raise ConfigError("sparsify.early_layer_frac must be in (0, 1]")
+        if self.l_min < 0:
+            raise ConfigError("sparsify.l_min must be non-negative")
         if self.mode not in ("logical", "compacted"):
             raise ConfigError("sparsify.mode must be 'logical' or 'compacted'")
         if self.mode == "compacted" and self.per_head_mask:

@@ -139,6 +139,13 @@ class StepDiagnostics:
     step_seconds: float
     detail: FusedStep | None = None
 
+    def as_record(self) -> dict:
+        """The step as the diagnostics files write it: every field but the
+        argmaxes, the timing and the full-mode detail."""
+        return {k: getattr(self, k) for k in (
+            "step", "chosen", "is_eos", "p_theta_chosen", "p_theta_max",
+            "plausible_size", "attn_error_mean", "cache_rows", "retained_raw")}
+
 
 @dataclass
 class DecodeResult:

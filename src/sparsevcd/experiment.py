@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from sparsevcd import metrics
-from sparsevcd.config import DecodeConfig, ExperimentConfig, SparsifyConfig, flatten_config
+from sparsevcd.config import ExperimentConfig, flatten_config
 from sparsevcd.corpus import TOKEN_BOS, TOKEN_NO, TOKEN_YES, Corpus, load_corpus
 from sparsevcd.decoding import decode
 from sparsevcd.errors import ConfigError
@@ -96,8 +96,7 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
         session = dataclasses.replace(dcfg, seed=combine(run_seed, idx))
         prompt = example.question if example.question else [TOKEN_BOS]
         try:
-            timing, result = metrics.measure_run(
-                lambda: decode(model, example.image, prompt, scfg, session))
+            result = decode(model, example.image, prompt, scfg, session)
         except ValueError as exc:  # bad input aborts the row; engine bugs propagate
             row.error = f"{example.id}: {type(exc).__name__}: {exc}"
             row.chair = row.recall = row.accuracy = None
@@ -114,22 +113,13 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
         step_errors = [d.attn_error_mean for d in result.diagnostics]
         errors.append(sum(step_errors) / len(step_errors) if step_errors else 0.0)
         total_tokens += len(result.tokens)
-        total_wall += timing.wall_seconds
+        total_wall += result.wall_seconds
         peak_mem = max(peak_mem, result.memory_elements)
         if collect_diagnostics:
             row.diagnostics.append({
                 "example": example.id,
                 "tokens": result.tokens,
-                "steps": [{
-                    "step": d.step,
-                    "chosen": d.chosen,
-                    "p_theta_chosen": d.p_theta_chosen,
-                    "p_theta_max": d.p_theta_max,
-                    "plausible_size": d.plausible_size,
-                    "attn_error_mean": d.attn_error_mean,
-                    "cache_rows": d.cache_rows,
-                    "retained_raw": d.retained_raw,
-                } for d in result.diagnostics],
+                "steps": [d.as_record() for d in result.diagnostics],
             })
     row.chair = sum(chairs) / len(chairs) if chairs else None
     row.recall = sum(recalls) / len(recalls) if recalls else None
@@ -152,22 +142,6 @@ def _row_task(cfg_dict: dict, corpus_path: str, run_seed: int,
     row.sweep_axis = sweep_axis
     row.sweep_value = sweep_value
     return row
-
-
-def _config_as_dict(cfg: ExperimentConfig) -> dict:
-    out = {
-        "model": dataclasses.asdict(cfg.model),
-        "sparsify": dataclasses.asdict(cfg.sparsify),
-        "decode": dataclasses.asdict(cfg.decode),
-        "ablation": dataclasses.asdict(cfg.ablation),
-        "corpus": cfg.corpus,
-        "seeds": list(cfg.seeds),
-        "out_csv": cfg.out_csv,
-        "out_diagnostics": cfg.out_diagnostics,
-        "timing": cfg.timing,
-        "workers": cfg.workers,
-    }
-    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -220,7 +194,7 @@ def sweep(cfg: ExperimentConfig, axis: str, grid) -> list[ResultRow]:
             tasks.append((gi, value, varied, seed))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_row_task, _config_as_dict(varied), cfg.corpus,
+            futures = [pool.submit(_row_task, dataclasses.asdict(varied), cfg.corpus,
                                    seed, axis, value)
                        for (_gi, value, varied, seed) in tasks]
             rows = [f.result() for f in futures]
@@ -285,11 +259,14 @@ def write_diagnostics(path: str | Path, rows: list[ResultRow]) -> None:
 
 # --------------------------------------------------------------------- bench
 
-def _bench_session(model, image, prompt, scfg: SparsifyConfig,
-                   dcfg: DecodeConfig):
-    timing, result = metrics.measure_run(
-        lambda: decode(model, image, prompt, scfg, dcfg))
-    return timing
+def _bench_inputs(cfg: ExperimentConfig, prefix_len: int):
+    """The transformer model, an image and a BOS prompt padding the image
+    to ``prefix_len`` positions."""
+    if cfg.model.kind != "transformer":
+        raise ConfigError("bench requires the transformer model")
+    image = ImageDescriptor((4, 5), tokens_per_finding=4)
+    prompt = [TOKEN_BOS] * max(1, prefix_len - image.n_tokens)
+    return model_from_config(cfg.model), image, prompt
 
 
 def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
@@ -297,29 +274,20 @@ def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
     """Paired wall-time comparison: compacted sparse decoding at rate 0.5
     versus full decoding over the same prefix. Contrastive fusion and
     calibration are off in both arms to isolate the sparsification cost."""
-    if cfg.model.kind != "transformer":
-        raise ConfigError("bench requires the transformer model")
-    model = model_from_config(cfg.model)
-    image = ImageDescriptor((4, 5), tokens_per_finding=4)
-    n_prompt = max(1, prefix_len - image.n_tokens)
-    prompt = [TOKEN_BOS] * n_prompt
+    model, image, prompt = _bench_inputs(cfg, prefix_len)
     base = dataclasses.replace(cfg.decode, alpha=0.0, gamma_apc=0.0,
                                max_len=decode_len, mode="greedy", eos_id=-1)
     full_s = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,
                                  sac_enabled=False, mode="logical")
     sparse_s = dataclasses.replace(cfg.sparsify, sparsity_rate=0.5, beta=0.0,
                                    sac_enabled=False, mode="compacted")
-    full_times, sparse_times, sparse_rows, full_rows = [], [], [], []
+    full, sparse = [], []
     for rep in range(repeats):
         dcfg = dataclasses.replace(base, seed=rep)
-        t_full = _bench_session(model, image, prompt, full_s, dcfg)
-        t_sparse = _bench_session(model, image, prompt, sparse_s, dcfg)
-        full_times.append(t_full.wall_seconds)
-        sparse_times.append(t_sparse.wall_seconds)
-        full_rows.append(t_full.peak_rows)
-        sparse_rows.append(t_sparse.peak_rows)
-    full_med = statistics.median(full_times)
-    sparse_med = statistics.median(sparse_times)
+        full.append(decode(model, image, prompt, full_s, dcfg))
+        sparse.append(decode(model, image, prompt, sparse_s, dcfg))
+    full_med = statistics.median(r.wall_seconds for r in full)
+    sparse_med = statistics.median(r.wall_seconds for r in sparse)
     return {
         "prefix_len": prefix_len,
         "decode_len": decode_len,
@@ -327,34 +295,29 @@ def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
         "full_median_seconds": full_med,
         "sparse_median_seconds": sparse_med,
         "sparse_faster": sparse_med < full_med,
-        "full_peak_rows": max(full_rows),
-        "sparse_peak_rows": max(sparse_rows),
+        "full_peak_rows": max(r.peak_rows for r in full),
+        "sparse_peak_rows": max(r.peak_rows for r in sparse),
     }
 
 
 def bench_stop_layers(cfg: ExperimentConfig, grid=None, repeats: int = 5,
                       prefix_len: int = 96, decode_len: int = 24) -> dict:
     """Median decoding throughput per contrastive-branch stop layer."""
-    if cfg.model.kind != "transformer":
-        raise ConfigError("bench requires the transformer model")
-    model = model_from_config(cfg.model)
+    model, image, prompt = _bench_inputs(cfg, prefix_len)
     if grid is None:
         grid = list(range(model.layers + 1))
-    image = ImageDescriptor((4, 5), tokens_per_finding=4)
-    n_prompt = max(1, prefix_len - image.n_tokens)
-    prompt = [TOKEN_BOS] * n_prompt
     scfg = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,
                                sac_enabled=False, mode="logical")
     out = {}
     for ell in grid:
-        times = []
+        tps = []
         for rep in range(repeats):
             dcfg = dataclasses.replace(cfg.decode, alpha=0.3, gamma_apc=0.0,
                                        stop_layer=int(ell), max_len=decode_len,
                                        mode="greedy", eos_id=-1, seed=rep)
-            timing = _bench_session(model, image, prompt, scfg, dcfg)
-            times.append(timing.tps)
-        out[int(ell)] = statistics.median(times)
+            result = decode(model, image, prompt, scfg, dcfg)
+            tps.append(len(result.tokens) / result.wall_seconds)
+        out[int(ell)] = statistics.median(tps)
     return out
 
 

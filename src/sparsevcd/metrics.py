@@ -1,9 +1,6 @@
-"""Hallucination/quality metrics over generated finding sets, plus timing."""
+"""Hallucination/quality metrics over generated finding sets."""
 
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass
 
 
 def chair(generated, reference) -> float:
@@ -38,30 +35,3 @@ def closed_ended_accuracy(predictions, labels) -> float:
         raise ValueError("closed_ended_accuracy: empty inputs")
     hits = sum(1 for p, l in zip(predictions, labels) if p == l)
     return hits / len(predictions)
-
-
-@dataclass
-class RunTiming:
-    """Wall-clock and throughput record for one decode run."""
-
-    wall_seconds: float
-    tokens: int
-    tps: float
-    peak_rows: int
-    memory_elements: int
-
-
-def measure_run(decode_closure):
-    """Execute a decode closure under a monotonic clock.
-
-    Returns ``(RunTiming, result)``; the closure must return a decode result
-    exposing ``tokens``, ``peak_rows`` and ``memory_elements``.
-    """
-    t0 = time.perf_counter()
-    result = decode_closure()
-    wall = time.perf_counter() - t0
-    n = len(result.tokens)
-    tps = n / wall if wall > 0 and n > 0 else 0.0
-    return RunTiming(wall_seconds=wall, tokens=n, tps=tps,
-                     peak_rows=result.peak_rows,
-                     memory_elements=result.memory_elements), result

@@ -167,13 +167,6 @@ class ToyTransformer(ModelInterface):
                       for ell in range(layers)]
         self.w_o_heads = [np.stack(self.w_o[ell]) for ell in range(layers)]
 
-    def weight_checksum(self) -> float:
-        parts = [self.embedding, self.unembedding]
-        for ell in range(self.layers):
-            parts.extend(self.w_q[ell] + self.w_k[ell] + self.w_v[ell] + self.w_o[ell])
-            parts.extend([self.w_ff1[ell], self.w_ff2[ell]])
-        return float(sum(np.abs(p).sum() for p in parts))
-
     def embed_text(self, token_ids) -> list[np.ndarray]:
         out = []
         for t in token_ids:
@@ -328,10 +321,6 @@ class PlantedPriorComposer(ModelInterface):
             for f in finding_ids
         ])
 
-    def prior_of(self, token_id: int) -> float:
-        hits = np.nonzero(self.finding_ids == token_id)[0]
-        return float(self.prior[hits[0]]) if hits.size else 0.0
-
     def embed_text(self, token_ids) -> list[np.ndarray]:
         out = []
         for t in token_ids:
@@ -347,7 +336,7 @@ class PlantedPriorComposer(ModelInterface):
         out = []
         for f in img.finding_ids:
             if f not in self.finding_ids:
-                raise ValueError(f"finding id {f} outside the composer's finding vocabulary")
+                raise ConfigError(f"finding id {f} outside the composer's finding vocabulary")
             e = np.zeros(self.d_model)
             e[f] = 1.0 / img.tokens_per_finding
             for _ in range(img.tokens_per_finding):

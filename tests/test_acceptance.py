@@ -24,7 +24,7 @@ from sparsevcd.models import ImageDescriptor, build_toy_transformer, model_from_
 from sparsevcd.numerics import stable_softmax
 from sparsevcd.oracle import brute_force_mask, reference_clustering, reference_full_decode
 from sparsevcd.rng import combine
-from sparsevcd.sac import calibrate_scores, penalty_weights_from
+from sparsevcd.sac import calibrate_scores
 from sparsevcd.vats import SaliencyScores, cluster_pruned, objective_value, select_topS, visual_saliency
 
 
@@ -92,8 +92,8 @@ def test_c03_normalization_suite():
             assert abs(p.sum() - 1.0) < 1e-9
 
         for _ in range(1000):
-            w = penalty_weights_from(rng.normal(size=int(rng.integers(1, 40))) * 5)
-            assert abs(w.w.sum() - 1.0) < 1e-9
+            w = stable_softmax(rng.normal(size=int(rng.integers(1, 40))) * 5)
+            assert abs(w.sum() - 1.0) < 1e-9
 
         acache = KvCache(1, 1, 4)
         for _ in range(24):

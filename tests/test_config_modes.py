@@ -87,12 +87,15 @@ def test_recency_window_keeps_recent_tokens_retained():
 
 
 # each of these was accepted, or crashed with a stray TypeError, before the
-# section fields were checked against their declared types
+# section fields were checked against their declared types; the last two were
+# accepted before a negative l_min and repeated composer finding ids were refused
 @pytest.mark.parametrize("doc", [
     {"sparsify": {"per_head_mask": "false"}},
     {"decode": {"max_len": 2.5}},
     {"seeds": "012"},
     {"sparsify": {"sparsity_rate": "0.5"}},
+    {"sparsify": {"l_min": -3}},
+    {"model": {"kind": "composer", "finding_ids": [4, 4]}},
 ])
 def test_mistyped_config_values_fail_as_config_errors(doc, tmp_path):
     with pytest.raises(ConfigError):
@@ -121,7 +124,8 @@ def test_composer_rejects_eos_id_it_cannot_emit():
 
 
 # each of these exited 3 (a stray ValueError or IndexError), or decoded the
-# wrong example, before the decode arguments were checked where parsed
+# wrong example, before the decode arguments were checked where parsed (the
+# composer checks its own finding ids when it embeds the image)
 @pytest.mark.parametrize("argv", [
     ["--image", "4,99999,9"],
     ["--image", ","],
@@ -129,6 +133,7 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     ["--image", "4", "--tokens-per-finding", "0"],
     ["--example-index", "7"],
     ["--example-index", "-1"],
+    ["--set", 'model.kind="composer"', "--set", "decode.eos_id=0", "--image", "2"],
 ])
 def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

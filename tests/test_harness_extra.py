@@ -4,6 +4,7 @@ import json
 import pytest
 
 from sparsevcd import experiment, metrics
+from sparsevcd.cli import main
 from sparsevcd.config import (AblationConfig, DecodeConfig, ExperimentConfig,
                               ModelConfig, SparsifyConfig)
 from sparsevcd.corpus import (TOKEN_BOS, GeneratorSpec, gen_corpus, load_corpus,
@@ -66,7 +67,7 @@ def test_failed_session_produces_error_record(tmp_path):
     assert rows[0].chair is None
     write_rows_csv(tmp_path / "err.csv", rows)
     text = (tmp_path / "err.csv").read_text()
-    assert "ValueError" in text
+    assert "ConfigError" in text
 
 
 def test_questions_populate_accuracy(tmp_path):
@@ -157,3 +158,42 @@ def test_engine_bug_in_session_propagates(corpus_path, monkeypatch):
                            seeds=[0])
     with pytest.raises(TypeError, match="engine bug"):
         run_seed_row(cfg, load_corpus(corpus_path), 0)
+
+
+def test_row_timing_adds_up_the_sessions_own_timings(corpus_path, monkeypatch):
+    # a row's wall time is the sum of its sessions' DecodeResult.wall_seconds,
+    # not a second clock around each call
+    real_decode, results = experiment.decode, []
+
+    def keeping_decode(*args, **kwargs):
+        results.append(real_decode(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiment, "decode", keeping_decode)
+    cfg = ExperimentConfig(model=ModelConfig(kind="composer", vocab=20, seed=5),
+                           decode=DecodeConfig(max_len=4), corpus=corpus_path,
+                           seeds=[0])
+    row = run_seed_row(cfg, load_corpus(corpus_path), 0)
+    assert len(results) == row.n_examples == 6
+    wall = sum(r.wall_seconds for r in results)
+    assert row.wall_seconds == wall > 0.0
+    assert row.tps == sum(len(r.tokens) for r in results) / wall
+
+
+def test_decode_diagnostics_file_shares_the_run_step_record(corpus_path, tmp_path):
+    common = ["--corpus", corpus_path, "--set", "decode.max_len=4"]
+    summary_path, full_path, run_path = (tmp_path / n for n in ("summary.json", "full.json",
+                                                                 "run.jsonl"))
+    assert main(["decode", *common, "--diagnostics", str(summary_path)]) == 0
+    assert main(["decode", *common, "--diagnostics", str(full_path), "--full-diag"]) == 0
+    assert main(["run", *common, "--out", str(tmp_path / "rows.csv"),
+                 "--diagnostics", str(run_path)]) == 0
+    summary, full = json.loads(summary_path.read_text()), json.loads(full_path.read_text())
+    assert set(summary) == {"steps"}
+    assert set(full) == {"steps", "forwards"} and full["forwards"]
+    assert full["steps"] == summary["steps"]
+    run_steps = json.loads(run_path.read_text().splitlines()[0])["steps"]
+    assert summary["steps"] and run_steps
+    keys = list(run_steps[0])
+    assert "is_eos" in keys
+    assert all(list(step) == keys for step in summary["steps"] + run_steps)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevcd.metrics import chair, closed_ended_accuracy, measure_run, recall
+from sparsevcd.metrics import chair, closed_ended_accuracy, recall
 
 
 def test_chair_subset_is_zero():
@@ -62,26 +62,3 @@ def test_metrics_permutation_invariant(g_list, s_list):
     s1, s2 = list(s_list), list(reversed(s_list))
     assert chair(g1, s1) == chair(g2, s2)
     assert recall(g1, s1) == recall(g2, s2)
-
-
-class _FakeResult:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.peak_rows = 7
-        self.memory_elements = 112
-
-
-def test_measure_run_zero_tokens():
-    timing, _ = measure_run(lambda: _FakeResult([]))
-    assert timing.tokens == 0
-    assert timing.tps == 0.0
-
-
-def test_measure_run_token_counts_stable():
-    counts = set()
-    for _ in range(3):
-        timing, _ = measure_run(lambda: _FakeResult([1, 2, 3]))
-        counts.add(timing.tokens)
-        assert timing.wall_seconds >= 0.0
-        assert timing.peak_rows == 7
-    assert counts == {3}

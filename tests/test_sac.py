@@ -3,27 +3,27 @@ import pytest
 
 from sparsevcd.cache import KvCache
 from sparsevcd.numerics import stable_softmax
-from sparsevcd.sac import PenaltyWeights, calibrate_scores, penalty_weights_from
+from sparsevcd.sac import calibrate_scores
 
 # frozen from an mpmath (50-digit) softmax of [3, 1, 0]
 SOFTMAX_310 = [0.8437947344813395, 0.11419519938459448, 0.04201006613406605]
 
 
 def test_uniform_history_gives_uniform_weights():
-    pw = penalty_weights_from([5.0, 5.0, 5.0, 5.0])
-    assert np.allclose(pw.w, 0.25, atol=1e-12)
-    assert abs(pw.w.sum() - 1.0) < 1e-9
+    w = stable_softmax([5.0, 5.0, 5.0, 5.0])
+    assert np.allclose(w, 0.25, atol=1e-12)
+    assert abs(w.sum() - 1.0) < 1e-9
 
 
 def test_dominant_column_is_strict_max():
-    pw = penalty_weights_from([1.0, 9.0, 1.5, 0.0])
-    assert int(np.argmax(pw.w)) == 1
-    assert pw.w[1] > max(pw.w[0], pw.w[2], pw.w[3])
+    w = stable_softmax([1.0, 9.0, 1.5, 0.0])
+    assert int(np.argmax(w)) == 1
+    assert w[1] > max(w[0], w[2], w[3])
 
 
 def test_weights_match_softmax_reference():
-    pw = penalty_weights_from([3.0, 1.0, 0.0])
-    assert np.allclose(pw.w, SOFTMAX_310, atol=1e-12, rtol=0.0)
+    w = stable_softmax([3.0, 1.0, 0.0])
+    assert np.allclose(w, SOFTMAX_310, atol=1e-12, rtol=0.0)
 
 
 def test_weights_from_cache_support():
@@ -31,24 +31,23 @@ def test_weights_from_cache_support():
     for i in range(3):
         cache.append(0, [[float(i), 0.0]], [[0.0, 1.0]])
     cache.c_view(0, 0)[:] = np.array([3.0, 1.0, 0.0])
-    pw = penalty_weights_from(cache.support(0, slice(0, 1)).c[0], beta=0.1)
-    assert np.allclose(pw.w, SOFTMAX_310, atol=1e-12)
-    assert pw.beta == 0.1
+    w = stable_softmax(cache.support(0, slice(0, 1)).c[0])
+    assert np.allclose(w, SOFTMAX_310, atol=1e-12)
 
 
 def test_weights_empty_error():
     with pytest.raises(ValueError):
-        penalty_weights_from([])
+        stable_softmax([])
     cache = KvCache(1, 1, 2)
     with pytest.raises(ValueError):
-        penalty_weights_from(cache.support(0, slice(0, 1)).c[0])
+        stable_softmax(cache.support(0, slice(0, 1)).c[0])
 
 
 def test_beta_zero_is_bit_exact_identity():
     rng = np.random.default_rng(5)
     s = rng.normal(size=33)
     w = rng.dirichlet(np.ones(33))
-    out = calibrate_scores(s, PenaltyWeights(w, 0.0), 0.0)
+    out = calibrate_scores(s, w, 0.0)
     assert np.array_equal(out, s)
 
 
