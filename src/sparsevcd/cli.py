@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -61,7 +62,11 @@ def _load_cfg(args) -> ExperimentConfig:
     if getattr(args, "diagnostics", None):
         cfg.out_diagnostics = args.diagnostics
     if getattr(args, "seeds", None):
-        cfg.seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+        try:
+            cfg.seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+        except ValueError as exc:
+            raise ConfigError(f"--seeds expects comma-separated integers, "
+                              f"got {args.seeds!r}") from exc
     if getattr(args, "timing", False):
         cfg.timing = True
     if getattr(args, "workers", None):
@@ -164,6 +169,8 @@ def _cmd_sweep(args) -> int:
             grid = [float(v) for v in raw_values]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid value: {exc}") from exc
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError(f"sweep grid values must be finite, got {args.grid!r}")
     rows = experiment.sweep(cfg, args.axis, grid)
     experiment.write_rows_csv(cfg.out_csv, rows, timing=cfg.timing)
     print(f"wrote {len(rows)} rows to {cfg.out_csv}")

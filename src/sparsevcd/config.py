@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -202,7 +203,8 @@ _SECTION_TYPES = {
 def _typed(value, tp, path: str):
     """``value`` if it has the declared field type ``tp``, else ConfigError.
 
-    An int is accepted for a float; a bool is never accepted as a number.
+    An int is accepted for a float; a bool is never accepted as a number,
+    and NaN or an infinity never as a float.
     """
     if typing.get_origin(tp) is list:
         if not isinstance(value, list):
@@ -214,6 +216,8 @@ def _typed(value, tp, path: str):
     accepted = (int, float) if tp is float else (tp,)
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path} must be of type {tp.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     return value
 
 

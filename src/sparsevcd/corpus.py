@@ -162,6 +162,20 @@ def write_corpus(path: str | Path, corpus: Corpus) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _int(value, what: str) -> int:
+    """``value`` if it is an integer (never a bool), else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> list[int]:
+    """``values`` if it is a list of integers, else TypeError."""
+    if not isinstance(values, list):
+        raise TypeError(f"{what} must be a list of integers, got {values!r}")
+    return [_int(v, f"{what} entry") for v in values]
+
+
 def load_corpus(path: str | Path) -> Corpus:
     p = Path(path)
     if not p.exists():
@@ -175,23 +189,30 @@ def load_corpus(path: str | Path) -> Corpus:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{p}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{p}:{lineno}: record must be a JSON object, got {rec!r}")
         kind = rec.get("type")
-        if kind == "meta":
-            meta = rec
-        elif kind == "example":
-            try:
-                image = ImageDescriptor(tuple(rec["image"]["finding_ids"]),
-                                        rec["image"]["tokens_per_finding"])
-                examples.append(CorpusExample(
-                    id=rec["id"], image=image,
-                    report=[int(t) for t in rec["report"]],
-                    question=rec.get("question"),
-                    label=rec.get("label"),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{p}:{lineno}: malformed example: {exc}") from exc
-        else:
+        if kind not in ("meta", "example"):
             raise CorpusError(f"{p}:{lineno}: unknown record type {kind!r}")
+        try:
+            if kind == "meta":
+                _ints(rec["finding_ids"], "finding_ids")
+                _int(rec.get("yes_id", TOKEN_YES), "yes_id")
+                _int(rec.get("no_id", TOKEN_NO), "no_id")
+                meta = rec
+                continue
+            image = rec["image"]
+            question = rec.get("question")
+            examples.append(CorpusExample(
+                id=rec["id"],
+                image=ImageDescriptor(tuple(_ints(image["finding_ids"], "finding_ids")),
+                                      _int(image["tokens_per_finding"], "tokens_per_finding")),
+                report=[int(t) for t in rec["report"]],
+                question=None if question is None else _ints(question, "question"),
+                label=rec.get("label"),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{p}:{lineno}: malformed {kind} record: {exc}") from exc
     if meta is None:
         raise CorpusError(f"{p}: missing meta record")
     if not examples:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sparsevcd.cache import KvCache, MergedRecords
+from sparsevcd.cache import Attention, KvCache, MergedRecords
 from sparsevcd.config import DecodeConfig, SparsifyConfig
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, ModelInterface
@@ -83,27 +83,19 @@ def fuse(logit_theta, logit_phi, alpha: float, plausible: np.ndarray) -> np.ndar
     return out
 
 
-def _block(embs, d_model: int) -> np.ndarray:
-    """Embedding rows as an ``(n, d_model)`` array (``(0, d_model)`` if none)."""
-    block = np.asarray(embs, dtype=np.float64)
-    return block.reshape(0, d_model) if block.size == 0 else block
-
-
 def contrastive_logits(model: ModelInterface, prompt_block, visual_embeddings,
                        history_ids, stop_layer: int = 0,
                        pooling: str = "mean") -> np.ndarray:
     """Contrastive-branch logits via the LM-head shortcut.
 
-    ``prompt_block`` is the embedded prompt, one row per token (an
-    ``(n, d_model)`` array or a list of rows). The kept visual embeddings,
-    the prompt and the embedded history are joined into one block;
+    ``prompt_block`` and ``visual_embeddings`` are ``(n, d_model)``
+    embedding blocks. The kept visual embeddings, the prompt and the
+    embedded history are joined into one block;
     ``stop_layer = 0`` pools that block and applies the head directly;
     ``stop_layer > 0`` first runs it through the leading decoder layers
     (models without decoder layers always take the direct path).
     """
-    d = model.d_model
-    embs = np.concatenate([_block(visual_embeddings, d), _block(prompt_block, d),
-                           _block(model.embed_text(history_ids), d)])
+    embs = np.concatenate([visual_embeddings, prompt_block, model.embed_text(history_ids)])
     if stop_layer > 0 and hasattr(model, "forward_sequence"):
         hiddens = model.forward_sequence(embs, stop_layer)
         pooled = model.pool_embeddings(hiddens, pooling)
@@ -162,46 +154,34 @@ class DecodeResult:
 class EngineAttention:
     """Attention policy plugged into the model's forward pass: applies
     sinking-attention calibration and per-layer visual-aware sparsification,
-    and maintains the cache accumulators and diagnostics."""
+    and maintains the cache accumulators and diagnostics.
 
-    def __init__(self, cache: KvCache, model: ModelInterface, cfg: SparsifyConfig,
-                 keep_records: bool = False):
+    A forward calls ``attend`` once per layer in layer order, so the layer-0
+    call opens the forward's diagnostics: ``errors`` restarts, and with
+    ``keep_records`` a new ``forward_records`` entry begins.
+    """
+
+    def __init__(self, cache: KvCache, cfg: SparsifyConfig, keep_records: bool = False):
         self.cache = cache
-        self.model = model
         self.cfg = cfg
-        n_early = max(1, math.ceil(cfg.early_layer_frac * model.layers))
-        self.early_layers = list(range(min(n_early, model.layers)))
+        n_early = max(1, math.ceil(cfg.early_layer_frac * cache.layers))
+        self.early_layers = list(range(min(n_early, cache.layers)))
         self.keep_records = keep_records
         self.forward_records: list[dict] = []
-        self.last_errors: list[float] = []
-        self._errors: list[float] = []
-        self._mask_snapshot: list[dict] = []
-        self._rows_snapshot: list[dict] = []
+        self.errors: list[float] = []  # the attention errors of the latest forward
 
     # -- plumbing used by decode -------------------------------------------
 
-    def flush_forward(self) -> None:
-        self.last_errors = self._errors
-        if self.keep_records:
-            self.forward_records.append({
-                "errors": list(self._errors),
-                "layers": self._mask_snapshot,
-                "rows": self._rows_snapshot,
-            })
-        self._errors = []
-        self._mask_snapshot = []
-        self._rows_snapshot = []
-
     def fork(self) -> "EngineAttention":
         """A controller over a clone of the cache, keeping the records so far."""
-        twin = EngineAttention(self.cache.clone(), self.model, self.cfg, self.keep_records)
+        twin = EngineAttention(self.cache.clone(), self.cfg, self.keep_records)
         twin.forward_records = list(self.forward_records)
         return twin
 
     def mean_error(self) -> float:
-        if not self.last_errors:
+        if not self.errors:
             return 0.0
-        return float(sum(self.last_errors) / len(self.last_errors))
+        return float(sum(self.errors) / len(self.errors))
 
     def retained_raw(self) -> list[int]:
         out = []
@@ -213,8 +193,12 @@ class EngineAttention:
 
     # -- attention callback -------------------------------------------------
 
-    def attend(self, layer: int, q):
+    def attend(self, layer: int, q) -> Attention:
         cache, cfg = self.cache, self.cfg
+        if layer == 0:
+            self.errors = []
+            if self.keep_records:
+                self.forward_records.append({"errors": self.errors, "layers": [], "rows": []})
         if cfg.mode == "logical":
             cache.clear_sparsification(layer)
         if cfg.sparsity_rate < 1.0 and cache.n_logical > cfg.l_min:
@@ -228,13 +212,13 @@ class EngineAttention:
                 vis = np.concatenate([vis_full[sup.raw_idx],
                                       sup.records.visual_weight > 0.5])
                 for h in sup.head_ids:
-                    self._rows_snapshot.append({
+                    self.forward_records[-1]["rows"].append({
                         "layer": layer, "head": h,
                         "row": att.rows[h].copy(), "visual": vis,
                     })
         if planned and cfg.mode == "compacted":
             cache.compact()
-        return att.context, att.rows
+        return att
 
     # -- sparsification planning ---------------------------------------------
 
@@ -301,7 +285,7 @@ class EngineAttention:
         if pruned.shape[0] == 0:
             return False
         mask_full[pruned] = False
-        self._errors.append(attention_error(ip[heads], pruned))
+        self.errors.append(attention_error(ip[heads], pruned))
 
         records = None
         if cfg.merge_pruned:
@@ -314,7 +298,7 @@ class EngineAttention:
             records = self._merge_records(layer, pruned, assignment)
         cache.set_sparsification(layer, mask_full, records, head=head)
         if self.keep_records:
-            self._mask_snapshot.append({
+            self.forward_records[-1]["layers"].append({
                 "layer": layer,
                 "head": head,
                 "retained": int(mask_full.sum()),
@@ -322,7 +306,7 @@ class EngineAttention:
                 "clusters": 0 if records is None else len(records),
                 "delta": [float(v) for v in (g + cfg.lambda_ * p_vec)],
                 "visual_saliency": [float(v) for v in p_vec],
-                "attn_error": self._errors[-1],
+                "attn_error": self.errors[-1],
             })
         return True
 
@@ -379,15 +363,14 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
 
     cache = model.new_cache(mode=scfg.mode,
                             accumulate_raw_scores=scfg.sac_input == "raw_scores")
-    controller = EngineAttention(cache, model, scfg, keep_records=diag_level == "full")
+    controller = EngineAttention(cache, scfg, keep_records=diag_level == "full")
     # embedded once: prefill steps through these rows and every contrastive
     # call gathers from them
-    vis_block = _block(model.embed_visual(image), model.d_model)
-    prompt_block = _block(model.embed_text(prompt_ids), model.d_model)
+    vis_block = model.embed_visual(image)
+    prompt_block = model.embed_text(prompt_ids)
     for block, visual in ((vis_block, True), (prompt_block, False)):
         for e in block:
-            hidden, _ = model.forward_step(cache, e, attend=controller.attend, visual=visual)
-            controller.flush_forward()
+            hidden = model.forward_step(cache, e, attend=controller.attend, visual=visual)
     prefill_len = cache.n_logical
 
     result = _search(model, controller, hidden, vis_block, prompt_block, dcfg)
@@ -501,10 +484,9 @@ def _search(model, controller, hidden, vis_block, prompt_block, dcfg) -> DecodeR
             else:
                 live = True
                 child.tokens.append(token)
-                emb = model.embed_text([token])[0]
-                child.hidden, _ = model.forward_step(child.controller.cache, emb,
-                                                     attend=child.controller.attend)
-                child.controller.flush_forward()
+                child.hidden = model.forward_step(child.controller.cache,
+                                                  model.embed_text([token])[0],
+                                                  attend=child.controller.attend)
                 peak_rows = max(peak_rows, child.controller.cache.peak_rows)
             new_beams.append(child)
         beams = new_beams

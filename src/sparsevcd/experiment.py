@@ -134,25 +134,43 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
 
 
 def _row_task(cfg_dict: dict, corpus_path: str, run_seed: int,
-              sweep_axis: str, sweep_value) -> ResultRow:
+              collect_diagnostics: bool) -> ResultRow:
     from sparsevcd.config import experiment_from_dict
-    cfg = experiment_from_dict(cfg_dict)
-    corpus = load_corpus(corpus_path)
-    row = run_seed_row(cfg, corpus, run_seed)
-    row.sweep_axis = sweep_axis
-    row.sweep_value = sweep_value
-    return row
+    return run_seed_row(experiment_from_dict(cfg_dict), load_corpus(corpus_path),
+                        run_seed, collect_diagnostics)
+
+
+def _run_rows(cfg: ExperimentConfig, axis: str, grid: list,
+              collect_diagnostics: bool = False) -> list[ResultRow]:
+    """One row per (grid value, seed), on ``cfg.workers`` processes when
+    there are more than one; ``axis=""`` runs the base config once per seed.
+    Rows come back sorted by (grid position, seed)."""
+    tasks = []
+    for value in grid:
+        varied = apply_axis(cfg, axis, value) if axis else cfg
+        for seed in cfg.seeds:
+            tasks.append((value, varied, seed))
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(_row_task, dataclasses.asdict(varied), cfg.corpus,
+                                   seed, collect_diagnostics)
+                       for (_value, varied, seed) in tasks]
+            rows = [f.result() for f in futures]
+    else:
+        corpus = load_corpus(cfg.corpus)
+        rows = [run_seed_row(varied, corpus, seed, collect_diagnostics)
+                for (_value, varied, seed) in tasks]
+    for row, (value, _varied, _seed) in zip(rows, tasks):
+        row.sweep_axis = axis
+        row.sweep_value = value
+    rows.sort(key=lambda r: (grid.index(r.sweep_value), r.seed))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """One row per seed over the configured corpus."""
     cfg.validate()
-    corpus = load_corpus(cfg.corpus)
-    collect = bool(cfg.out_diagnostics)
-    rows = [run_seed_row(cfg, corpus, seed, collect_diagnostics=collect)
-            for seed in cfg.seeds]
-    rows.sort(key=lambda r: r.seed)
-    return rows
+    return _run_rows(cfg, "", [""], collect_diagnostics=bool(cfg.out_diagnostics))
 
 
 def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
@@ -187,27 +205,7 @@ def sweep(cfg: ExperimentConfig, axis: str, grid) -> list[ResultRow]:
         raise ConfigError("sweep grid must be non-empty")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
-    tasks = []
-    for gi, value in enumerate(grid):
-        varied = apply_axis(cfg, axis, value)
-        for seed in cfg.seeds:
-            tasks.append((gi, value, varied, seed))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_row_task, dataclasses.asdict(varied), cfg.corpus,
-                                   seed, axis, value)
-                       for (_gi, value, varied, seed) in tasks]
-            rows = [f.result() for f in futures]
-    else:
-        corpus = load_corpus(cfg.corpus)
-        rows = []
-        for _gi, value, varied, seed in tasks:
-            row = run_seed_row(varied, corpus, seed)
-            row.sweep_axis = axis
-            row.sweep_value = value
-            rows.append(row)
-    rows.sort(key=lambda r: (grid.index(r.sweep_value), r.seed))
-    return rows
+    return _run_rows(cfg, axis, grid)
 
 
 def _fmt(value) -> str:
@@ -259,11 +257,13 @@ def write_diagnostics(path: str | Path, rows: list[ResultRow]) -> None:
 
 # --------------------------------------------------------------------- bench
 
-def _bench_inputs(cfg: ExperimentConfig, prefix_len: int):
+def _bench_inputs(cfg: ExperimentConfig, prefix_len: int, repeats: int):
     """The transformer model, an image and a BOS prompt padding the image
-    to ``prefix_len`` positions."""
+    to ``prefix_len`` positions, for a bench of ``repeats`` sessions per arm."""
     if cfg.model.kind != "transformer":
         raise ConfigError("bench requires the transformer model")
+    if repeats < 1:
+        raise ConfigError(f"bench repeats must be positive, got {repeats}")
     image = ImageDescriptor((4, 5), tokens_per_finding=4)
     prompt = [TOKEN_BOS] * max(1, prefix_len - image.n_tokens)
     return model_from_config(cfg.model), image, prompt
@@ -274,7 +274,7 @@ def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
     """Paired wall-time comparison: compacted sparse decoding at rate 0.5
     versus full decoding over the same prefix. Contrastive fusion and
     calibration are off in both arms to isolate the sparsification cost."""
-    model, image, prompt = _bench_inputs(cfg, prefix_len)
+    model, image, prompt = _bench_inputs(cfg, prefix_len, repeats)
     base = dataclasses.replace(cfg.decode, alpha=0.0, gamma_apc=0.0,
                                max_len=decode_len, mode="greedy", eos_id=-1)
     full_s = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,
@@ -303,7 +303,7 @@ def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
 def bench_stop_layers(cfg: ExperimentConfig, grid=None, repeats: int = 5,
                       prefix_len: int = 96, decode_len: int = 24) -> dict:
     """Median decoding throughput per contrastive-branch stop layer."""
-    model, image, prompt = _bench_inputs(cfg, prefix_len)
+    model, image, prompt = _bench_inputs(cfg, prefix_len, repeats)
     if grid is None:
         grid = list(range(model.layers + 1))
     scfg = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,

@@ -72,31 +72,32 @@ class ModelInterface(abc.ABC):
     vocab: int
 
     @abc.abstractmethod
-    def embed_text(self, token_ids) -> list[np.ndarray]: ...
+    def embed_text(self, token_ids) -> np.ndarray:
+        """One embedding row per token id, as an ``(n, d_model)`` block."""
 
     @abc.abstractmethod
-    def embed_visual(self, img: ImageDescriptor) -> list[np.ndarray]: ...
+    def embed_visual(self, img: ImageDescriptor) -> np.ndarray:
+        """One embedding row per visual token, as an ``(n, d_model)`` block."""
 
     @abc.abstractmethod
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
-                     visual: bool = False):
-        """Process one input embedding against the cache.
+                     visual: bool = False) -> np.ndarray:
+        """Process one input embedding against the cache and return the
+        hidden state.
 
-        ``attend``: optional callable ``(layer, q) -> (context, rows)``, with
-        ``q`` and ``context`` ``(heads, head_dim)`` blocks and ``rows`` one
-        attention row per head, supplied by the decode engine to apply
-        sparsification/calibration; when omitted, plain cache-masked
-        attention is used and the attention rows are folded into the cache
-        accumulators here.
-
-        Returns ``(hidden, rows)`` with ``rows[layer][head]`` the attention
-        row over that head's support.
+        ``attend`` is the attention of every layer: a callable
+        ``(layer, q) -> Attention`` with ``q`` the ``(heads, head_dim)``
+        query block, called once per layer in layer order after the layer's
+        key and value are appended. It defaults to ``cache.attend`` (plain
+        cache-masked attention, which folds its rows into the cache
+        accumulators); the decode engine passes its own to apply
+        sparsification and calibration.
         """
 
     @abc.abstractmethod
     def lm_head(self, pooled: np.ndarray) -> np.ndarray: ...
 
-    def pool_embeddings(self, embs: list[np.ndarray], mode: str = "mean") -> np.ndarray:
+    def pool_embeddings(self, embs: np.ndarray, mode: str = "mean") -> np.ndarray:
         if len(embs) == 0:
             raise ValueError("cannot pool an empty embedding sequence")
         if mode == "last":
@@ -109,11 +110,6 @@ class ModelInterface(abc.ABC):
     def new_cache(self, mode: str = "logical", accumulate_raw_scores: bool = False) -> KvCache:
         return KvCache(self.layers, self.heads, self.head_dim, mode,
                        accumulate_raw_scores)
-
-    @staticmethod
-    def _plain_attend(cache: KvCache, layer: int, q: np.ndarray):
-        att = cache.attend(layer, q)
-        return att.context, att.rows
 
 
 class ToyTransformer(ModelInterface):
@@ -167,13 +163,13 @@ class ToyTransformer(ModelInterface):
                       for ell in range(layers)]
         self.w_o_heads = [np.stack(self.w_o[ell]) for ell in range(layers)]
 
-    def embed_text(self, token_ids) -> list[np.ndarray]:
-        out = []
-        for t in token_ids:
+    def embed_text(self, token_ids) -> np.ndarray:
+        out = np.empty((len(token_ids), self.d_model))
+        for i, t in enumerate(token_ids):
             t = int(t)
             if not 0 <= t < self.vocab:
                 raise ValueError(f"token id {t} outside vocabulary of size {self.vocab}")
-            out.append(self.embedding[t].copy())
+            out[i] = self.embedding[t]
         return out
 
     def visual_base_embedding(self, finding_id: int) -> np.ndarray:
@@ -183,40 +179,31 @@ class ToyTransformer(ModelInterface):
         bound = 1.0 / np.sqrt(self.d_model)
         return np.array([rng.uniform_in(-bound, bound) for _ in range(self.d_model)])
 
-    def embed_visual(self, img: ImageDescriptor) -> list[np.ndarray]:
-        out = []
-        for f in img.finding_ids:
-            base = self.visual_base_embedding(f)
-            for _ in range(img.tokens_per_finding):
-                out.append(base.copy())
-        return out
+    def embed_visual(self, img: ImageDescriptor) -> np.ndarray:
+        bases = np.array([self.visual_base_embedding(f) for f in img.finding_ids])
+        return np.repeat(bases, img.tokens_per_finding, axis=0)
 
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
-                     visual: bool = False):
+                     visual: bool = False) -> np.ndarray:
         x = np.asarray(emb, dtype=np.float64)
         if x.shape != (self.d_model,):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
-        all_rows = []
+        attend = cache.attend if attend is None else attend
         for ell in range(self.layers):
             q, k, v = matvec(self.w_qkv[ell], rms_normalize(x)).reshape(
                 3, self.heads, self.head_dim)
             cache.append(ell, k, v, visual=visual)
-            if attend is not None:
-                ctx, rows = attend(ell, q)
-            else:
-                ctx, rows = self._plain_attend(cache, ell, q)
-            all_rows.append(rows)
             # W_o per head, then the heads summed in order from +0.0 (adding
             # +0.0 to head 0 only turns a -0.0 into +0.0, as a zero start would)
-            per_head = matvec(self.w_o_heads[ell], ctx)
+            per_head = matvec(self.w_o_heads[ell], attend(ell, q).context)
             per_head[0] += 0.0
             x = x + np.add.accumulate(per_head, axis=0)[-1]
             xn2 = rms_normalize(x)
             hidden_ff = np.maximum(matvec(self.w_ff1[ell], xn2), 0.0)
             x = x + matvec(self.w_ff2[ell], hidden_ff)
-        return x, all_rows
+        return x
 
-    def forward_sequence(self, embs: list[np.ndarray], n_layers: int | None = None):
+    def forward_sequence(self, embs: np.ndarray, n_layers: int | None = None):
         """Plain full-attention forward of a whole embedding sequence through
         the first ``n_layers`` layers; returns the per-position hidden states
         as the rows of an ``(n, d_model)`` array.
@@ -321,29 +308,25 @@ class PlantedPriorComposer(ModelInterface):
             for f in finding_ids
         ])
 
-    def embed_text(self, token_ids) -> list[np.ndarray]:
-        out = []
-        for t in token_ids:
+    def embed_text(self, token_ids) -> np.ndarray:
+        out = np.zeros((len(token_ids), self.d_model))
+        for i, t in enumerate(token_ids):
             t = int(t)
             if not 0 <= t < self.vocab:
                 raise ValueError(f"token id {t} outside vocabulary of size {self.vocab}")
-            e = np.zeros(self.d_model)
-            e[self.vocab + t] = 1.0
-            out.append(e)
+            out[i, self.vocab + t] = 1.0
         return out
 
-    def embed_visual(self, img: ImageDescriptor) -> list[np.ndarray]:
-        out = []
-        for f in img.finding_ids:
+    def embed_visual(self, img: ImageDescriptor) -> np.ndarray:
+        tpf = img.tokens_per_finding
+        out = np.zeros((img.n_tokens, self.d_model))
+        for i, f in enumerate(img.finding_ids):
             if f not in self.finding_ids:
                 raise ConfigError(f"finding id {f} outside the composer's finding vocabulary")
-            e = np.zeros(self.d_model)
-            e[f] = 1.0 / img.tokens_per_finding
-            for _ in range(img.tokens_per_finding):
-                out.append(e.copy())
+            out[i * tpf:(i + 1) * tpf, f] = 1.0 / tpf
         return out
 
-    def pool_embeddings(self, embs: list[np.ndarray], mode: str = "mean") -> np.ndarray:
+    def pool_embeddings(self, embs: np.ndarray, mode: str = "mean") -> np.ndarray:
         # sum pooling regardless of mode: the head decodes visible fractions
         # and emission counts from block sums
         if len(embs) == 0:
@@ -352,18 +335,13 @@ class PlantedPriorComposer(ModelInterface):
         return np.add.accumulate(stack, axis=0)[-1]
 
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
-                     visual: bool = False):
+                     visual: bool = False) -> np.ndarray:
         x = np.asarray(emb, dtype=np.float64)
         if x.shape != (self.d_model,):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
         cache.append(0, x[None], x[None], visual=visual)
-        q = np.zeros((1, self.d_model))
-        if attend is not None:
-            ctx, rows = attend(0, q)
-        else:
-            ctx, rows = self._plain_attend(cache, 0, q)
-        hidden = ctx[0] * float(rows[0].shape[0])
-        return hidden, [rows]
+        att = (cache.attend if attend is None else attend)(0, np.zeros((1, self.d_model)))
+        return att.context[0] * float(att.supports[0].size)
 
     def lm_head(self, pooled: np.ndarray) -> np.ndarray:
         pooled = np.asarray(pooled, dtype=np.float64)

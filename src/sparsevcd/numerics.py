@@ -22,8 +22,10 @@ rows gives the ``(b, n)`` block whose row ``i`` is bit-identical to
 ``causal_weighted_sum``) process a block of rows at once and keep the same
 order: every output element is reduced over the same terms, in the same
 left-to-right order, as the per-row ``stable_softmax`` /
-``weighted_sum_rows`` call it replaces. They loop over the causal suffix in
-Python instead of building a three-axis product.
+``weighted_sum_rows`` call it replaces. ``causal_softmax`` is one
+``stable_softmax`` call on the ``-inf``-padded block; ``causal_weighted_sum``
+loops over the causal suffix in Python instead of building a three-axis
+product.
 
 ``matvec`` picks its kernel by shape, with the same bits either way. Below
 ``COLUMN_LOOP_RATIO`` rows per column (rows counted over all heads of a
@@ -127,16 +129,9 @@ def causal_softmax(scores) -> np.ndarray:
     _check_causal("causal_softmax", s)
     if s.shape[0] == 0:
         raise ValueError("causal_softmax: empty support")
-    tri = np.tri(s.shape[0], dtype=bool)
-    s = np.where(tri, s, NEG_INF)
-    m = np.max(s, axis=1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("causal_softmax: empty support (a row is all -inf)")
-    # exp only below the diagonal; above it stays an exact zero
-    e = np.exp(s - m, out=np.zeros_like(s), where=tri)
-    # trailing exact zeros leave a left-to-right positive sum unchanged
-    total = np.add.accumulate(e, axis=1)[:, -1:]
-    return e / total
+    # -inf above the diagonal gives exact zeros there, and trailing exact
+    # zeros leave a left-to-right positive sum unchanged
+    return stable_softmax(np.where(np.tri(s.shape[0], dtype=bool), s, NEG_INF))
 
 
 def causal_weighted_sum(weights, m) -> np.ndarray:

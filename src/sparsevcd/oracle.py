@@ -95,10 +95,10 @@ def reference_full_decode(model: ToyTransformer, prompt_ids, image: ImageDescrip
     calibration, no fusion."""
     if not isinstance(model, ToyTransformer):
         raise TypeError("reference_full_decode only supports the toy transformer")
-    prefix = model.embed_visual(image) + model.embed_text(list(prompt_ids))
+    prefix = np.concatenate([model.embed_visual(image), model.embed_text(list(prompt_ids))])
     tokens: list[int] = []
     for _ in range(max_len):
-        embs = prefix + model.embed_text(tokens)
+        embs = np.concatenate([prefix, model.embed_text(tokens)])
         hidden = _recompute_last_hidden(model, embs)
         logits = _mv(model.unembedding, hidden)
         chosen = int(np.argmax(logits))

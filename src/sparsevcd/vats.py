@@ -237,8 +237,7 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     cell = (labels[order], np.arange(n) - np.repeat(starts, sizes))
     block = np.full((n_clusters, int(sizes.max())), -np.inf)
     block[cell] = deltas[order]
-    e = np.exp(block - np.max(block, axis=1, keepdims=True))
-    flat_w = (e / np.add.accumulate(e, axis=1)[:, -1:])[cell]
+    flat_w = stable_softmax(block)[cell]
     spans = list(zip(starts.tolist(), ends.tolist()))
     members = [order[a:b] for a, b in spans]
     weights = [flat_w[a:b] for a, b in spans]

@@ -236,10 +236,17 @@ def test_accumulator_column_sums_match_replay():
     # decode-style usage through the model, then replay the recorded rows
     m = build_toy_transformer(5, d_model=8, layers=2, heads=2, vocab=16)
     cache = m.new_cache()
-    recorded = []
+    recorded = []  # per forward, per layer, the attention rows
+
+    def attend(layer, q):
+        att = cache.attend(layer, q)
+        if layer == 0:
+            recorded.append([])
+        recorded[-1].append(att.rows)
+        return att
+
     for t in [1, 2, 3, 4, 5, 6, 7, 8] * 4:  # length 32
-        _, rows = m.forward_step(cache, m.embed_text([t])[0])
-        recorded.append(rows)
+        m.forward_step(cache, m.embed_text([t])[0], attend=attend)
     for ell in range(2):
         for h in range(2):
             replay = np.zeros(cache.rows(ell))

@@ -87,8 +87,9 @@ def test_recency_window_keeps_recent_tokens_retained():
 
 
 # each of these was accepted, or crashed with a stray TypeError, before the
-# section fields were checked against their declared types; the last two were
-# accepted before a negative l_min and repeated composer finding ids were refused
+# section fields were checked against their declared types; the next two were
+# accepted before a negative l_min and repeated composer finding ids were
+# refused, and the last four before non-finite floats were
 @pytest.mark.parametrize("doc", [
     {"sparsify": {"per_head_mask": "false"}},
     {"decode": {"max_len": 2.5}},
@@ -96,6 +97,10 @@ def test_recency_window_keeps_recent_tokens_retained():
     {"sparsify": {"sparsity_rate": "0.5"}},
     {"sparsify": {"l_min": -3}},
     {"model": {"kind": "composer", "finding_ids": [4, 4]}},
+    {"decode": {"alpha": float("nan")}},
+    {"sparsify": {"beta": float("nan")}},
+    {"decode": {"alpha": float("inf")}},
+    {"model": {"kind": "composer", "prior": [float("-inf")] + [0.1] * 15}},
 ])
 def test_mistyped_config_values_fail_as_config_errors(doc, tmp_path):
     with pytest.raises(ConfigError):
@@ -113,6 +118,24 @@ def test_config_types_int_for_float_but_never_bool_for_number():
                 {"model": {"prior": [0.5, "0.5"]}}, {"corpus": 3}]:
         with pytest.raises(ConfigError):
             experiment_from_dict(doc)
+
+
+# each of these exited 3, or ran with a non-finite value and exited 0,
+# before the numbers were checked where parsed
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "alpha", "--grid", "nan"],
+    ["sweep", "--axis", "beta", "--grid", "0.1,inf"],
+    ["run", "--seeds", "a"],
+    ["bench", "--repeats", "0"],
+])
+def test_cli_rejects_bad_numbers_as_config_errors(argv, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, gen_corpus(GeneratorSpec(), seed=0, n=3))
+    if argv[0] != "bench":
+        argv = argv + ["--corpus", str(corpus), "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_composer_rejects_eos_id_it_cannot_emit():
@@ -134,6 +157,9 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     ["--example-index", "7"],
     ["--example-index", "-1"],
     ["--set", 'model.kind="composer"', "--set", "decode.eos_id=0", "--image", "2"],
+    ["--set", "decode.alpha=NaN", "--image", "4"],
+    ["--set", "sparsify.beta=NaN", "--image", "4"],
+    ["--set", "decode.alpha=Infinity", "--image", "4"],
 ])
 def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

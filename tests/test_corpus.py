@@ -88,6 +88,23 @@ def test_load_errors(tmp_path):
                        '"tokens_per_finding":1},"report":[4]}\n')
     with pytest.raises(CorpusError, match="meta"):
         load_corpus(no_meta)
+    # each of these exited 3 with a stray AttributeError, TypeError, KeyError
+    # or ValueError, raised while loading, decoding or scoring
+    meta = '{"type":"meta","finding_ids":[4,5]}\n'
+    example = ('{"type":"example","id":"x","image":{"finding_ids":%s,'
+               '"tokens_per_finding":%s},"report":[4],"question":%s}\n')
+    for text in [meta + "[1]\n",
+                 meta + example % ("[4]", "1", "5"),
+                 meta + example % ('["a"]', "1", "null"),
+                 meta + example % ("[4]", "1.5", "null"),
+                 '{"type":"meta"}\n' + example % ("[4]", "1", "null"),
+                 '{"type":"meta","finding_ids":[4],"yes_id":"yes"}\n'
+                 + example % ("[4]", "1", "null")]:
+        bad.write_text(text)
+        with pytest.raises(CorpusError):
+            load_corpus(bad)
+    bad.write_text(meta + example % ("[4]", "1", "[1, 4]"))
+    assert load_corpus(bad).examples[0].question == [1, 4]
 
 
 def test_generator_validation():

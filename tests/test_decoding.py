@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from sparsevcd.config import DecodeConfig, ModelConfig, SparsifyConfig
 from sparsevcd.corpus import TOKEN_BOS, GeneratorSpec, gen_corpus
-from sparsevcd.decoding import (contrastive_logits, decode, fuse, mask_visual,
-                                plausible_set)
+from sparsevcd.decoding import (EngineAttention, contrastive_logits, decode, fuse,
+                                mask_visual, plausible_set)
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, build_toy_transformer, model_from_config
 from sparsevcd.numerics import NEG_INF, stable_softmax
@@ -150,7 +150,8 @@ def test_alpha_continuity_piecewise_constant():
 def test_contrastive_composer_masked_all_gives_prior_argmax():
     cfg = ModelConfig(kind="composer", vocab=20, seed=2, sigma=0.0)
     model = model_from_config(cfg)
-    logits = contrastive_logits(model, model.embed_text([TOKEN_BOS]), [], [],
+    logits = contrastive_logits(model, model.embed_text([TOKEN_BOS]),
+                                np.zeros((0, model.d_model)), [],
                                 stop_layer=0)
     findings = model.finding_ids
     best = findings[int(np.argmax(model.prior))]
@@ -164,7 +165,7 @@ def test_contrastive_full_stop_layer_equals_theta_logits():
     res = decode(m, img, prompt, disabled_sparsify(),
                  disabled_decode(max_len=1, pooling="last"))
     # theta logits for the same prefix: full forward, last hidden
-    embs = m.embed_visual(img) + m.embed_text(prompt)
+    embs = np.concatenate([m.embed_visual(img), m.embed_text(prompt)])
     phi = contrastive_logits(m, m.embed_text(prompt), m.embed_visual(img), [],
                              stop_layer=m.layers, pooling="last")
     hiddens = m.forward_sequence(embs)
@@ -322,6 +323,23 @@ def test_text_only_prune_scope_protects_visuals():
     for rec in res.forward_records:
         for snap in rec["layers"]:
             assert all(p >= 12 for p in snap["pruned"])  # visual rows 0..11 kept
+
+
+def test_engine_attention_opens_one_record_per_forward():
+    # the layer-0 attend opens each forward's record; no call after the
+    # forward is needed for the records or the mean error
+    m = transformer(29)
+    cache = m.new_cache()
+    controller = EngineAttention(cache, SparsifyConfig(sparsity_rate=0.5, l_min=8),
+                                 keep_records=True)
+    tokens = np.random.default_rng(7).integers(1, 64, size=30)
+    for i, t in enumerate(tokens):
+        m.forward_step(cache, m.embed_text([t])[0], attend=controller.attend, visual=i < 6)
+        assert len(controller.forward_records) == i + 1
+        errors = controller.forward_records[-1]["errors"]
+        assert errors == controller.errors
+        assert controller.mean_error() == (sum(errors) / len(errors) if errors else 0.0)
+    assert controller.errors and controller.mean_error() > 0.0
 
 
 # ------------------------------------------------ engine pins off the bench

@@ -2,9 +2,12 @@ import dataclasses
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
+from sparsevcd import experiment
+from sparsevcd.cli import main
 from sparsevcd.config import (AblationConfig, DecodeConfig, ExperimentConfig,
                               ModelConfig, SparsifyConfig, experiment_from_dict,
                               load_experiment)
@@ -57,6 +60,41 @@ def test_run_byte_identical(small_corpus, tmp_path):
     write_rows_csv(a, run_experiment(cfg))
     write_rows_csv(b, run_experiment(cfg))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_workers_go_through_the_pool_with_the_same_bytes(small_corpus, tmp_path,
+                                                          monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Runs each submitted task at once, in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dataclasses.asdict(composer_cfg(small_corpus))))
+    outputs = []
+    for workers in ("1", "2"):
+        out, diag = tmp_path / f"rows{workers}.csv", tmp_path / f"diag{workers}.jsonl"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--diagnostics", str(diag), "--workers", workers]) == 0
+        outputs.append((out.read_bytes(), diag.read_bytes()))
+    assert pools == [2]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == 2 * 8  # two seeds of eight examples
 
 
 def test_ablation_off_equals_neutral_value(small_corpus):

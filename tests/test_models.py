@@ -54,11 +54,24 @@ def test_bad_dims_rejected():
         build_toy_transformer(1, d_model=10, heads=4)
 
 
+def forward_with_rows(model, cache, emb):
+    """One ``forward_step`` through ``cache.attend``; returns the hidden state
+    and, per layer, the attention rows (one per head)."""
+    rows = []
+
+    def attend(layer, q):
+        att = cache.attend(layer, q)
+        rows.append(att.rows)
+        return att
+
+    return model.forward_step(cache, emb, attend=attend), rows
+
+
 def test_first_forward_attention_row_is_singleton():
     m = small_model()
     cache = m.new_cache()
     emb = m.embed_text([1])[0]
-    _, rows = m.forward_step(cache, emb)
+    _, rows = forward_with_rows(m, cache, emb)
     for layer_rows in rows:
         for row in layer_rows:
             assert row.shape == (1,)
@@ -69,7 +82,7 @@ def test_attention_rows_sum_to_one():
     m = small_model()
     cache = m.new_cache()
     for t in [1, 5, 9, 13, 2, 2, 7]:
-        _, rows = m.forward_step(cache, m.embed_text([t])[0])
+        _, rows = forward_with_rows(m, cache, m.embed_text([t])[0])
         for layer_rows in rows:
             for row in layer_rows:
                 assert np.all(row >= 0.0)
@@ -82,7 +95,7 @@ def test_forward_step_deterministic():
         cache = m.new_cache()
         hidden = None
         for t in [3, 1, 4, 1, 5]:
-            hidden, _ = m.forward_step(cache, m.embed_text([t])[0])
+            hidden = m.forward_step(cache, m.embed_text([t])[0])
         return hidden
 
     assert np.array_equal(run(), run())
@@ -104,7 +117,7 @@ def step_hiddens(model, embs, visual, n_layers):
         stepper = copy.copy(model)
         stepper.layers = n_layers
     cache = stepper.new_cache()
-    return [stepper.forward_step(cache, e, visual=v)[0] for e, v in zip(embs, visual)]
+    return [stepper.forward_step(cache, e, visual=v) for e, v in zip(embs, visual)]
 
 
 @given(st.sampled_from([(4, 1), (8, 2), (12, 3), (16, 2), (16, 4)]),
@@ -159,6 +172,18 @@ def test_embed_visual_rejects_out_of_range_finding():
         m.embed_visual(ImageDescriptor((64,), 1))
 
 
+@pytest.mark.parametrize("model", [small_model(), composer()], ids=["transformer", "composer"])
+def test_embeddings_are_blocks(model):
+    img = ImageDescriptor((5, 7), tokens_per_finding=3)
+    vis = model.embed_visual(img)
+    text = model.embed_text([1, 2, 6])
+    assert isinstance(vis, np.ndarray) and vis.shape == (6, model.d_model)
+    assert isinstance(text, np.ndarray) and text.shape == (3, model.d_model)
+    assert model.embed_text([]).shape == (0, model.d_model)
+    assert np.array_equal(text[1], model.embed_text([2])[0])
+    assert np.array_equal(vis[3], vis[5]) and not np.array_equal(vis[0], vis[3])
+
+
 def test_lm_head_zero_embedding_gives_zero_logits():
     m = small_model()
     out = m.lm_head(np.zeros(m.d_model))
@@ -204,7 +229,7 @@ def test_composer_logit_invariant():
     img = ImageDescriptor((5, 7), tokens_per_finding=4)
     embs = c.embed_visual(img)
     # half the tokens of finding 5 visible, all of finding 7
-    visible = [embs[0], embs[1]] + embs[4:]
+    visible = np.concatenate([embs[:2], embs[4:]])
     pooled = c.pool_embeddings(visible)
     logits = c.lm_head(pooled)
     i5 = list(c.finding_ids).index(5)
@@ -229,16 +254,16 @@ def test_composer_monotone_in_visible_fraction():
 def test_composer_repeat_suppression():
     c = composer(sigma=0.0)
     img = ImageDescriptor((6,), tokens_per_finding=2)
-    embs = c.embed_visual(img) + c.embed_text([6])
+    embs = np.concatenate([c.embed_visual(img), c.embed_text([6])])
     logits = c.lm_head(c.pool_embeddings(embs))
     assert logits[6] < -100.0
 
 
 def test_composer_pools_an_embedding_block():
     c = composer(sigma=0.0)
-    embs = c.embed_visual(ImageDescriptor((6, 9), tokens_per_finding=3)) + c.embed_text([6])
-    block = np.array(embs)
-    assert np.array_equal(c.pool_embeddings(block), c.pool_embeddings(embs))
+    block = np.concatenate([c.embed_visual(ImageDescriptor((6, 9), tokens_per_finding=3)),
+                            c.embed_text([6])])
+    assert np.array_equal(c.pool_embeddings(block), c.pool_embeddings(list(block)))
     with pytest.raises(ValueError):
         c.pool_embeddings(np.zeros((0, c.d_model)))
 

@@ -30,18 +30,16 @@ def prefill_state(overrides):
     img = ImageDescriptor((4, 10, 19, 33), 12)
     prompt = [int(t) for t in rng.integers(1, 64, size=52)]
     if overrides is None:
-        cache, attend, flush = m.new_cache(), None, lambda: None
+        cache, attend = m.new_cache(), None
     else:
         scfg = SparsifyConfig(l_min=8, **overrides)
         cache = m.new_cache(mode=scfg.mode,
                             accumulate_raw_scores=scfg.sac_input == "raw_scores")
-        controller = EngineAttention(cache, m, scfg)
-        attend, flush = controller.attend, controller.flush_forward
+        attend = EngineAttention(cache, scfg).attend
     steps = [(e, True) for e in m.embed_visual(img)] + [(e, False) for e in m.embed_text(prompt)]
     hidden = None
     for e, visual in steps:
-        hidden, _ = m.forward_step(cache, e, attend=attend, visual=visual)
-        flush()
+        hidden = m.forward_step(cache, e, attend=attend, visual=visual)
     accumulators = [
         (_sha(b"".join(cache.c_view(ell, h).tobytes() for h in range(cache.heads))),
          _sha(b"".join(cache.r_view(ell, h).tobytes() for h in range(cache.heads))))
