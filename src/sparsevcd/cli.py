@@ -75,7 +75,27 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
+def _check_out_file(flag: str, path) -> None:
+    """An output file must go into an existing directory and not be one."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"{flag}: {str(path)!r} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"{flag}: directory {str(out.parent)!r} does not exist")
+
+
+def _check_out_dir(flag: str, path) -> None:
+    """An output directory, or its nearest existing ancestor, must be a
+    directory (the missing ones are created)."""
+    out = Path(path)
+    while not out.exists() and out != out.parent:
+        out = out.parent
+    if not out.is_dir():
+        raise ConfigError(f"{flag}: {str(out)!r} is not a directory")
+
+
 def _cmd_gen_corpus(args) -> int:
+    _check_out_file("--out", args.out)
     spec = GeneratorSpec(
         n_findings=args.findings,
         tokens_per_finding=args.tokens_per_finding,
@@ -103,6 +123,8 @@ def _parse_ids(flag: str, text: str, vocab: int) -> list[int]:
 
 def _cmd_decode(args) -> int:
     cfg = _load_cfg(args)
+    if args.diagnostics:
+        _check_out_file("--diagnostics", args.diagnostics)
     model = model_from_config(cfg.model)
     if args.image:
         finding_ids = tuple(_parse_ids("--image", args.image, model.vocab))
@@ -145,6 +167,9 @@ def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
     if not cfg.corpus:
         raise ConfigError("run needs a corpus (--corpus or config field)")
+    _check_out_file("--out", cfg.out_csv)
+    if cfg.out_diagnostics:
+        _check_out_file("--diagnostics", cfg.out_diagnostics)
     rows = experiment.run_experiment(cfg)
     experiment.write_rows_csv(cfg.out_csv, rows, timing=cfg.timing)
     if cfg.out_diagnostics:
@@ -159,6 +184,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     if not cfg.corpus:
         raise ConfigError("sweep needs a corpus (--corpus or config field)")
+    _check_out_file("--out", cfg.out_csv)
     raw_values = [v for v in args.grid.split(",") if v.strip() != ""]
     if not raw_values:
         raise ConfigError("sweep grid must be non-empty")
@@ -179,6 +205,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _load_cfg(args)
+    if args.out:
+        _check_out_file("--out", args.out)
     report = experiment.bench_sparse_vs_full(
         cfg, prefix_len=args.prefix_len, decode_len=args.decode_len,
         repeats=args.repeats)
@@ -194,6 +222,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_attn_stats(args) -> int:
     cfg = _load_cfg(args)
+    _check_out_dir("--out-dir", args.out_dir)
     corpus = load_corpus(cfg.corpus) if cfg.corpus else None
     report = experiment.dump_attention_stats(cfg, args.out_dir, corpus)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -168,6 +168,11 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+        # the composer is a single layer
+        layers = self.model.layers if self.model.kind == "transformer" else 1
+        if self.decode.stop_layer > layers:
+            raise ConfigError(f"decode.stop_layer {self.decode.stop_layer} exceeds "
+                              f"the model's {layers} layers")
         if self.model.kind == "composer" and self.decode.eos_id not in (0, -1):
             # the composer's EOS logit sits on token 0
             raise ConfigError("decode.eos_id must be 0 (the composer's EOS) "

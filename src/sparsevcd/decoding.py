@@ -25,8 +25,8 @@ from sparsevcd.numerics import NEG_INF, matvec, stable_softmax
 from sparsevcd.rng import SplitMix64, combine, step_seed
 from sparsevcd.sac import calibrate_scores
 from sparsevcd.vats import (SaliencyScores, attention_error, cluster_pruned,
-                            layer_visual_saliency, merge_clusters, select_topS,
-                            visual_saliency)
+                            layer_visual_saliency, merge_clusters, pairwise_distances,
+                            select_topS, visual_saliency)
 
 _MASK_SALT = 0x4D41_534B
 
@@ -151,6 +151,42 @@ class DecodeResult:
     prefill_len: int = 0
 
 
+class _DistanceTable:
+    """``pairwise_distances`` between a layer's rows, over every head's keys
+    head-major or over one head's, grown as rows arrive.
+
+    For logical mode only: there rows never move and a row's key never
+    changes, so an entry is filled once and any pruned set's matrix is a
+    gather. Capacity doubles, so a table holds up to ``(2n)**2`` floats.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.d = np.empty((0, 0))
+
+    def fork(self) -> "_DistanceTable":
+        twin = _DistanceTable()
+        twin.n = self.n
+        twin.d = np.empty_like(self.d)
+        twin.d[: self.n, : self.n] = self.d[: self.n, : self.n]
+        return twin
+
+    def gather(self, cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The distances among columns ``idx`` of the ``(features, n)``
+        block ``cols``, after filling the rows added since the last call."""
+        n0, n = self.n, cols.shape[1]
+        if n > self.d.shape[0]:
+            grown = np.empty((max(n, 2 * self.d.shape[0]),) * 2)
+            grown[:n0, :n0] = self.d[:n0, :n0]
+            self.d = grown
+        if n > n0:
+            fresh = pairwise_distances(cols, n0)
+            self.d[n0:n, :n] = fresh
+            self.d[:n0, n0:n] = fresh[:, :n0].T
+            self.n = n
+        return self.d[idx][:, idx]
+
+
 class EngineAttention:
     """Attention policy plugged into the model's forward pass: applies
     sinking-attention calibration and per-layer visual-aware sparsification,
@@ -158,7 +194,9 @@ class EngineAttention:
 
     A forward calls ``attend`` once per layer in layer order, so the layer-0
     call opens the forward's diagnostics: ``errors`` restarts, and with
-    ``keep_records`` a new ``forward_records`` entry begins.
+    ``keep_records`` a new ``forward_records`` entry begins. In logical mode
+    the merge's distances come from one ``_DistanceTable`` per layer (per
+    layer and head with per-head masks).
     """
 
     def __init__(self, cache: KvCache, cfg: SparsifyConfig, keep_records: bool = False):
@@ -169,13 +207,16 @@ class EngineAttention:
         self.keep_records = keep_records
         self.forward_records: list[dict] = []
         self.errors: list[float] = []  # the attention errors of the latest forward
+        self.tables: dict[tuple[int, int | None], _DistanceTable] = {}
 
     # -- plumbing used by decode -------------------------------------------
 
     def fork(self) -> "EngineAttention":
-        """A controller over a clone of the cache, keeping the records so far."""
+        """A controller over a clone of the cache, keeping the records and
+        distance tables so far."""
         twin = EngineAttention(self.cache.clone(), self.cfg, self.keep_records)
         twin.forward_records = list(self.forward_records)
+        twin.tables = {key: table.fork() for key, table in self.tables.items()}
         return twin
 
     def mean_error(self) -> float:
@@ -289,12 +330,17 @@ class EngineAttention:
 
         records = None
         if cfg.merge_pruned:
-            # head-major features: head 0's key, then head 1's, ...
-            keys = cache.key_block(layer)[heads][:, pruned]
-            concat = keys.transpose(1, 0, 2).reshape(pruned.shape[0], -1)
+            # a view with one column per row and head-major features: head
+            # 0's key, then head 1's, ...
+            cols = cache.key_block(layer)[heads].transpose(0, 2, 1).reshape(-1, n_rows)
+            if cfg.mode == "logical":
+                dist = self.tables.setdefault((layer, head), _DistanceTable()).gather(
+                    cols, pruned)
+            else:
+                dist = pairwise_distances(cols[:, pruned])
             delta_p = (g + cfg.lambda_ * p_vec)[pruned]
-            assignment = cluster_pruned(concat, delta_p, cfg.knn_k,
-                                        rho_merge=cfg.rho_merge)
+            assignment = cluster_pruned(dist, delta_p, cfg.knn_k,
+                                        rho_merge=cfg.rho_merge, precomputed=True)
             records = self._merge_records(layer, pruned, assignment)
         cache.set_sparsification(layer, mask_full, records, head=head)
         if self.keep_records:

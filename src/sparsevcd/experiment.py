@@ -205,6 +205,12 @@ def sweep(cfg: ExperimentConfig, axis: str, grid) -> list[ResultRow]:
         raise ConfigError("sweep grid must be non-empty")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    # every grid point is checked before any row runs
+    for value in grid:
+        try:
+            apply_axis(cfg, axis, value).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"sweep {axis}={value!r}: {exc}") from exc
     return _run_rows(cfg, axis, grid)
 
 
@@ -265,7 +271,10 @@ def _bench_inputs(cfg: ExperimentConfig, prefix_len: int, repeats: int):
     if repeats < 1:
         raise ConfigError(f"bench repeats must be positive, got {repeats}")
     image = ImageDescriptor((4, 5), tokens_per_finding=4)
-    prompt = [TOKEN_BOS] * max(1, prefix_len - image.n_tokens)
+    if prefix_len <= image.n_tokens:
+        raise ConfigError(f"bench prefix length must exceed the bench image's "
+                          f"{image.n_tokens} tokens, got {prefix_len}")
+    prompt = [TOKEN_BOS] * (prefix_len - image.n_tokens)
     return model_from_config(cfg.model), image, prompt
 
 

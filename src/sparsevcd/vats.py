@@ -153,36 +153,47 @@ def objective_value(mask, scores: SaliencyScores) -> float:
     return keep_term - scores.lam * sal_term
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distances; each squared sum runs over the features in order."""
-    cols = points.T.copy()
-    acc = np.subtract.outer(cols[0], cols[0])
-    acc *= acc
-    diff = np.empty_like(acc)
-    for col in cols[1:]:
-        np.subtract.outer(col, col, out=diff)
-        diff *= diff
-        acc += diff
+def pairwise_distances(cols: np.ndarray, start: int = 0) -> np.ndarray:
+    """Euclidean distances of points ``start..n`` to all ``n`` points, as an
+    ``(n - start, n)`` block; ``start=0`` gives the full matrix.
+
+    ``cols`` holds the points as columns, one feature per row. Each squared
+    sum runs over the features in order, so an entry's bits depend only on
+    its two points: ``(a - b)**2 == (b - a)**2``, and the block is exactly
+    symmetric and equal to any gather of a larger matrix.
+    """
+    diff = cols[:, None, :] - cols[:, start:, None]
+    diff *= diff
+    acc = diff[0]
+    for plane in diff[1:]:
+        acc += plane
     return np.sqrt(acc, out=acc)
 
 
 def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
-                   n_clusters: int | None = None) -> ClusterAssignment:
+                   n_clusters: int | None = None,
+                   precomputed: bool = False) -> ClusterAssignment:
     """k-nearest-neighbour density-peak clustering of the pruned tokens.
 
     Density is the reciprocal mean distance to the k nearest peers (plus a
     small epsilon); each point's separation is its distance to the nearest
     strictly-denser point (the global peak gets the maximum pairwise
     distance). Centers are the top points by density * separation; the rest
-    inherit, in decreasing-density order, the cluster of their nearest denser
-    point. All ties break on the lower index. Each cluster's merge weights
-    are the softmax of its members' saliency.
+    inherit the cluster of their nearest denser point (a densest point that
+    is not a center joins its nearest center). All ties break on the lower
+    index. Each cluster's merge weights are the softmax of its members'
+    saliency.
+
+    ``keys`` is an ``(n, features)`` array, or with ``precomputed`` the
+    ``(n, n)`` matrix of its ``pairwise_distances``.
     """
     points = np.asarray(keys, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("cluster_pruned: need a non-empty 2-d key array")
     deltas = np.asarray(deltas, dtype=np.float64)
     n = points.shape[0]
+    if precomputed and points.shape != (n, n):
+        raise ValueError("cluster_pruned: a precomputed distance matrix must be square")
     if deltas.shape != (n,):
         raise ValueError("cluster_pruned: one saliency score per pruned token")
     if k < 1:
@@ -191,7 +202,7 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
         return ClusterAssignment(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
                                  [np.array([0])], [np.array([1.0])])
     k = min(k, n - 1)
-    dist = _pairwise_distances(points)
+    dist = points if precomputed else pairwise_distances(np.ascontiguousarray(points.T))
     off = dist.copy()
     np.fill_diagonal(off, np.inf)
     rho = 1.0 / (DENSITY_EPS + np.mean(np.sort(off, axis=1)[:, :k], axis=1))
@@ -206,7 +217,6 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     nearest_denser = np.argmin(denser, axis=1)
     sep = denser[np.arange(n), nearest_denser]
     peak = rank_order[0]
-    nearest_denser[peak] = -1
     sep[peak] = dist.max()
 
     if n_clusters is None:
@@ -216,17 +226,20 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     center_order = np.lexsort((np.arange(n), -gamma))
     centers = np.sort(center_order[:n_clusters])
 
-    labels = np.full(n, -1, dtype=np.int64)
+    # each point's chain of nearest denser points ends at a center, which
+    # points to itself; the peak, unless a center, points to its nearest
+    # center. Pointer jumping halves every chain per pass.
+    parent = nearest_denser
+    parent[peak] = centers[int(np.lexsort((centers, dist[peak, centers]))[0])]
+    parent[centers] = centers
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            break
+        parent = jumped
+    labels = np.empty(n, dtype=np.int64)
     labels[centers] = np.arange(n_clusters)
-    for i in rank_order:
-        if labels[i] >= 0:
-            continue
-        j = nearest_denser[i]
-        if j < 0:
-            # densest point that is not a center: join the nearest center
-            d = dist[i, centers]
-            j = centers[int(np.lexsort((centers, d))[0])]
-        labels[i] = labels[j]
+    labels = labels[parent]
 
     # members ascending within each cluster; each softmax is one row of a
     # -inf-padded block whose trailing exact zeros leave the row sum unchanged
@@ -249,21 +262,19 @@ def merge_clusters(assignment: ClusterAssignment, rows) -> np.ndarray:
     ``(n_clusters, rows.shape[1])`` block.
 
     Row ``c`` is ``weighted_sum_rows(weights[c], rows[members[c]])`` bit for
-    bit: the loop runs over member slots, adding slot ``s`` of every cluster
-    with more than ``s`` members, top to bottom. Clusters are visited largest
-    first, so the clusters still adding at slot ``s`` are a prefix.
+    bit: the weighted member rows fill an ``(slots, clusters, features)``
+    block padded with ``-0.0``, and its slot planes are added in order.
+    ``x + -0.0 == x`` for every ``x``, so the padding leaves each sum as is.
     """
     rows = np.asarray(rows, dtype=np.float64)
     sizes = np.array([m.shape[0] for m in assignment.members], dtype=np.int64)
     terms = (np.concatenate(assignment.weights)[:, None]
              * rows[np.concatenate(assignment.members)])
-    order = np.argsort(-sizes, kind="stable")
-    starts = (np.cumsum(sizes) - sizes)[order]
-    sizes = sizes[order]
-    agg = terms[starts]
-    for s in range(1, int(sizes[0])):
-        active = int(np.count_nonzero(sizes > s))
-        agg[:active] += terms[starts[:active] + s]
-    out = np.empty_like(agg)
-    out[order] = agg
-    return out
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(terms.shape[0]) - np.repeat(starts, sizes)
+    block = np.full((int(sizes.max()), sizes.shape[0], rows.shape[1]), -0.0)
+    block[slot, np.repeat(np.arange(sizes.shape[0]), sizes)] = terms
+    agg = block[0].copy()
+    for plane in block[1:]:
+        agg += plane
+    return agg

@@ -120,13 +120,18 @@ def test_config_types_int_for_float_but_never_bool_for_number():
             experiment_from_dict(doc)
 
 
-# each of these exited 3, or ran with a non-finite value and exited 0,
-# before the numbers were checked where parsed
+# each of these exited 3, or ran with a non-finite value, a clamped prefix
+# or an invalid grid point and exited 0, before the numbers were checked
+# where parsed (a sweep checks every grid point's config before any row)
 @pytest.mark.parametrize("argv", [
     ["sweep", "--axis", "alpha", "--grid", "nan"],
     ["sweep", "--axis", "beta", "--grid", "0.1,inf"],
     ["run", "--seeds", "a"],
     ["bench", "--repeats", "0"],
+    ["bench", "--prefix-len", "-3", "--decode-len", "2", "--repeats", "1"],
+    ["bench", "--prefix-len", "8", "--decode-len", "2", "--repeats", "1"],
+    ["sweep", "--axis", "alpha", "--grid", "0.3,-1"],
+    ["sweep", "--axis", "stop_layer", "--grid", "0,5"],
 ])
 def test_cli_rejects_bad_numbers_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
@@ -136,6 +141,36 @@ def test_cli_rejects_bad_numbers_as_config_errors(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
+
+
+# each of these exited 3 with FileNotFoundError or FileExistsError, most
+# after all the work, before the destinations were checked where parsed;
+# "{missing}" is a path in a missing directory, "{file}" an existing file
+@pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--n", "3", "--out", "{missing}"],
+    ["decode", "--image", "4", "--diagnostics", "{missing}"],
+    ["run", "--corpus", "{corpus}", "--out", "{missing}"],
+    ["run", "--corpus", "{corpus}", "--out", "{tmp}/rows.csv", "--diagnostics", "{missing}"],
+    ["sweep", "--corpus", "{corpus}", "--axis", "alpha", "--grid", "0.3", "--out", "{missing}"],
+    ["bench", "--prefix-len", "16", "--decode-len", "2", "--repeats", "1", "--out", "{missing}"],
+    ["attn-stats", "--out-dir", "{file}"],
+    ["attn-stats", "--out-dir", "{file}/stats"],
+])
+def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, gen_corpus(GeneratorSpec(), seed=0, n=3))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the outputs were checked")
+
+    for target in ("cli.gen_corpus", "cli.decode", "experiment.decode"):
+        monkeypatch.setattr("sparsevcd." + target, no_work)
+    names = {"missing": tmp_path / "no" / "such" / "out.txt", "file": corpus,
+             "corpus": corpus, "tmp": tmp_path}
+    argv = [a.format(**{k: str(v) for k, v in names.items()}) for a in argv]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists() and not (tmp_path / "rows.csv").exists()
 
 
 def test_composer_rejects_eos_id_it_cannot_emit():

@@ -16,7 +16,7 @@ from sparsevcd.models import ImageDescriptor, build_toy_transformer, model_from_
 from sparsevcd.numerics import NEG_INF, stable_softmax
 from sparsevcd.oracle import reference_full_decode
 from sparsevcd.rng import combine
-from sparsevcd.vats import cluster_pruned
+from sparsevcd.vats import cluster_pruned, pairwise_distances
 
 
 def transformer(seed=1):
@@ -424,6 +424,91 @@ def beam_pinned_session(stop_layer, eos_id):
 @pytest.mark.parametrize("stop_layer,eos_id", sorted(BEAM_PINS))
 def test_compacted_beam_matches_pins(stop_layer, eos_id):
     assert beam_pinned_session(stop_layer, eos_id) == BEAM_PINS[(stop_layer, eos_id)]
+
+
+# Logical beam search with merging on, pinned per mask kind: tokens, sha256
+# of the ``beam_audit`` float bytes and sha256 of the winner's diagnostics
+# (all fields but the timing). Forks carry the planner's distance tables.
+LOGICAL_BEAM_PINS = {
+    "shared": (
+        [35, 12, 49, 57, 37, 25, 49, 57, 31],
+        "c99428298ea465713e967f577f5d58cec925722177a8d8edfaf3c6dabf4f1345",
+        "5787a4c31173fb45256e3dec01b50023261bc1a70ced98e7d0d362ef188e9702"),
+    "per_head_mask": (
+        [35, 12, 49, 57, 40, 57, 40, 57, 40],
+        "b87afdfef5a4e1d6f297d1fed752551ad517314db707a5909cc06dc03cf0712f",
+        "b98516f6c7e017c1ba2b3ba007a277ffe449a4fb6de4712ef40d88827a49d676"),
+}
+
+
+def logical_beam_pinned_session(per_head_mask):
+    """A 110-token prefix (40 visual, 70 random text), then 9 beam steps of
+    width 3 planning at every layer past ``l_min`` 6."""
+    rng = np.random.default_rng(307)
+    m = transformer(43)
+    img = ImageDescriptor((2, 13, 21, 34), 10)
+    prompt = [int(t) for t in rng.integers(1, 64, size=70)]
+    scfg = SparsifyConfig(sparsity_rate=0.6, l_min=6, per_head_mask=per_head_mask)
+    dcfg = DecodeConfig(mode="beam", beam_size=3, max_len=9, seed=17, eos_id=-1)
+    res = decode(m, img, prompt, scfg, dcfg)
+    audit = np.array(res.beam_audit, dtype=np.float64).tobytes()
+    diags = repr([(d.step, d.chosen, d.is_eos, d.p_theta_chosen, d.p_theta_max,
+                   d.plausible_size, d.attn_error_mean, d.cache_rows, d.retained_raw,
+                   d.logit_theta_argmax, d.fused_argmax) for d in res.diagnostics])
+    return (res.tokens, hashlib.sha256(audit).hexdigest(),
+            hashlib.sha256(diags.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(LOGICAL_BEAM_PINS))
+def test_logical_beam_matches_pins(name):
+    assert (logical_beam_pinned_session(name == "per_head_mask")
+            == LOGICAL_BEAM_PINS[name])
+
+
+# ------------------------------------------------ logical distance tables
+
+table_runs = st.fixed_dictionaries({
+    "model_seed": st.integers(0, 2**16),
+    "per_head_mask": st.booleans(),
+    "rate": st.sampled_from([0.3, 0.5, 0.8]),
+    "l_min": st.integers(0, 6),
+    "n_visual": st.integers(1, 12),
+    "prefix": st.lists(st.integers(1, 63), min_size=8, max_size=30),
+    "branches": st.lists(st.lists(st.integers(1, 63), max_size=12), min_size=2, max_size=2),
+    "subset_seed": st.integers(0, 2**16),
+})
+
+
+@settings(max_examples=15, deadline=None)
+@given(table_runs)
+def test_distance_table_gathers_equal_the_kernel_from_scratch(draw):
+    """Append and plan a random prefix, fork, run each branch on, and check
+    every table of both controllers: a gathered submatrix equals the kernel
+    run on the gathered head-major keys, byte for byte. From 8 rows past
+    ``l_min`` every forward plans and merges at every layer."""
+    m = transformer(draw["model_seed"])
+    scfg = SparsifyConfig(sparsity_rate=draw["rate"], l_min=draw["l_min"],
+                          per_head_mask=draw["per_head_mask"])
+    root = EngineAttention(m.new_cache(), scfg)
+    for i, t in enumerate(draw["prefix"]):
+        m.forward_step(root.cache, m.embed_text([t])[0], attend=root.attend,
+                       visual=i < draw["n_visual"])
+    controllers = [root.fork(), root]
+    for ctl, tokens in zip(controllers, draw["branches"]):
+        for t in tokens:
+            m.forward_step(ctl.cache, m.embed_text([t])[0], attend=ctl.attend)
+    rng = np.random.default_rng(draw["subset_seed"])
+    for ctl in controllers:
+        for (layer, head), table in ctl.tables.items():
+            keys = ctl.cache.key_block(layer)
+            keys = keys if head is None else keys[head:head + 1]
+            points = keys.transpose(1, 0, 2).reshape(keys.shape[1], -1)
+            n = points.shape[0]
+            for idx in (np.arange(n), rng.permutation(n)[: rng.integers(1, n + 1)]):
+                scratch = pairwise_distances(np.ascontiguousarray(points[idx].T))
+                assert table.gather(points.T, idx).tobytes() == scratch.tobytes()
+    heads = range(m.heads) if draw["per_head_mask"] else [None]
+    assert set(root.tables) == {(layer, h) for layer in range(m.layers) for h in heads}
 
 
 # ----------------------------------------------------- pinned equivalences

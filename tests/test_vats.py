@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ from sparsevcd.cache import KvCache
 from sparsevcd.errors import ConfigError
 from sparsevcd.oracle import brute_force_mask, reference_clustering
 from sparsevcd.vats import (ClusterAssignment, SaliencyScores, cluster_pruned,
-                            merge_clusters, objective_value, select_topS,
-                            visual_saliency)
+                            merge_clusters, objective_value, pairwise_distances,
+                            select_topS, visual_saliency)
 
 # frozen from an mpmath (50-digit) softmax of [1, 2, 3]
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -130,6 +131,31 @@ def test_objective_equals_const_minus_retained_delta():
         direct = objective_value(flags, scores)
         algebraic = g.sum() - float((flags * scores.delta).sum())
         assert abs(direct - algebraic) < 1e-12
+
+
+def test_distance_kernel_equals_a_per_pair_loop_bitwise():
+    """Entry (i, j) is the square root of the squared differences summed
+    feature by feature in Python floats, for any ``start`` and either sign
+    of the differences (so the block is exactly symmetric)."""
+    rng = np.random.default_rng(5)
+    for n, f in [(1, 3), (2, 1), (9, 6), (23, 16)]:
+        cols = rng.normal(size=(f, n)) * 10.0 ** rng.integers(-3, 4, size=(f, 1))
+        for start in sorted({0, n // 2, n - 1}):
+            block = pairwise_distances(cols, start)
+            assert block.shape == (n - start, n)
+            for i in range(start, n):
+                for j in range(n):
+                    acc = 0.0
+                    for x in cols[:, i] - cols[:, j]:
+                        acc += float(x) * float(x)
+                    assert block[i - start, j] == math.sqrt(acc)
+        full = pairwise_distances(cols)
+        assert full.tobytes() == full.T.copy().tobytes()
+        dist = cluster_pruned(full, np.zeros(n), k=3, precomputed=True)
+        keys = cluster_pruned(cols.T, np.zeros(n), k=3)
+        assert np.array_equal(dist.labels, keys.labels)
+    with pytest.raises(ValueError):
+        cluster_pruned(np.zeros((3, 2)), np.zeros(3), k=1, precomputed=True)
 
 
 def test_cluster_single_point():
