@@ -247,7 +247,7 @@ class KvCache:
     def visual_flags(self, layer: int) -> np.ndarray:
         return self._layers[layer].visual > 0.5
 
-    def has_visual(self, layer: int = 0) -> bool:
+    def has_visual(self, layer: int) -> bool:
         return bool(np.any(self.visual_flags(layer)))
 
     def raw_rows(self, layer: int) -> np.ndarray:
@@ -430,22 +430,16 @@ class KvCache:
         st.mask_ph.clear()
         st.merged_ph.clear()
 
-    def has_pending_prune(self) -> bool:
-        return any(not self.mask_view(layer).all() for layer in range(self.layers))
-
     def compact(self) -> CompactStats:
         """Physically apply pending masks: evict pruned raws, materialise one
         aggregate row per merged record, reset masks to all-retained."""
         stats = CompactStats()
-        if not self.has_pending_prune():
-            stats.no_op = True
-            return stats
         for st in self._layers:
-            if st.mask_ph:
-                raise ValueError("compact: per-head masks cannot be compacted")
             mask = st.mask > 0.5
             if mask.all() and not len(st.merged):
                 continue
+            if st.mask_ph:
+                raise ValueError("compact: per-head masks cannot be compacted")
             keep = np.nonzero(mask)[0]
             stats.evicted += int(st.n - keep.shape[0])
             stats.aggregates += len(st.merged)
@@ -455,6 +449,7 @@ class KvCache:
             st.merged = st.no_records
             st.pruning = False
             self.peak_rows = max(self.peak_rows, st.n)
+        stats.no_op = not (stats.evicted or stats.aggregates)
         return stats
 
     # ----------------------------------------------------------------- misc

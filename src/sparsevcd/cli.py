@@ -55,13 +55,13 @@ def _apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_experiment(args.config) if args.config else ExperimentConfig()
     cfg = _apply_overrides(cfg, getattr(args, "set", None))
-    if getattr(args, "corpus", None):
+    if getattr(args, "corpus", None) is not None:
         cfg.corpus = args.corpus
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         cfg.out_csv = args.out
-    if getattr(args, "diagnostics", None):
+    if getattr(args, "diagnostics", None) is not None:
         cfg.out_diagnostics = args.diagnostics
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             cfg.seeds = [int(s) for s in args.seeds.split(",") if s != ""]
         except ValueError as exc:
@@ -69,7 +69,7 @@ def _load_cfg(args) -> ExperimentConfig:
                               f"got {args.seeds!r}") from exc
     if getattr(args, "timing", False):
         cfg.timing = True
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         cfg.workers = args.workers
     cfg.validate()
     return cfg

@@ -207,7 +207,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 id=rec["id"],
                 image=ImageDescriptor(tuple(_ints(image["finding_ids"], "finding_ids")),
                                       _int(image["tokens_per_finding"], "tokens_per_finding")),
-                report=[int(t) for t in rec["report"]],
+                report=_ints(rec["report"], "report"),
                 question=None if question is None else _ints(question, "question"),
                 label=rec.get("label"),
             ))

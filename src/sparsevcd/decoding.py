@@ -24,9 +24,9 @@ from sparsevcd.models import ImageDescriptor, ModelInterface
 from sparsevcd.numerics import NEG_INF, matvec, stable_softmax
 from sparsevcd.rng import SplitMix64, combine, step_seed
 from sparsevcd.sac import calibrate_scores
-from sparsevcd.vats import (SaliencyScores, attention_error, cluster_pruned,
-                            layer_visual_saliency, merge_clusters, pairwise_distances,
-                            select_topS, visual_saliency)
+from sparsevcd.vats import (attention_error, cluster_pruned, layer_visual_saliency,
+                            merge_clusters, pairwise_distances, select_topS,
+                            visual_saliency)
 
 _MASK_SALT = 0x4D41_534B
 
@@ -316,13 +316,12 @@ class EngineAttention:
         if retain_cand >= cand.shape[0]:
             return False
         mask_full = np.ones(n_rows, dtype=bool)
+        delta = g + cfg.lambda_ * p_vec
         if retain_cand == 0:
             pruned = cand
         else:
             w_recent = min(cfg.w_recent, retain_cand)
-            scores = SaliencyScores(g[cand], p_vec[cand], cfg.lambda_)
-            sel = select_topS(scores, retain_cand, w_recent)
-            pruned = cand[~sel.flags]
+            pruned = cand[~select_topS(delta[cand], retain_cand, w_recent)]
         if pruned.shape[0] == 0:
             return False
         mask_full[pruned] = False
@@ -338,8 +337,7 @@ class EngineAttention:
                     cols, pruned)
             else:
                 dist = pairwise_distances(cols[:, pruned])
-            delta_p = (g + cfg.lambda_ * p_vec)[pruned]
-            assignment = cluster_pruned(dist, delta_p, cfg.knn_k,
+            assignment = cluster_pruned(dist, delta[pruned], cfg.knn_k,
                                         rho_merge=cfg.rho_merge, precomputed=True)
             records = self._merge_records(layer, pruned, assignment)
         cache.set_sparsification(layer, mask_full, records, head=head)
@@ -350,7 +348,7 @@ class EngineAttention:
                 "retained": int(mask_full.sum()),
                 "pruned": [int(i) for i in pruned],
                 "clusters": 0 if records is None else len(records),
-                "delta": [float(v) for v in (g + cfg.lambda_ * p_vec)],
+                "delta": [float(v) for v in delta],
                 "visual_saliency": [float(v) for v in p_vec],
                 "attn_error": self.errors[-1],
             })
@@ -366,8 +364,8 @@ class EngineAttention:
                                     np.concatenate(assignment.weights), merged)
 
 
-def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,
-              scfg: SparsifyConfig, dcfg: DecodeConfig) -> None:
+def _validate(model: ModelInterface, prompt_ids, scfg: SparsifyConfig,
+              dcfg: DecodeConfig) -> None:
     scfg.validate()
     dcfg.validate()
     if not prompt_ids:
@@ -377,8 +375,6 @@ def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,
             f"stop_layer {dcfg.stop_layer} exceeds the model's {model.layers} layers")
     if dcfg.eos_id >= model.vocab:
         raise ConfigError("eos id outside the model vocabulary")
-    if image.tokens_per_finding < 1:
-        raise ConfigError("image must carry at least one token per finding")
     for t in prompt_ids:
         if not 0 <= int(t) < model.vocab:
             raise ConfigError(f"prompt token {t} outside the model vocabulary")
@@ -404,7 +400,9 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     scfg = sparsify if sparsify is not None else SparsifyConfig()
     dcfg = config if config is not None else DecodeConfig()
     prompt_ids = [int(t) for t in prompt_ids]
-    _validate(model, image, prompt_ids, scfg, dcfg)
+    if diag_level not in ("summary", "full"):
+        raise ConfigError(f"diag_level must be 'summary' or 'full', got {diag_level!r}")
+    _validate(model, prompt_ids, scfg, dcfg)
     t0 = time.perf_counter()
 
     cache = model.new_cache(mode=scfg.mode,

@@ -24,7 +24,7 @@ from sparsevcd.config import ExperimentConfig, flatten_config
 from sparsevcd.corpus import TOKEN_BOS, TOKEN_NO, TOKEN_YES, Corpus, load_corpus
 from sparsevcd.decoding import decode
 from sparsevcd.errors import ConfigError
-from sparsevcd.models import ImageDescriptor, ToyTransformer, model_from_config
+from sparsevcd.models import ImageDescriptor, model_from_config
 from sparsevcd.rng import combine
 
 SWEEP_AXES = ("alpha", "beta", "lambda", "stop_layer", "sparsity")
@@ -309,24 +309,22 @@ def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
     }
 
 
-def bench_stop_layers(cfg: ExperimentConfig, grid=None, repeats: int = 5,
+def bench_stop_layers(cfg: ExperimentConfig, repeats: int = 5,
                       prefix_len: int = 96, decode_len: int = 24) -> dict:
     """Median decoding throughput per contrastive-branch stop layer."""
     model, image, prompt = _bench_inputs(cfg, prefix_len, repeats)
-    if grid is None:
-        grid = list(range(model.layers + 1))
     scfg = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,
                                sac_enabled=False, mode="logical")
     out = {}
-    for ell in grid:
+    for ell in range(model.layers + 1):
         tps = []
         for rep in range(repeats):
             dcfg = dataclasses.replace(cfg.decode, alpha=0.3, gamma_apc=0.0,
-                                       stop_layer=int(ell), max_len=decode_len,
+                                       stop_layer=ell, max_len=decode_len,
                                        mode="greedy", eos_id=-1, seed=rep)
             result = decode(model, image, prompt, scfg, dcfg)
             tps.append(len(result.tokens) / result.wall_seconds)
-        out[int(ell)] = statistics.median(tps)
+        out[ell] = statistics.median(tps)
     return out
 
 
@@ -345,8 +343,6 @@ def dump_attention_stats(cfg: ExperimentConfig, out_dir: str | Path,
         raise ConfigError("attention stats require the transformer model; "
                           "the composer has no meaningful attention")
     model = model_from_config(cfg.model)
-    if not isinstance(model, ToyTransformer):
-        raise ConfigError("attention stats require the transformer model")
     if corpus is not None and corpus.examples:
         example = corpus.examples[0]
         image, prompt = example.image, (example.question or [TOKEN_BOS])

@@ -12,28 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from sparsevcd.models import RMS_EPS, ImageDescriptor, ToyTransformer
 
 ENUMERATION_LIMIT = 20
-
-
-@dataclass
-class OracleReport:
-    """Comparison of an engine result against its oracle."""
-
-    instance: str
-    oracle_result: object
-    engine_result: object
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -90,37 +74,42 @@ def brute_force_mask(q, keys, p, lam: float, s: int):
 
 def reference_full_decode(model: ToyTransformer, prompt_ids, image: ImageDescriptor,
                           max_len: int, eos_id: int = 0) -> list[int]:
-    """Cache-free greedy decoding: at every step the attention over the entire
-    prefix is recomputed from the model weights. No sparsification, no
-    calibration, no fusion."""
+    """Cache-free greedy decoding: every position's hidden state is computed
+    once from the model weights, attending over the keys and values of all
+    positions so far. No sparsification, no calibration, no fusion."""
     if not isinstance(model, ToyTransformer):
         raise TypeError("reference_full_decode only supports the toy transformer")
-    prefix = np.concatenate([model.embed_visual(image), model.embed_text(list(prompt_ids))])
+    forward = _position_forward(model, image.n_tokens + len(prompt_ids) + max_len)
+    pending = np.concatenate([model.embed_visual(image), model.embed_text(list(prompt_ids))])
     tokens: list[int] = []
     for _ in range(max_len):
-        embs = np.concatenate([prefix, model.embed_text(tokens)])
-        hidden = _recompute_last_hidden(model, embs)
-        logits = _mv(model.unembedding, hidden)
-        chosen = int(np.argmax(logits))
+        for emb in pending:
+            hidden = forward(emb)
+        chosen = int(np.argmax(_mv(model.unembedding, hidden)))
         if chosen == eos_id:
             break
         tokens.append(chosen)
+        pending = model.embed_text([chosen])
     return tokens
 
 
-def _recompute_last_hidden(model: ToyTransformer, embs) -> np.ndarray:
+def _position_forward(model: ToyTransformer, capacity: int):
+    """A function taking the next position's embedding to its last hidden
+    state. Every position's key and value are written once into arrays
+    of ``capacity`` positions, and a position attends over the rows so far."""
     hd = model.head_dim
     sqrt_d = math.sqrt(hd)
-    # every position's key and value, written in place; rows past the
-    # current position are never read
-    keys = np.zeros((model.layers, model.heads, len(embs), hd))
+    keys = np.zeros((model.layers, model.heads, capacity, hd))
     vals = np.zeros_like(keys)
     # q, k and v of a head in one product: each output row reduces on its
     # own, so the bits equal three separate products
     w_qkv = [[np.vstack([model.w_q[ell][h], model.w_k[ell][h], model.w_v[ell][h]])
               for h in range(model.heads)] for ell in range(model.layers)]
-    hidden = None
-    for pos, emb in enumerate(embs):
+    n = 0
+
+    def forward(emb) -> np.ndarray:
+        nonlocal n
+        pos, n = n, n + 1
         x = np.asarray(emb, dtype=np.float64)
         for ell in range(model.layers):
             xn = x / np.sqrt(np.mean(x * x) + RMS_EPS)
@@ -138,8 +127,9 @@ def _recompute_last_hidden(model: ToyTransformer, embs) -> np.ndarray:
             xn2 = x / np.sqrt(np.mean(x * x) + RMS_EPS)
             ff = np.maximum(_mv(model.w_ff1[ell], xn2), 0.0)
             x = x + _mv(model.w_ff2[ell], ff)
-        hidden = x
-    return hidden
+        return x
+
+    return forward
 
 
 def reference_clustering(points, k: int, n_clusters: int):

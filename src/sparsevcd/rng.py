@@ -54,6 +54,6 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def step_seed(session_seed: int, step: int, salt: int = 0) -> int:
+def step_seed(session_seed: int, step: int) -> int:
     """Per-step seed derived from the session seed; stable across runs."""
-    return combine(session_seed, step, salt)
+    return combine(session_seed, step, 0)

@@ -40,18 +40,6 @@ class SaliencyScores:
 
 
 @dataclass
-class SparsifyMask:
-    """Binary retention mask with its budget and protected recency window."""
-
-    flags: np.ndarray
-    retained: int
-    w_recent: int
-
-    def __post_init__(self):
-        self.flags = np.asarray(self.flags, dtype=bool)
-
-
-@dataclass
 class ClusterAssignment:
     """Partition of the pruned tokens: canonical labels plus per-cluster
     (center, ascending member indices, softmax-of-delta merge weights)."""
@@ -101,15 +89,16 @@ def _mean_softmax(r_rows: np.ndarray) -> np.ndarray:
     return stable_softmax(np.add.accumulate(r_rows, axis=0)[-1] / r_rows.shape[0])
 
 
-def select_topS(scores: SaliencyScores, s: int, w_recent: int = 0) -> SparsifyMask:
-    """Exact solution of the budgeted retention problem: keep the ``s`` tokens
-    with the highest aggregate saliency (ties keep the earlier position).
+def select_topS(delta: np.ndarray, s: int, w_recent: int = 0) -> np.ndarray:
+    """Exact solution of the budgeted retention problem: the boolean mask
+    keeping the ``s`` tokens with the highest aggregate saliency ``delta``
+    (ties keep the earlier position).
 
     With ``w_recent > 0`` the trailing window is force-retained and the
     remaining budget is filled by top saliency; with ``w_recent = 0`` the
     result is the unconstrained optimum of the sparsification objective.
     """
-    n = len(scores)
+    n = delta.shape[0]
     if not 1 <= s <= n:
         raise ConfigError(f"retention budget {s} outside [1, {n}]")
     if w_recent > s:
@@ -120,10 +109,9 @@ def select_topS(scores: SaliencyScores, s: int, w_recent: int = 0) -> SparsifyMa
     budget = s - int(flags.sum())
     if budget > 0:
         open_idx = np.nonzero(~flags)[0]
-        delta = scores.delta[open_idx]
-        order = np.lexsort((open_idx, -delta))
+        order = np.lexsort((open_idx, -delta[open_idx]))
         flags[open_idx[order[:budget]]] = True
-    return SparsifyMask(flags, s, w_recent)
+    return flags
 
 
 def attention_error(ip, pruned) -> float:
@@ -144,7 +132,7 @@ def attention_error(ip, pruned) -> float:
 def objective_value(mask, scores: SaliencyScores) -> float:
     """Sparsification objective evaluated literally:
     sum_i (1 - M_i) * g_i  -  lam * sum_i M_i * p_i."""
-    flags = mask.flags if isinstance(mask, SparsifyMask) else np.asarray(mask, dtype=bool)
+    flags = np.asarray(mask, dtype=bool)
     if flags.shape[0] != len(scores):
         raise ValueError("mask and scores lengths differ")
     m = flags.astype(np.float64)

@@ -182,6 +182,13 @@ def test_compact_noop_reported():
     assert stats.no_op
     assert stats.evicted == 0 and stats.aggregates == 0
     assert cache.rows(0) == 4
+    # per-head overlays alone leave nothing to compact; a shared prune next
+    # to them cannot be compacted
+    cache.set_sparsification(0, np.array([True, False, True, True]), head=0)
+    assert cache.compact().no_op and cache.rows(0) == 4
+    cache.set_sparsification(0, np.array([True, True, False, True]))
+    with pytest.raises(ValueError, match="per-head"):
+        cache.compact()
 
 
 def test_compact_evicts_pruned_rows_without_records():

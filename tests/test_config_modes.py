@@ -173,6 +173,24 @@ def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, 
     assert not (tmp_path / "no").exists() and not (tmp_path / "rows.csv").exists()
 
 
+# each of these exited 0 with the config's value in place of the one given
+# (--out "" wrote ./results.csv), before the flags were tested against None
+@pytest.mark.parametrize("argv", [
+    ["run", "--workers", "0", "--out", "{tmp}/rows.csv"],
+    ["sweep", "--axis", "alpha", "--grid", "0.3", "--workers", "0", "--out", "{tmp}/rows.csv"],
+    ["run", "--seeds", "", "--out", "{tmp}/rows.csv"],
+    ["run", "--out", ""],
+])
+def test_cli_rejects_falsy_flag_values_as_config_errors(argv, tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, gen_corpus(GeneratorSpec(), seed=0, n=3))
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv + ["--corpus", str(corpus), "--set", "decode.max_len=2"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists() and not (tmp_path / "results.csv").exists()
+
+
 def test_composer_rejects_eos_id_it_cannot_emit():
     with pytest.raises(ConfigError):
         experiment_from_dict({"model": {"kind": "composer"}, "decode": {"eos_id": 5}})

@@ -105,6 +105,12 @@ def test_load_errors(tmp_path):
             load_corpus(bad)
     bad.write_text(meta + example % ("[4]", "1", "[1, 4]"))
     assert load_corpus(bad).examples[0].question == [1, 4]
+    # each of these loaded as its int() and ran, before report ids were typed
+    for report in ("[4, 1.5]", "[4, true]", '[4, "7"]', "4"):
+        bad.write_text(meta + (example % ("[4]", "1", "null")).replace(
+            '"report":[4]', '"report":' + report))
+        with pytest.raises(CorpusError, match="report"):
+            load_corpus(bad)
 
 
 def test_generator_validation():

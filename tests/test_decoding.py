@@ -218,6 +218,13 @@ def test_decode_validation_errors():
         decode(m, img, [1], SparsifyConfig(sparsity_rate=0.0), disabled_decode())
 
 
+def test_decode_rejects_an_unknown_diag_level():
+    # "ful" ran as "summary" and returned no records
+    with pytest.raises(ConfigError, match="diag_level"):
+        decode(transformer(1), ImageDescriptor((4,), 2), [1], disabled_sparsify(),
+               disabled_decode(), diag_level="ful")
+
+
 def test_apc_no_emitted_token_below_threshold():
     m = transformer(7)
     img = ImageDescriptor((5, 8), 2)

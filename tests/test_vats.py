@@ -56,8 +56,8 @@ def test_visual_saliency_requires_visual_tokens():
 
 def test_select_all_retained():
     scores = SaliencyScores(np.array([3.0, 1.0, 2.0]), np.full(3, 1 / 3), 0.5)
-    mask = select_topS(scores, 3, 0)
-    assert mask.flags.all()
+    mask = select_topS(scores.delta, 3, 0)
+    assert mask.all()
     assert abs(objective_value(mask, scores) - (-0.5)) < 1e-12  # = -lambda
 
 
@@ -70,7 +70,7 @@ def test_select_matches_bruteforce_enumeration():
         p = p_raw / p_raw.sum()
         lam = float(rng.random())
         scores = SaliencyScores(g, p, lam)
-        mask = select_topS(scores, 3, 0)
+        mask = select_topS(scores.delta, 3, 0)
         keys = rng.normal(size=(length, 4))
         # reuse the same g by scaling keys so <K_i, q> matches sqrt(g_i)
         q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -82,31 +82,31 @@ def test_select_matches_bruteforce_enumeration():
 
 def test_select_tie_break_keeps_earlier_position():
     scores = SaliencyScores(np.array([1.0, 1.0, 1.0, 1.0]), np.zeros(4), 0.0)
-    mask = select_topS(scores, 2, 0)
-    assert list(mask.flags) == [True, True, False, False]
+    mask = select_topS(scores.delta, 2, 0)
+    assert list(mask) == [True, True, False, False]
 
 
 def test_select_recency_window_forced():
     scores = SaliencyScores(np.array([10.0, 9.0, 0.0, 0.0]), np.zeros(4), 0.0)
-    mask = select_topS(scores, 2, w_recent=2)
-    assert list(mask.flags) == [False, False, True, True]
+    mask = select_topS(scores.delta, 2, w_recent=2)
+    assert list(mask) == [False, False, True, True]
 
 
 def test_select_budget_validation():
     scores = SaliencyScores(np.ones(4), np.zeros(4), 0.0)
     with pytest.raises(ConfigError):
-        select_topS(scores, 5, 0)
+        select_topS(scores.delta, 5, 0)
     with pytest.raises(ConfigError):
-        select_topS(scores, 2, w_recent=3)
+        select_topS(scores.delta, 2, w_recent=3)
 
 
 def test_select_scale_invariance():
     rng = np.random.default_rng(3)
     g = rng.normal(size=12) ** 2
     p = rng.dirichlet(np.ones(12))
-    base = select_topS(SaliencyScores(g, p, 0.7), 5, 0).flags
+    base = select_topS(SaliencyScores(g, p, 0.7).delta, 5, 0)
     for c in (0.25, 0.5, 2.0, 4.0, 1024.0, 3.0):
-        scaled = select_topS(SaliencyScores(c * g, c * p, 0.7), 5, 0).flags
+        scaled = select_topS(SaliencyScores(c * g, c * p, 0.7).delta, 5, 0)
         assert np.array_equal(base, scaled)
 
 
