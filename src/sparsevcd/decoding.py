@@ -184,7 +184,7 @@ class _DistanceTable:
             self.d[n0:n, :n] = fresh
             self.d[:n0, n0:n] = fresh[:, :n0].T
             self.n = n
-        return self.d[idx][:, idx]
+        return self.d[idx[:, None], idx]
 
 
 class EngineAttention:

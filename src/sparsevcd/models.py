@@ -24,7 +24,7 @@ import numpy as np
 from sparsevcd.cache import KvCache
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
-from sparsevcd.numerics import causal_softmax, causal_weighted_sum, matvec
+from sparsevcd.numerics import causal_attention, matvec
 from sparsevcd.rng import SplitMix64, combine
 
 RMS_EPS = 1e-12
@@ -231,8 +231,7 @@ class ToyTransformer(ModelInterface):
             attn_out = np.zeros((n, self.d_model))
             for h in range(self.heads):
                 q, k, v = qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h]
-                row = causal_softmax(matvec(k, q) / scale)
-                ctx = causal_weighted_sum(row, v)
+                ctx = causal_attention(q, k, v, scale)
                 attn_out += matvec(self.w_o[ell][h], ctx)
             x = x + attn_out
             hidden_ff = np.maximum(matvec(self.w_ff1[ell], rms_normalize(x)), 0.0)

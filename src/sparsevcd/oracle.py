@@ -93,6 +93,14 @@ def reference_full_decode(model: ToyTransformer, prompt_ids, image: ImageDescrip
     return tokens
 
 
+def reference_hidden_states(model: ToyTransformer, embs) -> np.ndarray:
+    """The last hidden state of every position of the embedding sequence
+    ``embs``, as the rows of an ``(n, d_model)`` array; each position is
+    forwarded once, attending over the positions up to itself."""
+    forward = _position_forward(model, len(embs))
+    return np.array([forward(emb) for emb in embs]).reshape(len(embs), model.d_model)
+
+
 def _position_forward(model: ToyTransformer, capacity: int):
     """A function taking the next position's embedding to its last hidden
     state. Every position's key and value are written once into arrays

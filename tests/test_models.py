@@ -1,11 +1,13 @@
 import copy
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevcd import numerics
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import (ImageDescriptor, PlantedPriorComposer,
@@ -134,6 +136,9 @@ def test_sequence_forward_equals_step_forward_bitwise(dims, layers, tokens, data
             for is_visual, t in tokens]
     seq = m.forward_sequence(embs, n_layers)
     assert seq.shape == (len(embs), d_model)
+    # a small block takes these prefixes across several causal blocks
+    with mock.patch.object(numerics, "CAUSAL_BLOCK", 5):
+        assert m.forward_sequence(embs, n_layers).tobytes() == seq.tobytes()
     for i, step in enumerate(step_hiddens(m, embs, visual, n_layers)):
         assert np.array_equal(seq[i], step)
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevcd.numerics import (COLUMN_LOOP_RATIO, NEG_INF, causal_softmax,
-                                causal_weighted_sum, matvec, stable_softmax,
-                                weighted_sum_rows)
+from sparsevcd import numerics
+from sparsevcd.numerics import (CAUSAL_BLOCK, COLUMN_LOOP_RATIO, NEG_INF,
+                                causal_attention, causal_weighted_sum, matvec,
+                                stable_softmax, weighted_sum_rows)
 
 # expected values frozen from an mpmath (50-digit) softmax evaluation
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -207,45 +208,64 @@ def test_matvec_row_block_is_per_row_matvec_bitwise(rows, cols, out, seed):
         assert bitwise_equal(got[i], matvec(m, xs[i]))
 
 
-@given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def qkv_rows(rng, n, d, e):
+    """Queries, keys and values whose scores span several orders of magnitude."""
+    q = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 2, size=(n, 1))
+    return q, rng.normal(size=(n, d)) * 3.0, rng.normal(size=(n, e))
+
+
+@given(st.integers(1, 150), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_causal_kernels_are_per_prefix_calls_bitwise(n, cols, seed):
+def test_causal_kernels_are_per_prefix_calls_bitwise(n, d, e, seed):
     rng = np.random.default_rng(seed)
-    scores = rng.normal(size=(n, n)) * 30.0
-    values = rng.normal(size=(n, cols))
-    weights = causal_softmax(scores)
-    ctx = causal_weighted_sum(weights, values)
+    q, k, v = qkv_rows(rng, n, d, e)
+    scale = np.sqrt(d)
+    ctx = causal_attention(q, k, v, scale)
+    assert ctx.shape == (n, e)
     for i in range(n):
-        assert bitwise_equal(weights[i, : i + 1], stable_softmax(scores[i, : i + 1]))
-        assert bitwise_equal(ctx[i], weighted_sum_rows(weights[i, : i + 1], values[: i + 1]))
-    assert np.all(weights[np.triu_indices(n, 1)] == 0.0)
+        row = stable_softmax(matvec(k[: i + 1], q[i]) / scale)
+        assert bitwise_equal(ctx[i], weighted_sum_rows(row, v[: i + 1]))
 
 
 def test_causal_rows_reduce_only_over_the_prefix():
     rng = np.random.default_rng(3)
-    n = 9
-    scores = rng.normal(size=(n, n))
-    weights = rng.uniform(size=(n, n))
-    values = rng.normal(size=(n, 4))
-    noisy_scores, noisy_weights = scores.copy(), weights.copy()
-    upper = np.triu_indices(n, 1)
-    noisy_scores[upper] = np.inf
-    noisy_weights[upper] = 1e300
-    for i in range(n):
-        later_values = values.copy()
-        later_values[i + 1:] = rng.normal(size=(n - i - 1, 4)) * 1e6
-        assert bitwise_equal(causal_weighted_sum(weights, later_values)[i],
-                             causal_weighted_sum(weights, values)[i])
-    assert bitwise_equal(causal_softmax(noisy_scores), causal_softmax(scores))
+    n = 2 * CAUSAL_BLOCK + 9
+    q, k, v = qkv_rows(rng, n, 4, 3)
+    clean = causal_attention(q, k, v, 2.0)
+    for i in (0, 5, CAUSAL_BLOCK - 1, CAUSAL_BLOCK, CAUSAL_BLOCK + 1, n - 2):
+        # inf keys would make the later rows' own softmax raise
+        noise = rng.normal(size=(n - i - 1, 1)) * 1e6
+        for later_v in (noise, np.inf):
+            k2, v2 = k.copy(), v.copy()
+            k2[i + 1:] = noise
+            v2[i + 1:] = later_v
+            # rows after i may turn inf or nan; rows up to i must not notice
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = causal_attention(q, k2, v2, 2.0)
+            assert bitwise_equal(got[: i + 1], clean[: i + 1])
+    weights = rng.uniform(size=(9, 9))
+    noisy_weights = weights.copy()
+    noisy_weights[np.triu_indices(9, 1)] = 1e300
+    values = rng.normal(size=(9, 4))
     assert bitwise_equal(causal_weighted_sum(noisy_weights, values),
                          causal_weighted_sum(np.tril(weights), values))
+
+
+@pytest.mark.parametrize("n", [1, 2, CAUSAL_BLOCK, CAUSAL_BLOCK + 1, 2 * CAUSAL_BLOCK + 3])
+def test_causal_attention_does_not_depend_on_the_block_size(n, monkeypatch):
+    q, k, v = qkv_rows(np.random.default_rng(n), n, 8, 8)
+    outs = []
+    for block in (1, 2, 3, 64, n + 5):
+        monkeypatch.setattr(numerics, "CAUSAL_BLOCK", block)
+        outs.append(causal_attention(q, k, v, np.sqrt(8)).tobytes())
+    assert outs == [outs[0]] * len(outs)
 
 
 def test_row_batched_kernels_edge_shapes():
     assert bitwise_equal(matvec([[2.0, 3.0]], [[1.0, 1.0]]), [[5.0]])
     assert bitwise_equal(matvec(np.ones((3, 0)), np.ones((2, 0))), np.zeros((2, 3)))
     assert matvec(np.ones((3, 2)), np.ones((0, 2))).shape == (0, 3)
-    assert bitwise_equal(causal_softmax([[-5.0]]), [[1.0]])
+    assert bitwise_equal(causal_attention([[-5.0]], [[3.0]], [[2.0, 3.0]], 2.0), [[2.0, 3.0]])
     assert bitwise_equal(causal_weighted_sum([[1.0]], [[2.0, 3.0]]), [[2.0, 3.0]])
 
 
@@ -255,11 +275,13 @@ def test_row_batched_kernels_reject_bad_shapes():
     with pytest.raises(ValueError):
         matvec(np.ones(4), np.ones((2, 4)))
     with pytest.raises(ValueError):
-        causal_softmax(np.ones((2, 3)))
+        causal_attention(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 3)), 1.0)
     with pytest.raises(ValueError):
-        causal_softmax([[NEG_INF]])
-    with pytest.raises(ValueError):
-        causal_softmax(np.ones((0, 0)))
+        causal_attention(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 3)), 1.0)
+    with pytest.raises(ValueError, match="empty support"):
+        causal_attention([[NEG_INF]], [[1.0]], [[1.0]], 1.0)
+    with pytest.raises(ValueError, match="empty support"):
+        causal_attention(np.ones((0, 2)), np.ones((0, 2)), np.ones((0, 2)), 1.0)
     with pytest.raises(ValueError):
         causal_weighted_sum(np.ones((2, 3)), np.ones((2, 2)))
     with pytest.raises(ValueError):

@@ -3,11 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsevcd import oracle
 from sparsevcd.models import ImageDescriptor, build_toy_transformer
 from sparsevcd.oracle import (brute_force_mask, reference_clustering,
-                              reference_full_decode)
+                              reference_full_decode, reference_hidden_states)
 
 
 def test_bruteforce_two_tokens_hand_enumeration():
@@ -88,3 +90,18 @@ def test_oracle_imports_no_engine_module():
             imported.add(node.module)
             imported.update(f"{node.module}.{a.name}" for a in node.names)
     assert not {f"sparsevcd.{m}" for m in engine} & imported
+
+
+@given(st.sampled_from([(4, 1), (8, 2), (12, 3), (16, 2)]), st.integers(1, 3),
+       st.integers(1, 150), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_sequence_forward_rows_are_oracle_hidden_states_bitwise(dims, layers, n, seed):
+    d_model, heads = dims
+    model = build_toy_transformer(seed % 1000, d_model=d_model, layers=layers,
+                                  heads=heads, vocab=64)
+    rng = np.random.default_rng(seed)
+    embs = [model.visual_base_embedding(int(t)) if is_visual else model.embed_text([int(t)])[0]
+            for is_visual, t in zip(rng.random(n) < 0.4, rng.integers(0, 64, n))]
+    want = reference_hidden_states(model, embs)
+    assert want.shape == (n, d_model)
+    assert model.forward_sequence(embs).tobytes() == want.tobytes()
