@@ -77,20 +77,14 @@ class SupportView:
     def size(self) -> int:
         return self.keys.shape[-2]
 
-    @property
-    def head_ids(self) -> range:
-        h = self.heads
-        return range(h, h + 1) if isinstance(h, int) else range(h.start, h.stop)
-
 
 @dataclass
 class Attention:
-    """One layer's attention: context per head, and per head the attention
-    row and the raw scaled scores over that head's support."""
+    """One layer's attention: context per head, and per head group its
+    support and the attention rows folded into the accumulators."""
 
     context: np.ndarray        # (H, dim)
-    rows: list[np.ndarray]
-    scores: list[np.ndarray]
+    rows: list[np.ndarray]     # per group (G, size), or (size,) for a lone head
     supports: list[SupportView]
 
 
@@ -342,13 +336,14 @@ class KvCache:
         ``beta > 0`` applies sinking-attention calibration to the scores
         (penalty weights: the softmax of the support's ``c``). Every
         attention row is folded into the accumulators; pruned tokens
-        contribute nothing. Raises on an empty support.
+        contribute nothing. Returns one row entry per head group, aligned
+        with the supports. Raises on an empty support.
         """
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.heads, self.dim):
             raise ValueError(f"attend: query block {q.shape} != ({self.heads}, {self.dim})")
         context = np.empty((self.heads, self.dim))
-        rows, scores, supports = [], [], []
+        rows, supports = [], []
         query_row = self.rows(layer) - 1
         for heads in self.head_groups(layer):
             sup = self.support(layer, heads)
@@ -359,14 +354,9 @@ class KvCache:
             row = stable_softmax(cal)
             context[heads] = weighted_sum_rows(row, sup.values)
             self.record_attention(layer, heads, row, s, sup, query_row)
-            if row.ndim == 1:
-                rows.append(row)
-                scores.append(s)
-            else:
-                rows.extend(row)
-                scores.extend(s)
+            rows.append(row)
             supports.append(sup)
-        return Attention(context, rows, scores, supports)
+        return Attention(context, rows, supports)
 
     # ----------------------------------------------------------- accumulators
 

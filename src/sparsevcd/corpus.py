@@ -203,13 +203,21 @@ def load_corpus(path: str | Path) -> Corpus:
                 continue
             image = rec["image"]
             question = rec.get("question")
+            label = rec.get("label")
+            if not isinstance(rec["id"], str):
+                raise TypeError(f"id must be a string, got {rec['id']!r}")
+            if label not in ("yes", "no", None):
+                raise ValueError(f'label must be "yes", "no" or null, got {label!r}')
+            finding_ids = _ints(image["finding_ids"], "finding_ids")
+            if any(f < 0 for f in finding_ids):
+                raise ValueError(f"finding ids must be non-negative, got {finding_ids}")
             examples.append(CorpusExample(
                 id=rec["id"],
-                image=ImageDescriptor(tuple(_ints(image["finding_ids"], "finding_ids")),
+                image=ImageDescriptor(tuple(finding_ids),
                                       _int(image["tokens_per_finding"], "tokens_per_finding")),
                 report=_ints(rec["report"], "report"),
                 question=None if question is None else _ints(question, "question"),
-                label=rec.get("label"),
+                label=label,
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{p}:{lineno}: malformed {kind} record: {exc}") from exc

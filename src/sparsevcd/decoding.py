@@ -105,17 +105,6 @@ def contrastive_logits(model: ModelInterface, prompt_block, visual_embeddings,
 
 
 @dataclass
-class FusedStep:
-    """Full per-step fusion record (diagnostic ``full`` mode only)."""
-
-    logit_theta: np.ndarray
-    logit_phi: np.ndarray | None
-    plausible: np.ndarray
-    fused: np.ndarray
-    chosen: int
-
-
-@dataclass
 class StepDiagnostics:
     step: int
     chosen: int
@@ -129,11 +118,11 @@ class StepDiagnostics:
     logit_theta_argmax: int
     fused_argmax: int
     step_seconds: float
-    detail: FusedStep | None = None
+    logit_theta: np.ndarray    # the primary-branch logits the step scored
 
     def as_record(self) -> dict:
         """The step as the diagnostics files write it: every field but the
-        argmaxes, the timing and the full-mode detail."""
+        argmaxes, the timing and the logits."""
         return {k: getattr(self, k) for k in (
             "step", "chosen", "is_eos", "p_theta_chosen", "p_theta_max",
             "plausible_size", "attn_error_mean", "cache_rows", "retained_raw")}
@@ -194,7 +183,9 @@ class EngineAttention:
 
     A forward calls ``attend`` once per layer in layer order, so the layer-0
     call opens the forward's diagnostics: ``errors`` restarts, and with
-    ``keep_records`` a new ``forward_records`` entry begins. In logical mode
+    ``keep_records`` a new ``forward_records`` entry begins, the forward's
+    only full record: its plans, and per layer and head the attention row
+    the cache accumulated, with the support's visual flags. In logical mode
     the merge's distances come from one ``_DistanceTable`` per layer (per
     layer and head with per-head masks).
     """
@@ -249,14 +240,13 @@ class EngineAttention:
         att = cache.attend(layer, q, beta=cfg.beta if cfg.sac_enabled else 0.0)
         if self.keep_records:
             vis_full = cache.visual_flags(layer)
-            for sup in att.supports:
+            for sup, rows in zip(att.supports, att.rows):
                 vis = np.concatenate([vis_full[sup.raw_idx],
                                       sup.records.visual_weight > 0.5])
-                for h in sup.head_ids:
-                    self.forward_records[-1]["rows"].append({
-                        "layer": layer, "head": h,
-                        "row": att.rows[h].copy(), "visual": vis,
-                    })
+                heads = np.arange(cache.heads)[sup.heads].reshape(-1).tolist()
+                for h, row in zip(heads, np.atleast_2d(rows)):
+                    self.forward_records[-1]["rows"].append(
+                        {"layer": layer, "head": h, "row": row, "visual": vis})
         if planned and cfg.mode == "compacted":
             cache.compact()
         return att
@@ -364,8 +354,8 @@ class EngineAttention:
                                     np.concatenate(assignment.weights), merged)
 
 
-def _validate(model: ModelInterface, prompt_ids, scfg: SparsifyConfig,
-              dcfg: DecodeConfig) -> None:
+def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,
+              scfg: SparsifyConfig, dcfg: DecodeConfig) -> None:
     scfg.validate()
     dcfg.validate()
     if not prompt_ids:
@@ -378,6 +368,9 @@ def _validate(model: ModelInterface, prompt_ids, scfg: SparsifyConfig,
     for t in prompt_ids:
         if not 0 <= int(t) < model.vocab:
             raise ConfigError(f"prompt token {t} outside the model vocabulary")
+    for f in image.finding_ids:
+        if not 0 <= int(f) < model.vocab:
+            raise ConfigError(f"image finding id {f} outside the model vocabulary")
 
 
 def _log_softmax(fused: np.ndarray) -> np.ndarray:
@@ -394,15 +387,16 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
            diag_level: str = "summary") -> DecodeResult:
     """Run one decode session; see the module docstring for the per-step flow.
 
-    ``diag_level``: "summary" records per-token scalars, "full" additionally
-    keeps masks, logits and fusion vectors.
+    ``diag_level``: "summary" records per-token scalars and logits, "full"
+    additionally keeps every forward's plans and attention rows
+    (``forward_records``).
     """
     scfg = sparsify if sparsify is not None else SparsifyConfig()
     dcfg = config if config is not None else DecodeConfig()
     prompt_ids = [int(t) for t in prompt_ids]
     if diag_level not in ("summary", "full"):
         raise ConfigError(f"diag_level must be 'summary' or 'full', got {diag_level!r}")
-    _validate(model, prompt_ids, scfg, dcfg)
+    _validate(model, image, prompt_ids, scfg, dcfg)
     t0 = time.perf_counter()
 
     cache = model.new_cache(mode=scfg.mode,
@@ -471,8 +465,7 @@ def _search(model, controller, hidden, vis_block, prompt_block, dcfg) -> DecodeR
                                                pooling=dcfg.pooling)
             fused = fuse(logit_theta, logit_phi, dcfg.alpha, plaus)
             top = int(np.argmax(fused))
-            scored = (logit_theta, p_theta, plaus, logit_phi, fused, top,
-                      time.perf_counter() - t0)
+            scored = (logit_theta, p_theta, plaus, top, time.perf_counter() - t0)
             if width == 1:
                 candidates.append((beam.score, bi, top, scored))
                 continue
@@ -500,7 +493,7 @@ def _search(model, controller, hidden, vis_block, prompt_block, dcfg) -> DecodeR
                 new_beams.append(parent)
                 continue
             # built once per kept candidate, from its parent's scoring and state
-            logit_theta, p_theta, plaus, logit_phi, fused, top, seconds = scored
+            logit_theta, p_theta, plaus, top, seconds = scored
             ctl = parent.controller
             diag = StepDiagnostics(
                 step=step, chosen=token, is_eos=token == dcfg.eos_id,
@@ -513,8 +506,7 @@ def _search(model, controller, hidden, vis_block, prompt_block, dcfg) -> DecodeR
                 logit_theta_argmax=int(np.argmax(logit_theta)),
                 fused_argmax=top,
                 step_seconds=seconds,
-                detail=(FusedStep(logit_theta, logit_phi, plaus, fused, token)
-                        if ctl.keep_records else None),
+                logit_theta=logit_theta,
             )
             if last_child.get(bi, i) == i:
                 child = parent

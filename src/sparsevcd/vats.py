@@ -159,18 +159,17 @@ def pairwise_distances(cols: np.ndarray, start: int = 0) -> np.ndarray:
 
 
 def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
-                   n_clusters: int | None = None,
                    precomputed: bool = False) -> ClusterAssignment:
     """k-nearest-neighbour density-peak clustering of the pruned tokens.
 
     Density is the reciprocal mean distance to the k nearest peers (plus a
     small epsilon); each point's separation is its distance to the nearest
     strictly-denser point (the global peak gets the maximum pairwise
-    distance). Centers are the top points by density * separation; the rest
-    inherit the cluster of their nearest denser point (a densest point that
-    is not a center joins its nearest center). All ties break on the lower
-    index. Each cluster's merge weights are the softmax of its members'
-    saliency.
+    distance). Centers are the top ``ceil(rho_merge * n)`` points (at least
+    one) by density * separation; the rest inherit the cluster of their
+    nearest denser point (a densest point that is not a center joins its
+    nearest center). All ties break on the lower index. Each cluster's merge
+    weights are the softmax of its members' saliency.
 
     ``keys`` is an ``(n, features)`` array, or with ``precomputed`` the
     ``(n, n)`` matrix of its ``pairwise_distances``.
@@ -207,9 +206,7 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     peak = rank_order[0]
     sep[peak] = dist.max()
 
-    if n_clusters is None:
-        n_clusters = max(1, int(np.ceil(rho_merge * n)))
-    n_clusters = min(n_clusters, n)
+    n_clusters = min(max(1, int(np.ceil(rho_merge * n))), n)
     gamma = rho * sep
     center_order = np.lexsort((np.arange(n), -gamma))
     centers = np.sort(center_order[:n_clusters])

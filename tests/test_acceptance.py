@@ -165,7 +165,7 @@ def test_c06_clustering_conformance():
             deltas = rng.random(n)
             k = int(rng.integers(1, 8))
             n_clusters = max(1, int(np.ceil(0.25 * n)))
-            engine = cluster_pruned(pts, deltas, k, n_clusters=n_clusters)
+            engine = cluster_pruned(pts, deltas, k, rho_merge=0.25)
             ref_labels, ref_centers = reference_clustering(pts, k, n_clusters)
             assert list(engine.labels) == list(ref_labels), f"trial {trial}"
             assert list(engine.centers) == list(ref_centers)

@@ -46,8 +46,9 @@ def singleton_record(cache, layer, member):
 def attend_head0(cache, q):
     """Head 0's attention row and raw scaled scores, from the per-layer
     attention path of a one-head cache."""
-    att = cache.attend(0, np.reshape(q, (1, -1)))
-    return att.rows[0], att.scores[0]
+    q = np.reshape(q, (1, -1))
+    att = cache.attend(0, q)
+    return att.rows[0], matvec(att.supports[0].keys, q[0]) / cache.sqrt_dim
 
 
 def pruned_error(cache, q):
@@ -258,7 +259,7 @@ def test_accumulator_column_sums_match_replay():
         for h in range(2):
             replay = np.zeros(cache.rows(ell))
             for rows in recorded:
-                row = rows[ell][h]
+                row = rows[ell][0][h]  # one group: no masks are installed
                 replay[: row.shape[0]] += row
             assert np.array_equal(replay, cache.c_view(ell, h))
 

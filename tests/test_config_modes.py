@@ -213,6 +213,7 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     ["--set", "decode.alpha=NaN", "--image", "4"],
     ["--set", "sparsify.beta=NaN", "--image", "4"],
     ["--set", "decode.alpha=Infinity", "--image", "4"],
+    ["--set", "model.vocab=8", "--example-index", "0"],  # corpus image id 8
 ])
 def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

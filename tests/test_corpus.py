@@ -74,6 +74,7 @@ def test_roundtrip(tmp_path):
         assert a.image.finding_ids == b.image.finding_ids
         assert a.report == b.report
         assert a.question == b.question
+        assert a.label == b.label
 
 
 def test_load_errors(tmp_path):
@@ -89,17 +90,23 @@ def test_load_errors(tmp_path):
     with pytest.raises(CorpusError, match="meta"):
         load_corpus(no_meta)
     # each of these exited 3 with a stray AttributeError, TypeError, KeyError
-    # or ValueError, raised while loading, decoding or scoring
+    # or ValueError, raised while loading, decoding or scoring; the last three
+    # loaded silently (a label of 5 then scored accuracy 0.0, an image id of
+    # -3 exited 3 in decoding)
     meta = '{"type":"meta","finding_ids":[4,5]}\n'
     example = ('{"type":"example","id":"x","image":{"finding_ids":%s,'
                '"tokens_per_finding":%s},"report":[4],"question":%s}\n')
+    valid = example % ("[4]", "1", "null")
     for text in [meta + "[1]\n",
                  meta + example % ("[4]", "1", "5"),
                  meta + example % ('["a"]', "1", "null"),
                  meta + example % ("[4]", "1.5", "null"),
                  '{"type":"meta"}\n' + example % ("[4]", "1", "null"),
                  '{"type":"meta","finding_ids":[4],"yes_id":"yes"}\n'
-                 + example % ("[4]", "1", "null")]:
+                 + example % ("[4]", "1", "null"),
+                 meta + valid.replace("}\n", ',"label":5}\n'),
+                 meta + valid.replace('"id":"x"', '"id":[1]'),
+                 meta + example % ("[-3]", "1", "null")]:
         bad.write_text(text)
         with pytest.raises(CorpusError):
             load_corpus(bad)

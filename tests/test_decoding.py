@@ -379,7 +379,7 @@ def pinned_session(overrides):
     scfg = SparsifyConfig(l_min=8, **overrides)
     dcfg = DecodeConfig(max_len=12, seed=7, eos_id=-1)
     res = decode(m, img, prompt, scfg, dcfg, diag_level="full")
-    theta = b"".join(d.detail.logit_theta.tobytes() for d in res.diagnostics)
+    theta = b"".join(d.logit_theta.tobytes() for d in res.diagnostics)
     return res.tokens, hashlib.sha256(theta).hexdigest()
 
 
@@ -553,7 +553,7 @@ def test_beam_width_one_equals_greedy_in_both_cache_modes(draw, mode, stop_layer
 
 def diagnostic_fields(res):
     """Every ``StepDiagnostics`` field but the timing, step by step."""
-    return [{f.name: getattr(d, f.name) for f in dataclasses.fields(d)
+    return [{f.name: canonical(getattr(d, f.name)) for f in dataclasses.fields(d)
              if f.name != "step_seconds"} for d in res.diagnostics]
 
 
@@ -584,8 +584,8 @@ def test_beam_width_one_keeps_greedys_full_diagnostics(cache_mode):
     greedy = full_session(cache_mode)
     beam1 = full_session(cache_mode, mode="beam", beam_size=1)
     assert greedy.tokens == beam1.tokens
-    assert [d.detail.logit_theta.tobytes() for d in greedy.diagnostics] == \
-        [d.detail.logit_theta.tobytes() for d in beam1.diagnostics]
+    assert [d.logit_theta.tobytes() for d in greedy.diagnostics] == \
+        [d.logit_theta.tobytes() for d in beam1.diagnostics]
     assert greedy.forward_records
     assert canonical(greedy.forward_records) == canonical(beam1.forward_records)
 
@@ -602,7 +602,6 @@ def test_beam_winner_keeps_its_full_diagnostics(cache_mode, eos_id):
     # the prefill, then one forward per token on the winner's path (an EOS
     # ends the path without a forward)
     assert len(res.forward_records) == res.prefill_len + len(res.tokens)
-    assert [d.detail.chosen for d in res.diagnostics] == [d.chosen for d in res.diagnostics]
     assert [d.chosen for d in res.diagnostics if not d.is_eos] == res.tokens
 
 
@@ -616,7 +615,7 @@ def test_logical_equals_compacted_when_nothing_is_pruned(draw):
             for mode in ("logical", "compacted")]
     assert runs[0].tokens == runs[1].tokens
     for a, b in zip(runs[0].diagnostics, runs[1].diagnostics, strict=True):
-        assert np.array_equal(a.detail.logit_theta, b.detail.logit_theta)
+        assert np.array_equal(a.logit_theta, b.logit_theta)
 
 
 @settings(max_examples=12, deadline=None)
@@ -635,7 +634,7 @@ def test_logits_finite_and_attention_and_merge_weights_normalised(draw, mode):
     with mock.patch("sparsevcd.decoding.cluster_pruned", spy):
         res = decode(m, img, prompt, scfg, dcfg, diag_level="full")
     for d in res.diagnostics:
-        assert np.all(np.isfinite(d.detail.logit_theta))
+        assert np.all(np.isfinite(d.logit_theta))
     rows = [snap["row"] for rec in res.forward_records for snap in rec["rows"]]
     assert rows
     for row in rows:

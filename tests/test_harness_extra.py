@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -197,3 +198,39 @@ def test_decode_diagnostics_file_shares_the_run_step_record(corpus_path, tmp_pat
     keys = list(run_steps[0])
     assert "is_eos" in keys
     assert all(list(step) == keys for step in summary["steps"] + run_steps)
+
+
+# The full-diagnostics outputs of ``attn-stats`` and ``decode --full-diag``,
+# pinned by sha256 with a shared mask and with per-head masks (greedy, then
+# width-3 beam): these read every attention row the engine records.
+FULL_DIAG_ARGS = ["--set", "sparsify.l_min=4", "--set", "sparsify.sparsity_rate=0.5"]
+PER_HEAD = ["--set", "sparsify.per_head_mask=true"]
+FULL_DIAG_PINS = [
+    ("attn-stats", [], {
+        "sorted_scores.csv": "c90fa2c7a50f149e8d8875269f371667147d73ea055d2ea8cd1f70382dec45de",
+        "attention_density.csv":
+            "688a6bc70bcf4a4b7cf91503878caa9bd895c2f5fc73f7d327996e609bce7e03"}),
+    ("attn-stats", PER_HEAD, {
+        "sorted_scores.csv": "ff7f554848c93f64e7e57fac7a48717b5cd8c590213c4619784894a6cfc4fa7e",
+        "attention_density.csv":
+            "1882217784ea3c63d87099aad34a5acca56ee83c6d9ad87c3d15b1b6db39804c"}),
+    ("decode", [], {
+        "diag.json": "5fd3d76d509b022d6a158e7bd6d95dd79997c530cdf82cf96c2e500d12ab20c4"}),
+    ("decode", PER_HEAD + ["--set", "decode.mode=beam", "--set", "decode.beam_size=3"], {
+        "diag.json": "2ca2b8c0c5846f041f4cb7b776ac3b90377d52f23440f0fa72fcd2a684bf401f"}),
+]
+
+
+def test_full_diagnostics_outputs_match_pins(tmp_path):
+    for i, (command, extra, pins) in enumerate(FULL_DIAG_PINS):
+        out = tmp_path / str(i)
+        out.mkdir()
+        if command == "attn-stats":
+            argv = ["attn-stats", "--out-dir", str(out)]
+        else:
+            argv = ["decode", "--image", "4,5,6", "--prompt", "1,7,9,11", "--full-diag",
+                    "--diagnostics", str(out / "diag.json")]
+        assert main(argv + FULL_DIAG_ARGS + extra) == 0
+        for name, digest in pins.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
+                (command, extra, name)

@@ -63,7 +63,7 @@ def forward_with_rows(model, cache, emb):
 
     def attend(layer, q):
         att = cache.attend(layer, q)
-        rows.append(att.rows)
+        rows.append([row for group in att.rows for row in np.atleast_2d(group)])
         return att
 
     return model.forward_step(cache, emb, attend=attend), rows

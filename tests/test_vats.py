@@ -167,7 +167,7 @@ def test_cluster_single_point():
 
 def test_cluster_duplicate_pairs_split():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
-    out = cluster_pruned(pts, np.zeros(4), k=3, n_clusters=2)
+    out = cluster_pruned(pts, np.zeros(4), k=3, rho_merge=0.5)
     assert out.labels[0] == out.labels[1]
     assert out.labels[2] == out.labels[3]
     assert out.labels[0] != out.labels[2]
@@ -179,7 +179,7 @@ def test_cluster_matches_reference_on_planted_blobs():
     b = rng.normal(size=(4, 3)) * 0.1 + 8.0
     pts = np.vstack([a, b])
     deltas = rng.random(8)
-    engine = cluster_pruned(pts, deltas, k=3, n_clusters=2)
+    engine = cluster_pruned(pts, deltas, k=3)
     ref_labels, ref_centers = reference_clustering(pts, 3, 2)
     assert list(engine.labels) == list(ref_labels)
     assert list(engine.centers) == list(ref_centers)
@@ -223,7 +223,7 @@ def test_merge_identical_members():
 
 def test_merge_equal_saliency_averages():
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = cluster_pruned(pts, np.array([0.5, 0.5]), k=1, n_clusters=1)
+    out = cluster_pruned(pts, np.array([0.5, 0.5]), k=1)
     agg_k, = merge_clusters(out, pts)
     assert np.allclose(agg_k, [0.5, 0.5], atol=1e-12)
 
