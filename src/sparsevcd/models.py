@@ -24,7 +24,7 @@ import numpy as np
 from sparsevcd.cache import KvCache
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
-from sparsevcd.numerics import causal_attention, matvec
+from sparsevcd.numerics import _ordered_sum, causal_attention, matvec
 from sparsevcd.rng import SplitMix64, combine
 
 RMS_EPS = 1e-12
@@ -104,7 +104,7 @@ class ModelInterface(abc.ABC):
             return embs[-1]
         if mode == "mean":
             stack = np.asarray(embs)
-            return np.add.accumulate(stack, axis=0)[-1] / float(len(embs))
+            return _ordered_sum(-2, stack.size, stack) / float(len(embs))
         raise ConfigError(f"unknown pooling mode {mode!r}")
 
     def new_cache(self, mode: str = "logical", accumulate_raw_scores: bool = False) -> KvCache:
@@ -162,6 +162,11 @@ class ToyTransformer(ModelInterface):
         self.w_qkv = [np.vstack(self.w_q[ell] + self.w_k[ell] + self.w_v[ell])
                       for ell in range(layers)]
         self.w_o_heads = [np.stack(self.w_o[ell]) for ell in range(layers)]
+        # the feed-forward and unembedding products reach numerics' einsum
+        # size; stored rows-fastest, they need no copy to be summed in order
+        self.w_ff1 = [np.asfortranarray(w) for w in self.w_ff1]
+        self.w_ff2 = [np.asfortranarray(w) for w in self.w_ff2]
+        self.unembedding = np.asfortranarray(self.unembedding)
 
     def embed_text(self, token_ids) -> np.ndarray:
         out = np.empty((len(token_ids), self.d_model))
@@ -331,7 +336,7 @@ class PlantedPriorComposer(ModelInterface):
         if len(embs) == 0:
             raise ValueError("cannot pool an empty embedding sequence")
         stack = np.asarray(embs)
-        return np.add.accumulate(stack, axis=0)[-1]
+        return _ordered_sum(-2, stack.size, stack)
 
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
                      visual: bool = False) -> np.ndarray:

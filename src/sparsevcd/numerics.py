@@ -1,9 +1,11 @@
 """Deterministic dense linear-algebra and probability primitives.
 
-All arithmetic is float64. Reductions use strict left-to-right accumulation
-(``np.add.accumulate`` is a sequential loop, unlike BLAS/pairwise ``np.dot``),
-so identical inputs reproduce identical bits. ``-inf`` is the only legal
-sentinel for masked logits; NaN anywhere is a bug.
+All arithmetic is float64. Every sum adds its terms one at a time in a
+fixed order, each product rounded before it is added, so identical inputs
+reproduce identical bits (BLAS, ``np.dot`` and ``np.add.reduce`` split sums
+into pairwise or SIMD partial sums, and may fuse a multiply into the add).
+``-inf`` is the only legal sentinel for masked logits; NaN anywhere is a
+bug.
 
 The head-axis kernels are ``matvec``, ``weighted_sum_rows`` and
 ``stable_softmax`` given a head block: a leading axis of ``G`` heads, each
@@ -28,44 +30,66 @@ with ``-inf`` above the diagonal of the block's last ``b - a`` columns. A
 row's finite scores are the same dot products, ``exp`` of the ``-inf``
 entries is exactly 0, and trailing exact zeros leave a left-to-right
 positive sum unchanged, so no row depends on the block size. The weights go
-to ``causal_weighted_sum``, which loops over the causal suffix in Python
-instead of building a three-axis product (row ``i`` adds only the terms
-``j <= i``, top to bottom).
+to ``causal_weighted_sum``, which runs the same query blocks: block
+``[a, b)`` is one sum of ``b`` terms per row, row ``i`` reading only the
+weights and values ``0..i`` (its docstring says how).
 
-Smaller blocks pay more Python per block, larger ones score more of the
-upper triangle. Measured on a 2-vCPU VM (Python 3.11, numpy 2.4), per
-``causal_attention`` call on one head of 8 features (the toy transformer's)
-at n = 272 (the longest prefix of the ``contrastive-deep-256`` bench),
-weighted sum included: 8-row blocks took 4.0-4.6 ms, 16 rows 3.3-3.8 ms,
-32 to 64 rows 3.1-3.4 ms, 128 rows 3.8-4.0 ms and one block of all 272
-rows, which scores the whole square, 4.9-5.0 ms; at n = 100, 64-row blocks
-took 655 us and 16-row blocks 780 us. ``CAUSAL_BLOCK = 64`` sits in the
-flat minimum.
+The long sums. ``matvec``, ``weighted_sum_rows``, ``causal_weighted_sum``
+and the models' pooling all sum through ``_ordered_sum``. A sum of fewer
+than ``EINSUM_MIN_TERMS`` terms (counted over the whole call) is
+``np.add.accumulate`` along the summed axis, a sequential loop by
+definition. A longer one is one ``np.einsum(..., optimize=False)``. On
+numpy 2.4 that adds each output element's terms in order, with a separate
+multiply and add, when two conditions hold:
 
-``matvec`` picks its kernel by shape, with the same bits either way. Below
-``COLUMN_LOOP_RATIO`` rows per column (rows counted over all heads of a
-block, or ``b * n`` for a row block) it reduces ``m * v`` with
-``np.add.accumulate`` along each row. From there up it runs a Python loop
-over the columns (``out += m[..., k] * v[..., k]``), which adds the same
-products in the same order; a row block's matrix is first laid out
-column-major, so each column the loop reads is contiguous. The loop pays
-a fixed cost per column and the ``accumulate`` a larger cost per element,
-so long blocks go to the loop. Measured on a 2-vCPU VM (Python 3.11, numpy
-2.4), per call, on column-major head blocks (the cache's layout): at 2
-heads of 8 columns, 64 rows take 15 us with ``accumulate`` and 18 us with
-the loop, 256 rows 43 us and 26 us, 512 rows 85 us and 37 us; one head of
-40 columns (the composer) crosses at about 400 rows. A ratio of 16 sends
-the toy transformer's attention from 64 rows per head (2 heads) to the
-loop and keeps its weight matrices and the composer's attention, at most
-14 rows, on ``accumulate``.
+* the summed axis is not the innermost axis in memory. numpy's iterator
+  then runs its inner loop along the output's last axis, adding one term to
+  each of its elements per pass. With the summed axis innermost, einsum
+  splits it into SIMD partial sums.
+* the output's last axis has at least 2 elements. With one, the summed
+  axis is innermost again.
+
+``_ordered_sum`` checks both on the factors' strides, and copies a factor
+whose output axis does not run faster than its summed axis. The einsum
+starts each element at ``+0.0`` where the sequential sum starts at its
+first term. The two differ only when every term is ``-0.0``: the einsum
+returns ``+0.0`` there. So a result with any exact zero is recomputed by
+``accumulate``. ``tests/test_ordered_sums.py`` checks all four kernels
+against the sequential sums bit for bit, and under numpy's default, AVX2
+and baseline kernels (``NPY_DISABLE_CPU_FEATURES``).
+
+Measured on a 2-vCPU VM (Python 3.11, numpy 2.4.6), per call, with
+``accumulate`` against the einsum. On 2 heads of 8 features in the cache's
+layout, 32 rows (512 terms) took 12.3 us against 11.4 us, 64 rows 16.7 us
+against 11.6 us, and 512 rows 69.7 us against 12.6 us. One head of 40
+features (the composer) at 14 rows (560 terms) took 9.2 us against 9.6 us.
+Pooling 64 rows of 16 took 5.8 us against 7.8 us, and 256 rows 17.5 us
+against 7.8 us. ``EINSUM_MIN_TERMS = 1024`` keeps the composer's calls (at
+most 14 rows of 40) on ``accumulate``. It sends to the einsum the toy
+transformer's attention from 64 rows on (over both heads), its
+feed-forward and unembedding products, and the row blocks of
+``forward_sequence``.
+
+Smaller causal blocks pay more Python per block, larger ones score and sum
+more of the upper triangle. Measured on the same VM, per
+``causal_attention`` call on one head of 8 features (the toy
+transformer's) at n = 272 (the longest prefix of the
+``contrastive-deep-256`` bench), weighted sum included: 8-row blocks took
+1.98 ms, 16 rows 1.49 ms, 32 to 64 rows 1.08-1.13 ms, 96 and 128 rows
+1.22-1.25 ms, and one block of all 272 rows 3.0 ms. At n = 100, 64-row
+blocks took 253 us, 32 rows 281 us and 16 rows 346 us. ``CAUSAL_BLOCK =
+64`` sits in the flat minimum.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 NEG_INF = float("-inf")
-COLUMN_LOOP_RATIO = 16
+EINSUM_MIN_TERMS = 1024
 CAUSAL_BLOCK = 64
 
 
@@ -74,6 +98,49 @@ def as_matrix(x) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     return np.ascontiguousarray(m)
+
+
+def _ordered_sum(axis: int, n_terms: int, a: np.ndarray,
+                 b: np.ndarray | None = None) -> np.ndarray:
+    """Sum over ``axis`` (-1 or -2) of ``a``, or of ``a * b`` broadcast (both
+    of one ndim), ``n_terms`` products in all (the count only picks the
+    path): each output element adds its terms in index order, from the
+    first, each product rounded before it is added.
+
+    A sum of at least ``EINSUM_MIN_TERMS`` terms is one ``np.einsum``, with
+    each factor that varies along both the summed axis and the output's last
+    axis laid out so that the latter runs faster (copied if it does not), as
+    the module docstring explains. An output that is exactly zero may be a
+    sum of ``-0.0`` terms whose sign the einsum's ``+0.0`` start lost, so
+    any zero output sends the call to ``np.add.accumulate``, as every
+    shorter sum goes.
+    """
+    if n_terms >= EINSUM_MIN_TERMS:
+        fast = -2 if axis == -1 else -1
+        factors = [a] if b is None else [a, b]
+        compared = False
+        for i, f in enumerate(factors):
+            if f.shape[axis] > 1 and f.shape[fast] > 1:
+                if not 0 < abs(f.strides[fast]) < f.strides[axis]:
+                    factors[i] = (np.ascontiguousarray(f) if fast == -1 else
+                                  np.ascontiguousarray(f.swapaxes(-1, -2)).swapaxes(-1, -2))
+                compared = True
+        if compared:
+            out = np.einsum(_subscripts(a.ndim, axis, len(factors)), *factors,
+                            optimize=False)
+            if np.count_nonzero(out) == out.size:
+                return out
+    product = a if b is None else a * b
+    return np.add.accumulate(product, axis=axis)[_LAST[axis]]
+
+
+_LAST = {-1: (Ellipsis, -1), -2: (Ellipsis, -1, slice(None))}
+
+
+@functools.cache  # np.einsum parses a string it has seen before faster
+def _subscripts(nd: int, axis: int, n_factors: int) -> str:
+    labels = "abcd"[:nd]
+    return ",".join([labels] * n_factors) + "->" + labels.replace(labels[axis], "")
 
 
 def matvec(m, v) -> np.ndarray:
@@ -86,21 +153,17 @@ def matvec(m, v) -> np.ndarray:
     """
     m = np.asarray(m, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    size = m.size
     if not 2 <= m.ndim <= 3 or v.shape != m.shape[:-2] + m.shape[-1:]:
         if m.ndim != 2 or v.ndim != 2 or v.shape[1] != m.shape[1]:
             raise ValueError(f"matvec: shape mismatch {m.shape} vs {v.shape}")
-        size *= v.shape[0]  # a row block
-        m = np.asfortranarray(m)
-    k = m.shape[-1]
-    if size == 0:
-        return np.zeros((m * v[..., None, :]).shape[:-1])
-    if size < COLUMN_LOOP_RATIO * k * k:
-        return np.add.accumulate(m * v[..., None, :], axis=-1)[..., -1]
-    out = m[..., 0] * v[..., 0:1]
-    for j in range(1, k):
-        out += m[..., j] * v[..., j:j + 1]
-    return out
+        n_terms = m.size * v.shape[0]
+        m, v = m[None], v[:, None]  # a row block
+    else:
+        n_terms = m.size
+        v = v[..., None, :]
+    if m.shape[-1] == 0 or v.shape[0] == 0:
+        return np.zeros(np.broadcast_shapes(m.shape, v.shape)[:-1])
+    return _ordered_sum(-1, n_terms, m, v)
 
 
 def weighted_sum_rows(weights, m) -> np.ndarray:
@@ -115,7 +178,7 @@ def weighted_sum_rows(weights, m) -> np.ndarray:
         raise ValueError(f"weighted_sum_rows: {w.shape} weights for {m.shape} rows")
     if m.shape[-2] == 0:
         raise ValueError("weighted_sum_rows: empty matrix")
-    return np.add.accumulate(w[..., None] * m, axis=-2)[..., -1, :]
+    return _ordered_sum(-2, m.size, w[..., None], m)
 
 
 def stable_softmax(x) -> np.ndarray:
@@ -157,16 +220,39 @@ def causal_attention(q, k, v, scale) -> np.ndarray:
 
 def causal_weighted_sum(weights, m) -> np.ndarray:
     """Row ``i`` is ``weighted_sum_rows(weights[i, :i + 1], m[:i + 1])``:
-    only the terms ``j <= i`` are added, top to bottom."""
+    only the terms ``j <= i`` are added, top to bottom.
+
+    Rows go in blocks of ``CAUSAL_BLOCK``, each one ``_ordered_sum`` of ``b``
+    terms per row for the block ``[a, b)``: row ``i`` adds ``b - 1 - i``
+    terms ``0.0 * -0.0`` and then its own terms ``j = 0..i``. A sum that
+    starts with ``-0.0`` terms is the sum without them (``-0.0 + x == x``
+    for every ``x``). Both operands end at row ``i``'s last term, so no row
+    reads a weight or a value after its own: its weights are shifted right
+    by ``b - 1 - i`` in a zero-padded block, and its values are the last
+    ``b`` rows of a window ending at row ``i`` below ``-0.0`` padding rows.
+    """
     w = as_matrix(weights)
     m = as_matrix(m)
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"causal_weighted_sum: expected a square (n, n) block, got {w.shape}")
     if w.shape[0] != m.shape[0]:
         raise ValueError(f"causal_weighted_sum: {w.shape[0]} weight rows for {m.shape[0]} rows")
-    if m.shape[0] == 0:
+    n, f = m.shape
+    if n == 0:
         raise ValueError("causal_weighted_sum: empty matrix")
-    out = w[:, 0:1] * m[0]
-    for j in range(1, m.shape[0]):
-        out[j:] += w[j:, j:j + 1] * m[j]
+    # window i holds n - 1 - i rows of -0.0, then rows 0..i
+    windows = sliding_window_view(np.concatenate([np.full((n - 1, f), -0.0), m]), n, axis=0)
+    windows = windows.swapaxes(1, 2)
+    out = np.empty((n, f))
+    for a in range(0, n, CAUSAL_BLOCK):
+        b = min(a + CAUSAL_BLOCK, n)
+        rows = b - a
+        # weights of row a + r at columns rows - 1.. of a zero row of
+        # `width`; read with rows one longer, row r starts r columns later
+        width = b + rows - 1
+        shifted = np.zeros(rows * (width + 1))
+        shifted[: rows * width].reshape(rows, width)[:, rows - 1:] = w[a:b, :b]
+        shifted = shifted.reshape(rows, width + 1)[:, :b]
+        values = windows[a:b, n - b:]
+        out[a:b] = _ordered_sum(-2, values.size, shifted[:, :, None], values)
     return out

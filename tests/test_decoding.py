@@ -13,7 +13,7 @@ from sparsevcd.decoding import (EngineAttention, contrastive_logits, decode, fus
                                 mask_visual, plausible_set)
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, build_toy_transformer, model_from_config
-from sparsevcd.numerics import NEG_INF, stable_softmax
+from sparsevcd.numerics import NEG_INF, stable_softmax, weighted_sum_rows
 from sparsevcd.oracle import reference_full_decode
 from sparsevcd.rng import combine
 from sparsevcd.vats import cluster_pruned, pairwise_distances
@@ -347,6 +347,37 @@ def test_engine_attention_opens_one_record_per_forward():
         assert errors == controller.errors
         assert controller.mean_error() == (sum(errors) / len(errors) if errors else 0.0)
     assert controller.errors and controller.mean_error() > 0.0
+
+
+@pytest.mark.parametrize("per_head_mask", [False, True])
+def test_forward_record_rows_carry_their_heads_attention(per_head_mask):
+    # each record row labelled head h, summed over head h's support values,
+    # is the context the cache computed for head h
+    m = transformer(31)
+    cache = m.new_cache()
+    scfg = SparsifyConfig(sparsity_rate=0.5, l_min=8, per_head_mask=per_head_mask)
+    controller = EngineAttention(cache, scfg, keep_records=True)
+    calls, cache_attend = [], cache.attend
+
+    def spy(layer, q, beta=0.0):
+        calls.append(cache_attend(layer, q, beta))
+        return calls[-1]
+
+    cache.attend = spy
+    tokens = np.random.default_rng(11).integers(1, 64, size=24)
+    for i, t in enumerate(tokens):
+        m.forward_step(cache, m.embed_text([t])[0], attend=controller.attend, visual=i < 6)
+    rows = [snap for rec in controller.forward_records for snap in rec["rows"]]
+    assert len(rows) == len(calls) * m.heads
+    for k, att in enumerate(calls):
+        labelled = {snap["head"]: snap["row"] for snap in rows[k * m.heads:(k + 1) * m.heads]}
+        assert sorted(labelled) == list(range(m.heads))
+        for sup in att.supports:
+            heads = np.arange(m.heads)[sup.heads].reshape(-1)
+            values = sup.values.reshape(len(heads), -1, m.head_dim)
+            for g, h in enumerate(heads):
+                ctx = weighted_sum_rows(labelled[h], values[g])
+                assert ctx.tobytes() == att.context[h].tobytes()
 
 
 # ------------------------------------------------ engine pins off the bench

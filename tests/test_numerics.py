@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevcd import numerics
-from sparsevcd.numerics import (CAUSAL_BLOCK, COLUMN_LOOP_RATIO, NEG_INF,
+from sparsevcd.numerics import (CAUSAL_BLOCK, EINSUM_MIN_TERMS, NEG_INF,
                                 causal_attention, causal_weighted_sum, matvec,
                                 stable_softmax, weighted_sum_rows)
 
@@ -131,14 +131,16 @@ def per_row_matvec(m, v):
                      for row in m])
 
 
-@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_matvec_is_per_row_accumulate_bitwise(cols, frac, seed):
-    # rows from 0 to twice the column-loop threshold for this column count,
-    # so both kernels are drawn
-    rows = int(frac * 2 * COLUMN_LOOP_RATIO * max(cols, 1))
+def test_matvec_is_per_row_accumulate_bitwise(cols, frac, column_major, seed):
+    # terms from 0 to twice the einsum threshold, on row-major matrices
+    # (copied rows-fastest for the einsum) and column-major ones
+    rows = int(frac * 2 * EINSUM_MIN_TERMS / max(cols, 1))
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(rows, cols))
+    if column_major:
+        m = np.asfortranarray(m)
     v = rng.normal(size=cols)
     got = matvec(m, v)
     assert got.shape == (rows,)
@@ -149,7 +151,7 @@ def test_matvec_is_per_row_accumulate_bitwise(cols, frac, seed):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_matvec_kernels_agree_at_the_threshold(cols, offset):
     rng = np.random.default_rng(cols)
-    m = rng.normal(size=(COLUMN_LOOP_RATIO * cols + offset, cols))
+    m = np.asfortranarray(rng.normal(size=(EINSUM_MIN_TERMS // cols + offset, cols)))
     v = rng.normal(size=cols)
     assert bitwise_equal(matvec(m, v), per_row_matvec(m, v))
 
@@ -158,9 +160,9 @@ def test_matvec_kernels_agree_at_the_threshold(cols, offset):
        st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_head_blocks_are_per_head_calls_bitwise(heads, cols, frac, column_major, seed):
-    # rows from 0 to twice the column-loop threshold for the whole block, so
-    # both matvec kernels are drawn, on row-major and column-major blocks
-    rows = int(frac * 2 * COLUMN_LOOP_RATIO * cols / heads)
+    # terms from 0 to twice the einsum threshold for the whole block, so
+    # both paths are drawn, on row-major and column-major blocks
+    rows = int(frac * 2 * EINSUM_MIN_TERMS / (cols * heads))
     rng = np.random.default_rng(seed)
     block = rng.normal(size=(heads, rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(heads, rows, cols))
     if column_major:
