@@ -1,23 +1,31 @@
-"""Per-layer key-value store with logical retention masks, merged-token
+"""Per-layer key-value store with pending prune plans, merged-token
 records, visual-token flags, and attention accumulators.
 
 A cache instance is owned by exactly one decode session. Two maintenance modes:
 
-* ``logical`` — every token stays physically present; pruning is a per-layer
-  boolean mask plus virtual merged-token records, recomputed per step.
+* ``logical`` — every token stays physically present; pruning is a pending
+  plan per layer (a retention mask plus virtual merged-token records),
+  recomputed per step.
 * ``compacted`` — pruned rows are physically evicted and each cluster is
   appended as one aggregate row (exempt from later pruning).
 
 Layout: each layer keeps all of its rows in one growable float64 buffer,
 one column per row. A column holds, per head, the key; then per head the
 value; then per head the column accumulator ``c`` and the visual-mass
-accumulator ``r``; then the row's retention mask, visual flag and aggregate
-flag. So a head's keys are a ``(dim, rows)`` block, the heads' keys an
-``(H, dim, rows)`` block, and ``c`` / ``r`` ``(H, rows)`` blocks; the
-accessors hand them out as views (keys and values transposed to
-``(H, rows, dim)``). Appending a token writes one column; growing,
-compacting and cloning a layer each move one buffer. A layer's merged
-records are one block too (``MergedRecords``).
+accumulator ``r``; then the row's visual flag and aggregate flag. So a
+head's keys are a ``(dim, rows)`` block, the heads' keys an ``(H, dim,
+rows)`` block, and ``c`` / ``r`` ``(H, rows)`` blocks; the accessors hand
+them out as views (keys and values transposed to ``(H, rows, dim)``).
+Appending a token writes one column; growing, compacting and cloning a
+layer each move one buffer.
+
+A layer's pending prune is one dict of plans, ``{None | head: (mask,
+MergedRecords)}``: ``None`` keys the mask every head shares, a head number
+that head's overlay (logical mode only). A plan covers the rows present
+when it was installed; the engine clears (logical) or compacts (compacted)
+it before the layer's next append. The records are columns in the same
+layout, one per cluster: the merge of the members' columns, whose visual
+row is the merge weight the cluster's visual members carry.
 
 Attention runs once per layer over head groups: all heads when the layer
 shares one mask, one head per group when per-head overlays are installed.
@@ -39,25 +47,20 @@ from sparsevcd.sac import calibrate_scores
 @dataclass
 class MergedRecords:
     """A layer's clusters of pruned rows, each merged into one virtual
-    aggregate row; cluster ``j`` is column ``j`` of every block."""
+    aggregate row; cluster ``j`` is column ``j`` of ``columns``."""
 
     members: np.ndarray        # (total,) physical rows of the members, cluster by cluster
     sizes: np.ndarray          # (m,) members per cluster
     weights: np.ndarray        # (total,) merge weights; each cluster's sum to 1
-    keys: np.ndarray           # (H, dim, m) aggregate keys
-    values: np.ndarray         # (H, dim, m) aggregate values
-    c: np.ndarray              # (H, m) merge-weighted member column accumulators
-    r: np.ndarray              # (H, m) merge-weighted member visual-mass accumulators
-    visual_weight: np.ndarray  # (m,) merge weight carried by visual members
+    columns: np.ndarray        # (fields, m) merged member columns, in the layer's layout
 
     def __len__(self) -> int:
         return self.sizes.shape[0]
 
-    @classmethod
-    def empty(cls, heads: int, dim: int) -> "MergedRecords":
-        return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
-                   np.zeros((heads, dim, 0)), np.zeros((heads, dim, 0)),
-                   np.zeros((heads, 0)), np.zeros((heads, 0)), np.zeros(0))
+    @property
+    def visual_weight(self) -> np.ndarray:
+        """(m,) merge weight carried by each cluster's visual members."""
+        return self.columns[-2]
 
 
 @dataclass
@@ -96,7 +99,8 @@ class CompactStats:
 
 
 class _LayerState:
-    """One layer's rows, one column each; see the module docstring."""
+    """One layer's rows, one column each, and its pending prune plans; see
+    the module docstring."""
 
     def __init__(self, heads: int, dim: int, cap: int = 16):
         hd = heads * dim
@@ -106,26 +110,29 @@ class _LayerState:
         self._c = slice(2 * hd, 2 * hd + heads)
         self._r = slice(2 * hd + heads, 2 * hd + 2 * heads)
         self.n = 0
-        self._adopt(np.zeros((2 * hd + 2 * heads + 3, cap)))
+        fields = 2 * hd + 2 * heads + 2
+        self._adopt(np.zeros((fields, cap)))
         self.raw_present = 0        # raw rows physically present
-        self.no_records = MergedRecords.empty(heads, dim)  # shared: never written
-        self.merged = self.no_records
-        # False: the shared mask keeps every row and no records are installed
-        self.pruning = False
-        self.merged_ph: dict[int, MergedRecords] = {}
-        self.mask_ph: dict[int, np.ndarray] = {}
+        self.no_records = MergedRecords(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                                        np.zeros(0), np.zeros((fields, 0)))  # never written
+        self.plans: dict[int | None, tuple[np.ndarray, MergedRecords]] = {}
+
+    def blocks(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of a block of columns in this layer's layout (at least the
+        key, value and ``c`` fields): ``(H, rows, dim)`` keys and values,
+        and ``(H, rows)`` ``c``."""
+        shape = (self.heads, self.dim, cols.shape[1])
+        return (cols[self._keys].reshape(shape).swapaxes(1, 2),
+                cols[self._values].reshape(shape).swapaxes(1, 2), cols[self._c])
 
     def _adopt(self, data: np.ndarray) -> None:
         """Take ``data`` as the buffer, with full-capacity views of its
-        fields: ``(H, dim, cap)`` keys and values, ``(H, cap)`` ``c`` and
-        ``r``, and the three flag rows."""
-        shape = (self.heads, self.dim, data.shape[1])
+        fields: ``(H, cap, dim)`` keys and values, ``(H, cap)`` ``c`` and
+        ``r``, and the two flag rows."""
         self.data = data
-        self.k_all = data[self._keys].reshape(shape)
-        self.v_all = data[self._values].reshape(shape)
-        self.c_all = data[self._c]
+        self.k_all, self.v_all, self.c_all = self.blocks(data)
         self.r_all = data[self._r]
-        self.flags = data[-3:]      # mask, visual, aggregate
+        self.flags = data[-2:]      # visual, aggregate
 
     # live views, (H, n) / (n,)
     @property
@@ -137,16 +144,12 @@ class _LayerState:
         return self.r_all[:, : self.n]
 
     @property
-    def mask(self) -> np.ndarray:
+    def visual(self) -> np.ndarray:
         return self.flags[0, : self.n]
 
     @property
-    def visual(self) -> np.ndarray:
-        return self.flags[1, : self.n]
-
-    @property
     def is_agg(self) -> np.ndarray:
-        return self.flags[2, : self.n]
+        return self.flags[1, : self.n]
 
     def append(self, keys: np.ndarray, values: np.ndarray, visual: bool) -> int:
         if self.n == self.data.shape[1]:
@@ -157,20 +160,10 @@ class _LayerState:
         col = self.data[:, self.n]
         col[self._keys] = keys.reshape(-1)
         col[self._values] = values.reshape(-1)
-        col[-3:] = (1.0, 1.0 if visual else 0.0, 0.0)
+        col[-2:] = (1.0 if visual else 0.0, 0.0)
         self.n += 1
         self.raw_present += 1
         return self.n - 1
-
-    def aggregate_columns(self, rec: MergedRecords) -> np.ndarray:
-        """The records as retained, non-visual aggregate columns."""
-        m = len(rec)
-        flags = np.zeros((3, m))
-        flags[0] = 1.0
-        flags[2] = 1.0
-        hd = self.heads * self.dim
-        return np.concatenate([rec.keys.reshape(hd, m), rec.values.reshape(hd, m),
-                               rec.c, rec.r, flags])
 
     def replace(self, columns: np.ndarray) -> None:
         self.n = columns.shape[1]
@@ -182,9 +175,8 @@ class _LayerState:
         out = _LayerState.__new__(_LayerState)
         out.__dict__.update(self.__dict__)
         out._adopt(self.data.copy())
-        # records and overlay masks are replaced, never written in place
-        out.merged_ph = dict(self.merged_ph)
-        out.mask_ph = dict(self.mask_ph)
+        # plans are replaced, never written in place
+        out.plans = dict(self.plans)
         return out
 
 
@@ -251,15 +243,16 @@ class KvCache:
         return self._layers[layer].raw_present
 
     def mask_view(self, layer: int, head: int | None = None) -> np.ndarray:
+        """The retention mask a head (or, for ``None``, every head) attends
+        through: its overlay, else the shared mask, else all rows."""
         st = self._layers[layer]
-        if head is not None and head in st.mask_ph:
-            return st.mask_ph[head]
-        return st.mask > 0.5
+        plan = st.plans.get(head) or st.plans.get(None)
+        return np.ones(st.n, dtype=bool) if plan is None else plan[0]
 
     def key_block(self, layer: int) -> np.ndarray:
         """Every head's keys as an ``(H, rows, dim)`` view."""
         st = self._layers[layer]
-        return st.k_all[:, :, : st.n].transpose(0, 2, 1)
+        return st.k_all[:, : st.n]
 
     def c_block(self, layer: int) -> np.ndarray:
         """Every head's column accumulators, ``(H, rows)``, writable."""
@@ -277,57 +270,43 @@ class KvCache:
 
     def key_rows(self, layer: int, head: int) -> np.ndarray:
         st = self._layers[layer]
-        return st.k_all[head, :, : st.n].T
+        return st.k_all[head, : st.n]
 
     def value_rows(self, layer: int, head: int) -> np.ndarray:
         st = self._layers[layer]
-        return st.v_all[head, :, : st.n].T
+        return st.v_all[head, : st.n]
 
     def gather(self, layer: int, idx: np.ndarray) -> np.ndarray:
-        """Rows ``idx`` of the layer as a ``(len(idx), fields)`` table: per
-        head the key, per head the value, ``c`` and ``r`` per head, then the
-        mask, visual and aggregate flags (merging it column by column merges
-        each field)."""
+        """Rows ``idx`` of the layer as a ``(len(idx), fields)`` table: the
+        transposed columns (merging it column by column merges each field,
+        and the merged table transposed is ``MergedRecords.columns``)."""
         return self._layers[layer].data[:, idx].T
-
-    def merged_records(self, layer: int, members: np.ndarray, sizes: np.ndarray,
-                       weights: np.ndarray, merged: np.ndarray) -> MergedRecords:
-        """Records from a merged ``gather`` table, one row per cluster:
-        ``members`` (physical rows, cluster by cluster), ``sizes`` and
-        ``weights`` as in ``MergedRecords``."""
-        st, cols = self._layers[layer], merged.T
-        block = (self.heads, self.dim, cols.shape[1])
-        return MergedRecords(members, sizes, weights, cols[st._keys].reshape(block),
-                             cols[st._values].reshape(block), cols[st._c], cols[st._r],
-                             cols[-2].copy())
 
     # -------------------------------------------------------------- attention
 
     def head_groups(self, layer: int) -> list[int | slice]:
         """All heads together, or one head per group once per-head
         overlays are installed."""
-        return self._each_head if self._layers[layer].mask_ph else self._all_heads
+        plans = self._layers[layer].plans
+        return self._each_head if len(plans) > (None in plans) else self._all_heads
 
     def support(self, layer: int, heads: int | slice) -> SupportView:
         """Current attention support of a head group: retained rows followed
         by virtual aggregates."""
         st = self._layers[layer]
         n = st.n
-        first = heads if isinstance(heads, int) else heads.start
-        if first in st.mask_ph:
-            mask, records = st.mask_ph[first], st.merged_ph[first]
-        else:
-            mask, records = (st.mask > 0.5 if st.pruning else None), st.merged
+        # a slice group shares the mask: overlays split the layer into heads
+        plan = (isinstance(heads, int) and st.plans.get(heads)) or st.plans.get(None)
+        mask, records = plan or (None, st.no_records)
         if mask is None or (mask.all() and not len(records)):
-            return SupportView(heads, st.k_all[heads, ..., :n].swapaxes(-1, -2),
-                               st.v_all[heads, ..., :n].swapaxes(-1, -2), st.c_all[heads, :n],
-                               slice(0, n), n, records)
+            return SupportView(heads, st.k_all[heads, ..., :n, :], st.v_all[heads, ..., :n, :],
+                               st.c_all[heads, :n], slice(0, n), n, records)
         raw_idx = np.nonzero(mask)[0]
-        K = np.concatenate([st.k_all[heads][..., raw_idx], records.keys[heads]], axis=-1)
-        V = np.concatenate([st.v_all[heads][..., raw_idx], records.values[heads]], axis=-1)
-        c = np.concatenate([st.c_all[heads][..., raw_idx], records.c[heads]], axis=-1)
-        return SupportView(heads, K.swapaxes(-1, -2), V.swapaxes(-1, -2), c,
-                           raw_idx, raw_idx.shape[0], records)
+        top = st._c.stop            # the key, value and c fields
+        K, V, c = st.blocks(np.concatenate([st.data[:top, raw_idx], records.columns[:top]],
+                                           axis=1))
+        return SupportView(heads, K[heads], V[heads], c[heads], raw_idx, raw_idx.shape[0],
+                           records)
 
     def attend(self, layer: int, q, beta: float = 0.0) -> Attention:
         """Scaled-dot attention of each head's query (``q`` is
@@ -380,7 +359,7 @@ class KvCache:
         rec = support.records
         c = st.c_all[heads]
         c[..., support.raw_idx] += contrib[..., :n_raw]
-        flags = st.flags[1, support.raw_idx]
+        flags = st.flags[0, support.raw_idx]
         if len(rec):
             amounts = np.repeat(contrib[..., n_raw:], rec.sizes, axis=-1)
             c[..., rec.members] += amounts * rec.weights
@@ -392,52 +371,40 @@ class KvCache:
     def set_sparsification(self, layer: int, mask: np.ndarray,
                            records: MergedRecords | None = None,
                            head: int | None = None) -> None:
-        """Install a raw-row retention mask plus merged records for a layer.
+        """Install a layer's plan: a copy of a raw-row retention mask plus
+        merged records.
 
         ``head=None`` installs the shared per-layer mask; an integer head
         installs a per-head overlay (logical mode only).
         """
         st = self._layers[layer]
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.array(mask, dtype=bool)
         if mask.shape[0] != st.n:
             raise ValueError("set_sparsification: mask length must equal row count")
-        if records is None:
-            records = st.no_records
-        if head is None:
-            st.mask[:] = mask
-            st.merged = records
-            st.pruning = True
-        else:
-            st.mask_ph[head] = mask
-            st.merged_ph[head] = records
+        st.plans[head] = (mask, st.no_records if records is None else records)
 
     def clear_sparsification(self, layer: int) -> None:
-        st = self._layers[layer]
-        if st.pruning:
-            st.mask[:] = 1.0
-            st.merged = st.no_records
-            st.pruning = False
-        st.mask_ph.clear()
-        st.merged_ph.clear()
+        self._layers[layer].plans.clear()
 
     def compact(self) -> CompactStats:
-        """Physically apply pending masks: evict pruned raws, materialise one
-        aggregate row per merged record, reset masks to all-retained."""
+        """Physically apply the shared plans: evict pruned raws and append
+        one aggregate row per merged record (visual 0, aggregate 1); the
+        plans are then spent."""
         stats = CompactStats()
         for st in self._layers:
-            mask = st.mask > 0.5
-            if mask.all() and not len(st.merged):
+            mask, records = st.plans.get(None, (None, st.no_records))
+            if mask is None or (mask.all() and not len(records)):
                 continue
-            if st.mask_ph:
+            if len(st.plans) > 1:
                 raise ValueError("compact: per-head masks cannot be compacted")
+            del st.plans[None]
             keep = np.nonzero(mask)[0]
             stats.evicted += int(st.n - keep.shape[0])
-            stats.aggregates += len(st.merged)
-            st.replace(np.concatenate([st.data[:, keep], st.aggregate_columns(st.merged)],
-                                      axis=1))
+            stats.aggregates += len(records)
+            aggregates = records.columns.copy()
+            aggregates[-2:] = [[0.0], [1.0]]
+            st.replace(np.concatenate([st.data[:, keep], aggregates], axis=1))
             st.raw_present = int((st.is_agg < 0.5).sum())
-            st.merged = st.no_records
-            st.pruning = False
             self.peak_rows = max(self.peak_rows, st.n)
         stats.no_op = not (stats.evicted or stats.aggregates)
         return stats

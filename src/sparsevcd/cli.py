@@ -123,15 +123,16 @@ def _parse_ids(flag: str, text: str, vocab: int) -> list[int]:
 
 def _cmd_decode(args) -> int:
     cfg = _load_cfg(args)
-    if args.diagnostics:
+    if args.diagnostics is not None:
         _check_out_file("--diagnostics", args.diagnostics)
     model = model_from_config(cfg.model)
-    if args.image:
+    if args.image is not None:
         finding_ids = tuple(_parse_ids("--image", args.image, model.vocab))
         if args.tokens_per_finding < 1:
             raise ConfigError("--tokens-per-finding must be positive")
         image = ImageDescriptor(finding_ids, args.tokens_per_finding)
-        prompt = _parse_ids("--prompt", args.prompt, model.vocab) if args.prompt else [TOKEN_BOS]
+        prompt = ([TOKEN_BOS] if args.prompt is None
+                  else _parse_ids("--prompt", args.prompt, model.vocab))
     elif cfg.corpus:
         corpus = load_corpus(cfg.corpus)
         if not 0 <= args.example_index < len(corpus.examples):
@@ -150,7 +151,7 @@ def _cmd_decode(args) -> int:
         print(f"step {d.step}: chosen={d.chosen} p_theta={d.p_theta_chosen:.6f} "
               f"plausible={d.plausible_size} rows={d.cache_rows} "
               f"attn_err={d.attn_error_mean:.6g}")
-    if args.diagnostics:
+    if args.diagnostics is not None:
         payload = {"steps": [d.as_record() for d in result.diagnostics]}
         if args.full_diag:
             payload["forwards"] = [{
@@ -205,7 +206,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _load_cfg(args)
-    if args.out:
+    if args.out is not None:
         _check_out_file("--out", args.out)
     report = experiment.bench_sparse_vs_full(
         cfg, prefix_len=args.prefix_len, decode_len=args.decode_len,
@@ -215,7 +216,7 @@ def _cmd_bench(args) -> int:
             cfg, repeats=args.repeats)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text + "\n")
     return 0
 

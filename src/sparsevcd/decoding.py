@@ -347,11 +347,10 @@ class EngineAttention:
     def _merge_records(self, layer, pruned, assignment) -> MergedRecords:
         """One record per cluster, merged in one call from the cache's
         table of the pruned rows (every head's fields and the flags)."""
-        cache = self.cache
-        merged = merge_clusters(assignment, cache.gather(layer, pruned))
         sizes = np.array([m.shape[0] for m in assignment.members], dtype=np.int64)
-        return cache.merged_records(layer, pruned[np.concatenate(assignment.members)], sizes,
-                                    np.concatenate(assignment.weights), merged)
+        return MergedRecords(pruned[np.concatenate(assignment.members)], sizes,
+                             np.concatenate(assignment.weights),
+                             merge_clusters(assignment, self.cache.gather(layer, pruned)).T)
 
 
 def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,

@@ -311,21 +311,22 @@ def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
 
 def bench_stop_layers(cfg: ExperimentConfig, repeats: int = 5,
                       prefix_len: int = 96, decode_len: int = 24) -> dict:
-    """Median decoding throughput per contrastive-branch stop layer."""
+    """Median decoding throughput per contrastive-branch stop layer.
+
+    Each repeat times every stop layer in turn, so a change in host load
+    during one repeat reaches all the layers, not one layer's block."""
     model, image, prompt = _bench_inputs(cfg, prefix_len, repeats)
     scfg = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,
                                sac_enabled=False, mode="logical")
-    out = {}
-    for ell in range(model.layers + 1):
-        tps = []
-        for rep in range(repeats):
+    tps = {ell: [] for ell in range(model.layers + 1)}
+    for rep in range(repeats):
+        for ell, times in tps.items():
             dcfg = dataclasses.replace(cfg.decode, alpha=0.3, gamma_apc=0.0,
                                        stop_layer=ell, max_len=decode_len,
                                        mode="greedy", eos_id=-1, seed=rep)
             result = decode(model, image, prompt, scfg, dcfg)
-            tps.append(len(result.tokens) / result.wall_seconds)
-        out[ell] = statistics.median(tps)
-    return out
+            times.append(len(result.tokens) / result.wall_seconds)
+    return {ell: statistics.median(times) for ell, times in tps.items()}
 
 
 # ------------------------------------------------------------- attention stats

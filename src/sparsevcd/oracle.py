@@ -72,6 +72,22 @@ def brute_force_mask(q, keys, p, lam: float, s: int):
     return mask, best_obj
 
 
+def objective_value(mask, g, p, lam: float) -> float:
+    """The sparsification objective of a retention mask ``M``, evaluated
+    literally: ``sum_i (1 - M_i) * g_i  -  lam * sum_i M_i * p_i``."""
+    m = np.asarray(mask, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if not m.shape == g.shape == p.shape:
+        raise ValueError("objective_value: mask, g and p lengths differ")
+    keep_term = 0.0
+    sal_term = 0.0
+    for i in range(m.shape[0]):
+        keep_term += (1.0 - m[i]) * g[i]
+        sal_term += m[i] * p[i]
+    return float(keep_term - lam * sal_term)
+
+
 def reference_full_decode(model: ToyTransformer, prompt_ids, image: ImageDescriptor,
                           max_len: int, eos_id: int = 0) -> list[int]:
     """Cache-free greedy decoding: every position's hidden state is computed

@@ -15,31 +15,6 @@ DENSITY_EPS = 1e-8
 
 
 @dataclass
-class SaliencyScores:
-    """Per-token attention relevance ``g``, visual saliency ``p`` and the
-    trade-off weight; the aggregate score is ``g + lam * p``."""
-
-    g: np.ndarray
-    p: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=np.float64)
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if self.g.shape != self.p.shape:
-            raise ValueError("g and p must have equal lengths")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.g + self.lam * self.p
-
-    def __len__(self) -> int:
-        return int(self.g.shape[0])
-
-
-@dataclass
 class ClusterAssignment:
     """Partition of the pruned tokens: canonical labels plus per-cluster
     (center, ascending member indices, softmax-of-delta merge weights)."""
@@ -127,18 +102,6 @@ def attention_error(ip, pruned) -> float:
     per_head = np.add.accumulate(terms * terms, axis=1)[:, -1]
     # non-negative terms: summing from head 0 equals summing from 0.0
     return float(np.add.accumulate(per_head)[-1] / ip.shape[0])
-
-
-def objective_value(mask, scores: SaliencyScores) -> float:
-    """Sparsification objective evaluated literally:
-    sum_i (1 - M_i) * g_i  -  lam * sum_i M_i * p_i."""
-    flags = np.asarray(mask, dtype=bool)
-    if flags.shape[0] != len(scores):
-        raise ValueError("mask and scores lengths differ")
-    m = flags.astype(np.float64)
-    keep_term = float(np.add.accumulate((1.0 - m) * scores.g)[-1]) if len(scores) else 0.0
-    sal_term = float(np.add.accumulate(m * scores.p)[-1]) if len(scores) else 0.0
-    return keep_term - scores.lam * sal_term
 
 
 def pairwise_distances(cols: np.ndarray, start: int = 0) -> np.ndarray:

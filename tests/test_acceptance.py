@@ -20,9 +20,10 @@ from sparsevcd.decoding import decode
 from sparsevcd.experiment import bench_sparse_vs_full, bench_stop_layers, run_seed_row
 from sparsevcd.models import ImageDescriptor, build_toy_transformer
 from sparsevcd.numerics import stable_softmax
-from sparsevcd.oracle import brute_force_mask, reference_clustering, reference_full_decode
+from sparsevcd.oracle import (brute_force_mask, objective_value, reference_clustering,
+                              reference_full_decode)
 from sparsevcd.sac import calibrate_scores
-from sparsevcd.vats import SaliencyScores, cluster_pruned, objective_value, select_topS, visual_saliency
+from sparsevcd.vats import cluster_pruned, select_topS, visual_saliency
 
 
 @contextmanager
@@ -48,9 +49,9 @@ def test_c01_vats_exact_optimality():
                     p = p_raw / p_raw.sum()
                     lam = float(rng.random())
                     ip = np.array([float(np.dot(keys[i], q)) for i in range(length)])
-                    scores = SaliencyScores(ip * ip, p, lam)
-                    mask = select_topS(scores.delta, s, 0)
-                    engine_obj = objective_value(mask, scores)
+                    g = ip * ip
+                    mask = select_topS(g + lam * p, s, 0)
+                    engine_obj = objective_value(mask, g, p, lam)
                     _, best_obj = brute_force_mask(q, keys, p, lam, s)
                     assert abs(engine_obj - best_obj) < 1e-12
         elapsed = time.perf_counter() - t0
@@ -224,10 +225,9 @@ def test_c09_error_monotonicity():
         for _ in range(100):
             length = int(rng.integers(4, 24))
             g = rng.normal(size=length) ** 2
-            scores = SaliencyScores(g, np.zeros(length), 0.0)
             previous = None
             for s in range(1, length + 1):
-                mask = select_topS(scores.delta, s, 0)
+                mask = select_topS(g, s, 0)
                 err = float(g[~mask].sum())
                 if previous is not None:
                     assert err <= previous + 1e-15

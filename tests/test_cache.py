@@ -23,16 +23,16 @@ def record(members, weights, keys, vals, cs, rs):
 
 
 def merged(clusters):
-    """The clusters as one ``MergedRecords`` block."""
+    """The clusters as one ``MergedRecords`` block: one column per cluster
+    in the cache's layout (per head the key, per head the value, ``c`` and
+    ``r`` per head, then the visual and aggregate flags, both 0)."""
+    columns = np.stack([np.concatenate([np.concatenate(cl[2]), np.concatenate(cl[3]),
+                                        cl[4], cl[5], [0.0, 0.0]]) for cl in clusters], axis=1)
     return MergedRecords(
         np.concatenate([cl[0] for cl in clusters]),
         np.array([len(cl[0]) for cl in clusters]),
         np.concatenate([cl[1] for cl in clusters]),
-        np.stack([np.stack(cl[2]) for cl in clusters], axis=-1),
-        np.stack([np.stack(cl[3]) for cl in clusters], axis=-1),
-        np.array([cl[4] for cl in clusters], dtype=np.float64).T,
-        np.array([cl[5] for cl in clusters], dtype=np.float64).T,
-        np.zeros(len(clusters)))
+        columns)
 
 
 def singleton_record(cache, layer, member):
@@ -274,3 +274,28 @@ def test_visual_flags_and_clone():
     assert cache.rows(0) == 2 and twin.rows(0) == 3
     assert np.array_equal(twin.key_rows(0, 0)[:2], cache.key_rows(0, 0))
 
+
+
+def test_clone_plans_are_independent():
+    cache, _ = fill_cache(6, heads=2)
+    shared = np.array([True, False, True, True, False, True])
+    cache.set_sparsification(0, shared)
+    twin = cache.clone()
+    twin.clear_sparsification(0)
+    assert np.array_equal(cache.mask_view(0), shared)
+    assert twin.mask_view(0).all()
+    overlay = np.array([False, True, True, True, True, True])
+    cache.set_sparsification(0, overlay, head=1)
+    twin = cache.clone()
+    twin.clear_sparsification(0)
+    assert np.array_equal(cache.mask_view(0, head=1), overlay)
+    assert np.array_equal(cache.mask_view(0, head=0), shared)
+
+
+@pytest.mark.parametrize("head", [None, 0])
+def test_set_sparsification_copies_the_mask(head):
+    cache, _ = fill_cache(5, heads=2)
+    mask = np.array([True, False, True, True, True])
+    cache.set_sparsification(0, mask, head=head)
+    mask[:] = False
+    assert list(cache.mask_view(0, head)) == [True, False, True, True, True]

@@ -144,8 +144,10 @@ def test_cli_rejects_bad_numbers_as_config_errors(argv, tmp_path, capsys):
 
 
 # each of these exited 3 with FileNotFoundError or FileExistsError, most
-# after all the work, before the destinations were checked where parsed;
-# "{missing}" is a path in a missing directory, "{file}" an existing file
+# after all the work, before the destinations were checked where parsed
+# (bench --out "" exited 0 and wrote nothing, before --out was tested
+# against None); "{missing}" is a path in a missing directory, "{file}" an
+# existing file
 @pytest.mark.parametrize("argv", [
     ["gen-corpus", "--n", "3", "--out", "{missing}"],
     ["decode", "--image", "4", "--diagnostics", "{missing}"],
@@ -155,6 +157,7 @@ def test_cli_rejects_bad_numbers_as_config_errors(argv, tmp_path, capsys):
     ["bench", "--prefix-len", "16", "--decode-len", "2", "--repeats", "1", "--out", "{missing}"],
     ["attn-stats", "--out-dir", "{file}"],
     ["attn-stats", "--out-dir", "{file}/stats"],
+    ["bench", "--prefix-len", "16", "--decode-len", "2", "--repeats", "1", "--out", ""],
 ])
 def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "c.jsonl"
@@ -174,12 +177,17 @@ def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, 
 
 
 # each of these exited 0 with the config's value in place of the one given
-# (--out "" wrote ./results.csv), before the flags were tested against None
+# (--out "" wrote ./results.csv, decode --image "" decoded corpus example 0,
+# --prompt "" became [BOS], --diagnostics "" wrote nothing), before the flags
+# were tested against None
 @pytest.mark.parametrize("argv", [
     ["run", "--workers", "0", "--out", "{tmp}/rows.csv"],
     ["sweep", "--axis", "alpha", "--grid", "0.3", "--workers", "0", "--out", "{tmp}/rows.csv"],
     ["run", "--seeds", "", "--out", "{tmp}/rows.csv"],
     ["run", "--out", ""],
+    ["decode", "--image", ""],
+    ["decode", "--image", "4", "--prompt", ""],
+    ["decode", "--image", "4", "--diagnostics", ""],
 ])
 def test_cli_rejects_falsy_flag_values_as_config_errors(argv, tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "c.jsonl"

@@ -8,10 +8,9 @@ import pytest
 
 from sparsevcd.cache import KvCache
 from sparsevcd.errors import ConfigError
-from sparsevcd.oracle import brute_force_mask, reference_clustering
-from sparsevcd.vats import (ClusterAssignment, SaliencyScores, cluster_pruned,
-                            merge_clusters, objective_value, pairwise_distances,
-                            select_topS, visual_saliency)
+from sparsevcd.oracle import brute_force_mask, objective_value, reference_clustering
+from sparsevcd.vats import (ClusterAssignment, cluster_pruned, merge_clusters,
+                            pairwise_distances, select_topS, visual_saliency)
 
 # frozen from an mpmath (50-digit) softmax of [1, 2, 3]
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -55,10 +54,10 @@ def test_visual_saliency_requires_visual_tokens():
 
 
 def test_select_all_retained():
-    scores = SaliencyScores(np.array([3.0, 1.0, 2.0]), np.full(3, 1 / 3), 0.5)
-    mask = select_topS(scores.delta, 3, 0)
+    g, p, lam = np.array([3.0, 1.0, 2.0]), np.full(3, 1 / 3), 0.5
+    mask = select_topS(g + lam * p, 3, 0)
     assert mask.all()
-    assert abs(objective_value(mask, scores) - (-0.5)) < 1e-12  # = -lambda
+    assert abs(objective_value(mask, g, p, lam) - (-0.5)) < 1e-12  # = -lambda
 
 
 def test_select_matches_bruteforce_enumeration():
@@ -69,44 +68,40 @@ def test_select_matches_bruteforce_enumeration():
         p_raw = rng.random(length)
         p = p_raw / p_raw.sum()
         lam = float(rng.random())
-        scores = SaliencyScores(g, p, lam)
-        mask = select_topS(scores.delta, 3, 0)
+        mask = select_topS(g + lam * p, 3, 0)
         keys = rng.normal(size=(length, 4))
         # reuse the same g by scaling keys so <K_i, q> matches sqrt(g_i)
         q = np.array([1.0, 0.0, 0.0, 0.0])
         keys[:, 0] = np.sqrt(g)
         keys[:, 1:] = 0.0
         _, best = brute_force_mask(q, keys, p, lam, 3)
-        assert abs(objective_value(mask, scores) - best) < 1e-12
+        assert abs(objective_value(mask, g, p, lam) - best) < 1e-12
 
 
 def test_select_tie_break_keeps_earlier_position():
-    scores = SaliencyScores(np.array([1.0, 1.0, 1.0, 1.0]), np.zeros(4), 0.0)
-    mask = select_topS(scores.delta, 2, 0)
+    mask = select_topS(np.array([1.0, 1.0, 1.0, 1.0]), 2, 0)
     assert list(mask) == [True, True, False, False]
 
 
 def test_select_recency_window_forced():
-    scores = SaliencyScores(np.array([10.0, 9.0, 0.0, 0.0]), np.zeros(4), 0.0)
-    mask = select_topS(scores.delta, 2, w_recent=2)
+    mask = select_topS(np.array([10.0, 9.0, 0.0, 0.0]), 2, w_recent=2)
     assert list(mask) == [False, False, True, True]
 
 
 def test_select_budget_validation():
-    scores = SaliencyScores(np.ones(4), np.zeros(4), 0.0)
     with pytest.raises(ConfigError):
-        select_topS(scores.delta, 5, 0)
+        select_topS(np.ones(4), 5, 0)
     with pytest.raises(ConfigError):
-        select_topS(scores.delta, 2, w_recent=3)
+        select_topS(np.ones(4), 2, w_recent=3)
 
 
 def test_select_scale_invariance():
     rng = np.random.default_rng(3)
     g = rng.normal(size=12) ** 2
     p = rng.dirichlet(np.ones(12))
-    base = select_topS(SaliencyScores(g, p, 0.7).delta, 5, 0)
+    base = select_topS(g + 0.7 * p, 5, 0)
     for c in (0.25, 0.5, 2.0, 4.0, 1024.0, 3.0):
-        scaled = select_topS(SaliencyScores(c * g, c * p, 0.7).delta, 5, 0)
+        scaled = select_topS(c * g + 0.7 * (c * p), 5, 0)
         assert np.array_equal(base, scaled)
 
 
@@ -114,9 +109,8 @@ def test_objective_all_masks():
     g = np.array([4.0, 1.0, 9.0])
     p = np.array([0.2, 0.3, 0.5])
     lam = 0.4
-    scores = SaliencyScores(g, p, lam)
-    assert abs(objective_value(np.ones(3, dtype=bool), scores) - (-lam)) < 1e-12
-    assert abs(objective_value(np.zeros(3, dtype=bool), scores) - g.sum()) < 1e-12
+    assert abs(objective_value(np.ones(3, dtype=bool), g, p, lam) - (-lam)) < 1e-12
+    assert abs(objective_value(np.zeros(3, dtype=bool), g, p, lam) - g.sum()) < 1e-12
 
 
 def test_objective_equals_const_minus_retained_delta():
@@ -127,9 +121,8 @@ def test_objective_equals_const_minus_retained_delta():
         p = rng.dirichlet(np.ones(n))
         lam = float(rng.random() * 2)
         flags = rng.random(n) < 0.5
-        scores = SaliencyScores(g, p, lam)
-        direct = objective_value(flags, scores)
-        algebraic = g.sum() - float((flags * scores.delta).sum())
+        direct = objective_value(flags, g, p, lam)
+        algebraic = g.sum() - float((flags * (g + lam * p)).sum())
         assert abs(direct - algebraic) < 1e-12
 
 
