@@ -113,6 +113,7 @@ class _LayerState:
         fields = 2 * hd + 2 * heads + 2
         self._adopt(np.zeros((fields, cap)))
         self.raw_present = 0        # raw rows physically present
+        self.n_visual = 0           # rows whose visual flag is set
         self.no_records = MergedRecords(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                                         np.zeros(0), np.zeros((fields, 0)))  # never written
         self.plans: dict[int | None, tuple[np.ndarray, MergedRecords]] = {}
@@ -163,6 +164,8 @@ class _LayerState:
         col[-2:] = (1.0 if visual else 0.0, 0.0)
         self.n += 1
         self.raw_present += 1
+        if visual:
+            self.n_visual += 1
         return self.n - 1
 
     def replace(self, columns: np.ndarray) -> None:
@@ -234,10 +237,13 @@ class KvCache:
         return self._layers[layer].visual > 0.5
 
     def has_visual(self, layer: int) -> bool:
-        return bool(np.any(self.visual_flags(layer)))
+        return self._layers[layer].n_visual > 0
 
     def raw_rows(self, layer: int) -> np.ndarray:
-        return np.nonzero(self._layers[layer].is_agg < 0.5)[0]
+        st = self._layers[layer]
+        if st.raw_present == st.n:  # no aggregates, as in every logical-mode layer
+            return np.arange(st.n)
+        return np.nonzero(st.is_agg < 0.5)[0]
 
     def raw_present(self, layer: int) -> int:
         return self._layers[layer].raw_present
@@ -405,6 +411,7 @@ class KvCache:
             aggregates[-2:] = [[0.0], [1.0]]
             st.replace(np.concatenate([st.data[:, keep], aggregates], axis=1))
             st.raw_present = int((st.is_agg < 0.5).sum())
+            st.n_visual = int((st.visual > 0.5).sum())
             self.peak_rows = max(self.peak_rows, st.n)
         stats.no_op = not (stats.evicted or stats.aggregates)
         return stats

@@ -86,7 +86,10 @@ def _check_out_file(flag: str, path) -> None:
 
 def _check_out_dir(flag: str, path) -> None:
     """An output directory, or its nearest existing ancestor, must be a
-    directory (the missing ones are created)."""
+    directory (the missing ones are created). An empty path is refused:
+    ``Path("")`` would be the working directory."""
+    if not path:
+        raise ConfigError(f"{flag}: empty path")
     out = Path(path)
     while not out.exists() and out != out.parent:
         out = out.parent

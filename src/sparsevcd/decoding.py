@@ -312,8 +312,6 @@ class EngineAttention:
         else:
             w_recent = min(cfg.w_recent, retain_cand)
             pruned = cand[~select_topS(delta[cand], retain_cand, w_recent)]
-        if pruned.shape[0] == 0:
-            return False
         mask_full[pruned] = False
         self.errors.append(attention_error(ip[heads], pruned))
 
@@ -329,7 +327,9 @@ class EngineAttention:
                 dist = pairwise_distances(cols[:, pruned])
             assignment = cluster_pruned(dist, delta[pruned], cfg.knn_k,
                                         rho_merge=cfg.rho_merge, precomputed=True)
-            records = self._merge_records(layer, pruned, assignment)
+            records = MergedRecords(pruned[assignment.members], assignment.sizes,
+                                    assignment.weights,
+                                    merge_clusters(assignment, cache.gather(layer, pruned)).T)
         cache.set_sparsification(layer, mask_full, records, head=head)
         if self.keep_records:
             self.forward_records[-1]["layers"].append({
@@ -343,14 +343,6 @@ class EngineAttention:
                 "attn_error": self.errors[-1],
             })
         return True
-
-    def _merge_records(self, layer, pruned, assignment) -> MergedRecords:
-        """One record per cluster, merged in one call from the cache's
-        table of the pruned rows (every head's fields and the flags)."""
-        sizes = np.array([m.shape[0] for m in assignment.members], dtype=np.int64)
-        return MergedRecords(pruned[np.concatenate(assignment.members)], sizes,
-                             np.concatenate(assignment.weights),
-                             merge_clusters(assignment, self.cache.gather(layer, pruned)).T)
 
 
 def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,

@@ -16,17 +16,23 @@ DENSITY_EPS = 1e-8
 
 @dataclass
 class ClusterAssignment:
-    """Partition of the pruned tokens: canonical labels plus per-cluster
-    (center, ascending member indices, softmax-of-delta merge weights)."""
+    """Partition of the pruned tokens, flat in ``MergedRecords``' layout:
+    ``members`` lists the points cluster by cluster, ascending within each,
+    ``weights`` their merge weights (per cluster the softmax of the members'
+    saliencies), and ``cell`` each member's (cluster, slot) in the padded
+    ``(n_clusters, sizes.max())`` block its weight came from. Labels number
+    the clusters by ascending center."""
 
-    labels: np.ndarray
-    centers: np.ndarray
-    members: list[np.ndarray]
-    weights: list[np.ndarray]
+    labels: np.ndarray         # (n,) cluster of each point
+    centers: np.ndarray        # (m,) center point of each cluster
+    members: np.ndarray        # (n,) points, cluster by cluster
+    sizes: np.ndarray          # (m,) members per cluster
+    weights: np.ndarray        # (n,) merge weight of each member
+    cell: tuple[np.ndarray, np.ndarray]  # (n,) cluster and (n,) slot of each member
 
     @property
     def n_clusters(self) -> int:
-        return len(self.members)
+        return self.sizes.shape[0]
 
 
 def visual_saliency(cache: KvCache, layers) -> np.ndarray:
@@ -76,16 +82,12 @@ def select_topS(delta: np.ndarray, s: int, w_recent: int = 0) -> np.ndarray:
     n = delta.shape[0]
     if not 1 <= s <= n:
         raise ConfigError(f"retention budget {s} outside [1, {n}]")
-    if w_recent > s:
-        raise ConfigError("recency window cannot exceed the retention budget")
+    if not 0 <= w_recent <= s:
+        raise ConfigError(f"recency window {w_recent} outside [0, the retention budget {s}]")
     flags = np.zeros(n, dtype=bool)
-    if w_recent > 0:
-        flags[n - w_recent:] = True
-    budget = s - int(flags.sum())
-    if budget > 0:
-        open_idx = np.nonzero(~flags)[0]
-        order = np.lexsort((open_idx, -delta[open_idx]))
-        flags[open_idx[order[:budget]]] = True
+    flags[n - w_recent:] = True
+    # a stable sort keeps the earlier of two equal scores first
+    flags[np.argsort(-delta[: n - w_recent], kind="stable")[: s - w_recent]] = True
     return flags
 
 
@@ -135,7 +137,9 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     weights are the softmax of its members' saliency.
 
     ``keys`` is an ``(n, features)`` array, or with ``precomputed`` the
-    ``(n, n)`` matrix of its ``pairwise_distances``.
+    ``(n, n)`` matrix of its ``pairwise_distances`` (zero on the diagonal,
+    nowhere negative). Returns the flat assignment described at
+    ``ClusterAssignment``.
     """
     points = np.asarray(keys, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -149,16 +153,18 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     if k < 1:
         raise ConfigError("knn k must be at least 1")
     if n == 1:
-        return ClusterAssignment(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                                 [np.array([0])], [np.array([1.0])])
+        zero = np.zeros(1, dtype=np.int64)
+        return ClusterAssignment(zero, zero, zero, np.ones(1, dtype=np.int64), np.ones(1),
+                                 (zero, zero))
     k = min(k, n - 1)
     dist = points if precomputed else pairwise_distances(np.ascontiguousarray(points.T))
-    off = dist.copy()
-    np.fill_diagonal(off, np.inf)
-    rho = 1.0 / (DENSITY_EPS + np.mean(np.sort(off, axis=1)[:, :k], axis=1))
+    # a row's own exact zero sorts first (no distance is below +0.0), so
+    # columns 1..k hold the k nearest peers
+    ranked = np.sort(dist, axis=1)
+    rho = 1.0 / (DENSITY_EPS + np.add.reduce(ranked[:, 1:k + 1], axis=1) / k)
 
     # total order: higher density first, lower index wins ties
-    rank_order = np.lexsort((np.arange(n), -rho))
+    rank_order = np.argsort(-rho, kind="stable")
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[rank_order] = np.arange(n)
 
@@ -167,61 +173,48 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     nearest_denser = np.argmin(denser, axis=1)
     sep = denser[np.arange(n), nearest_denser]
     peak = rank_order[0]
-    sep[peak] = dist.max()
+    sep[peak] = ranked[:, -1].max()
 
     n_clusters = min(max(1, int(np.ceil(rho_merge * n))), n)
-    gamma = rho * sep
-    center_order = np.lexsort((np.arange(n), -gamma))
-    centers = np.sort(center_order[:n_clusters])
+    centers = np.sort(np.argsort(-(rho * sep), kind="stable")[:n_clusters])
 
     # each point's chain of nearest denser points ends at a center, which
     # points to itself; the peak, unless a center, points to its nearest
-    # center. Pointer jumping halves every chain per pass.
+    # center. Pointer jumping doubles every pointer's reach per pass, and no
+    # chain is longer than n - 1 links.
     parent = nearest_denser
-    parent[peak] = centers[int(np.lexsort((centers, dist[peak, centers]))[0])]
+    parent[peak] = centers[np.argmin(dist[peak, centers])]
     parent[centers] = centers
-    while True:
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            break
-        parent = jumped
-    labels = np.empty(n, dtype=np.int64)
-    labels[centers] = np.arange(n_clusters)
-    labels = labels[parent]
+    for _ in range((n - 1).bit_length()):
+        parent = parent[parent]
+    labels = np.searchsorted(centers, parent)
 
     # members ascending within each cluster; each softmax is one row of a
     # -inf-padded block whose trailing exact zeros leave the row sum unchanged
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n_clusters)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    cell = (labels[order], np.arange(n) - np.repeat(starts, sizes))
+    members = np.argsort(labels, kind="stable")
+    cluster = labels[members]
+    cell = (cluster, np.arange(n) - np.searchsorted(cluster, cluster))
+    sizes = np.bincount(labels)
     block = np.full((n_clusters, int(sizes.max())), -np.inf)
-    block[cell] = deltas[order]
-    flat_w = stable_softmax(block)[cell]
-    spans = list(zip(starts.tolist(), ends.tolist()))
-    members = [order[a:b] for a, b in spans]
-    weights = [flat_w[a:b] for a, b in spans]
-    return ClusterAssignment(labels, centers, members, weights)
+    block[cell] = deltas[members]
+    return ClusterAssignment(labels, centers, members, sizes, stable_softmax(block)[cell], cell)
 
 
 def merge_clusters(assignment: ClusterAssignment, rows) -> np.ndarray:
     """Merge-weighted sum of each cluster's member rows, as an
     ``(n_clusters, rows.shape[1])`` block.
 
-    Row ``c`` is ``weighted_sum_rows(weights[c], rows[members[c]])`` bit for
-    bit: the weighted member rows fill an ``(slots, clusters, features)``
+    With ``members_c`` and ``weights_c`` cluster ``c``'s slices of the flat
+    ``members`` and ``weights``, row ``c`` is ``weighted_sum_rows(weights_c,
+    rows[members_c])`` bit for bit: the weighted member rows fill the
+    assignment's cells, transposed, of a ``(slots, n_clusters, features)``
     block padded with ``-0.0``, and its slot planes are added in order.
     ``x + -0.0 == x`` for every ``x``, so the padding leaves each sum as is.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    sizes = np.array([m.shape[0] for m in assignment.members], dtype=np.int64)
-    terms = (np.concatenate(assignment.weights)[:, None]
-             * rows[np.concatenate(assignment.members)])
-    starts = np.cumsum(sizes) - sizes
-    slot = np.arange(terms.shape[0]) - np.repeat(starts, sizes)
-    block = np.full((int(sizes.max()), sizes.shape[0], rows.shape[1]), -0.0)
-    block[slot, np.repeat(np.arange(sizes.shape[0]), sizes)] = terms
+    cluster, slot = assignment.cell
+    block = np.full((int(assignment.sizes.max()), assignment.n_clusters, rows.shape[1]), -0.0)
+    block[slot, cluster] = assignment.weights[:, None] * rows[assignment.members]
     agg = block[0].copy()
     for plane in block[1:]:
         agg += plane

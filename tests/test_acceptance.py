@@ -109,7 +109,7 @@ def test_c03_normalization_suite():
         for _ in range(1000):
             n = int(rng.integers(1, 12))
             out = cluster_pruned(rng.normal(size=(n, 3)), rng.random(n), k=5)
-            for w in out.weights:
+            for w in np.split(out.weights, np.cumsum(out.sizes)[:-1]):
                 assert abs(w.sum() - 1.0) < 1e-9
                 total_clusters += 1
         assert total_clusters >= 1000
@@ -170,10 +170,10 @@ def test_c06_clustering_conformance():
             ref_labels, ref_centers = reference_clustering(pts, k, n_clusters)
             assert list(engine.labels) == list(ref_labels), f"trial {trial}"
             assert list(engine.centers) == list(ref_centers)
-            seen = np.concatenate(engine.members)
+            seen = engine.members
             assert sorted(seen.tolist()) == list(range(n))
             assert engine.n_clusters <= n
-            for w in engine.weights:
+            for w in np.split(engine.weights, np.cumsum(engine.sizes)[:-1]):
                 assert abs(w.sum() - 1.0) < 1e-9
 
 

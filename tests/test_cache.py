@@ -4,7 +4,7 @@ import pytest
 from sparsevcd.cache import KvCache, MergedRecords
 from sparsevcd.models import build_toy_transformer
 from sparsevcd.numerics import matvec
-from sparsevcd.vats import attention_error
+from sparsevcd.vats import attention_error, cluster_pruned, merge_clusters
 
 
 def fill_cache(n_tokens, layers=1, heads=1, dim=4, seed=0, mode="logical"):
@@ -299,3 +299,49 @@ def test_set_sparsification_copies_the_mask(head):
     cache.set_sparsification(0, mask, head=head)
     mask[:] = False
     assert list(cache.mask_view(0, head)) == [True, False, True, True, True]
+
+
+@pytest.mark.parametrize("mode", ["logical", "compacted"])
+def test_cached_row_counts_match_the_flag_rows(mode):
+    """The visual-row and raw-row counts a layer keeps equal a recount of
+    its flag rows after appends, after compaction and on a clone."""
+    rng = np.random.default_rng(17)
+
+    def append(cache, n):
+        for _ in range(n):
+            visual = bool(rng.random() < 0.4)
+            for layer in range(cache.layers):
+                cache.append(layer, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), visual)
+
+    def check(cache):
+        for layer in range(cache.layers):
+            visual = cache.visual_flags(layer)
+            raw = np.nonzero(cache.gather(layer, np.arange(cache.rows(layer)))[:, -1] < 0.5)[0]
+            assert cache._layers[layer].n_visual == np.count_nonzero(visual)
+            assert cache.has_visual(layer) == bool(visual.any())
+            assert cache.raw_present(layer) == raw.shape[0]
+            assert np.array_equal(cache.raw_rows(layer), raw)
+
+    cache = KvCache(2, 2, 3, mode=mode)
+    check(cache)
+    append(cache, 14)
+    check(cache)
+    for layer in range(cache.layers):
+        # layer 0 prunes every visual row, layer 1 every other row
+        visual = cache.visual_flags(layer)
+        pruned = np.nonzero(visual)[0] if layer == 0 else np.arange(0, cache.rows(layer), 2)
+        mask = np.ones(cache.rows(layer), dtype=bool)
+        mask[pruned] = False
+        table = cache.gather(layer, pruned)
+        asg = cluster_pruned(table[:, :6], rng.random(pruned.shape[0]), k=2, rho_merge=0.5)
+        cache.set_sparsification(layer, mask, MergedRecords(
+            pruned[asg.members], asg.sizes, asg.weights, merge_clusters(asg, table).T))
+    cache.compact()
+    assert not cache.has_visual(0)
+    check(cache)
+    append(cache, 5)
+    check(cache)
+    twin = cache.clone()
+    append(twin, 4)
+    check(twin)
+    check(cache)

@@ -179,7 +179,8 @@ def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, 
 # each of these exited 0 with the config's value in place of the one given
 # (--out "" wrote ./results.csv, decode --image "" decoded corpus example 0,
 # --prompt "" became [BOS], --diagnostics "" wrote nothing), before the flags
-# were tested against None
+# were tested against None; attn-stats --out-dir "" wrote its two CSVs into
+# the working directory
 @pytest.mark.parametrize("argv", [
     ["run", "--workers", "0", "--out", "{tmp}/rows.csv"],
     ["sweep", "--axis", "alpha", "--grid", "0.3", "--workers", "0", "--out", "{tmp}/rows.csv"],
@@ -188,6 +189,7 @@ def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, 
     ["decode", "--image", ""],
     ["decode", "--image", "4", "--prompt", ""],
     ["decode", "--image", "4", "--diagnostics", ""],
+    ["attn-stats", "--out-dir", ""],
 ])
 def test_cli_rejects_falsy_flag_values_as_config_errors(argv, tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "c.jsonl"
@@ -196,7 +198,7 @@ def test_cli_rejects_falsy_flag_values_as_config_errors(argv, tmp_path, capsys, 
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv + ["--corpus", str(corpus), "--set", "decode.max_len=2"]) == 1
     assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "rows.csv").exists() and not (tmp_path / "results.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_composer_rejects_eos_id_it_cannot_emit():

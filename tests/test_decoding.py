@@ -659,7 +659,7 @@ def test_logits_finite_and_attention_and_merge_weights_normalised(draw, mode):
 
     def spy(*args, **kwargs):
         assignment = cluster_pruned(*args, **kwargs)
-        merge_weights.extend(assignment.weights)
+        merge_weights.extend(np.split(assignment.weights, np.cumsum(assignment.sizes)[:-1]))
         return assignment
 
     with mock.patch("sparsevcd.decoding.cluster_pruned", spy):

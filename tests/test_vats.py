@@ -5,9 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparsevcd.cache import KvCache
 from sparsevcd.errors import ConfigError
+from sparsevcd.numerics import stable_softmax, weighted_sum_rows
 from sparsevcd.oracle import brute_force_mask, objective_value, reference_clustering
 from sparsevcd.vats import (ClusterAssignment, cluster_pruned, merge_clusters,
                             pairwise_distances, select_topS, visual_saliency)
@@ -178,6 +182,17 @@ def test_cluster_matches_reference_on_planted_blobs():
     assert list(engine.centers) == list(ref_centers)
 
 
+def test_cluster_labels_the_longest_nearest_denser_chain():
+    """Gaps that widen along a line make each point's nearest denser point
+    its left neighbour: one chain through all n points to the only center."""
+    for n in range(2, 40):
+        pts = np.cumsum(np.arange(n, dtype=np.float64))[:, None]
+        out = cluster_pruned(pts, np.zeros(n), k=1, rho_merge=0.01)
+        ref_labels, ref_centers = reference_clustering(pts, 1, 1)
+        assert list(out.centers) == list(ref_centers) == [0]
+        assert list(out.labels) == list(ref_labels) == [0] * n
+
+
 def test_cluster_totality_and_weight_sums():
     rng = np.random.default_rng(23)
     for trial in range(25):
@@ -185,16 +200,16 @@ def test_cluster_totality_and_weight_sums():
         pts = rng.normal(size=(n, 5))
         deltas = rng.random(n)
         out = cluster_pruned(pts, deltas, k=5)
-        seen = np.concatenate(out.members) if out.members else np.array([])
+        seen = out.members
         assert sorted(seen.tolist()) == list(range(n))
         assert out.n_clusters <= n
-        for w in out.weights:
+        for w in np.split(out.weights, np.cumsum(out.sizes)[:-1]):
             assert abs(w.sum() - 1.0) < 1e-9
 
 
 def test_merge_singleton_is_identity():
-    asg = ClusterAssignment(np.array([0]), np.array([0]),
-                            [np.array([0])], [np.array([1.0])])
+    one = np.array([0])
+    asg = ClusterAssignment(one, one, one, np.array([1]), np.array([1.0]), (one, one))
     keys = np.array([[1.5, -2.0]])
     vals = np.array([[0.5, 0.25]])
     agg_k, = merge_clusters(asg, keys)
@@ -204,8 +219,8 @@ def test_merge_singleton_is_identity():
 
 
 def test_merge_identical_members():
-    asg = ClusterAssignment(np.array([0, 0]), np.array([0]),
-                            [np.array([0, 1])], [np.array([0.3, 0.7])])
+    asg = ClusterAssignment(np.array([0, 0]), np.array([0]), np.array([0, 1]), np.array([2]),
+                            np.array([0.3, 0.7]), (np.array([0, 0]), np.array([0, 1])))
     keys = np.array([[2.0, 2.0], [2.0, 2.0]])
     vals = np.array([[1.0, 0.0], [1.0, 0.0]])
     agg_k, = merge_clusters(asg, keys)
@@ -219,6 +234,43 @@ def test_merge_equal_saliency_averages():
     out = cluster_pruned(pts, np.array([0.5, 0.5]), k=1)
     agg_k, = merge_clusters(out, pts)
     assert np.allclose(agg_k, [0.5, 0.5], atol=1e-12)
+
+
+@st.composite
+def grid_clusterings(draw):
+    """Points on a 3x3x3 integer grid with integer saliencies, so distances,
+    densities and saliencies tie, plus rows to merge."""
+    n = draw(st.integers(1, 130))
+    ints = arrays(np.int64, (n, 3), elements=st.integers(0, 2))
+    return (draw(ints).astype(np.float64),
+            draw(arrays(np.int64, n, elements=st.integers(-2, 2))).astype(np.float64),
+            draw(arrays(np.float64, (n, 4), elements=st.floats(-4.0, 4.0))),
+            draw(st.integers(1, 12)), draw(st.floats(0.01, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_clusterings())
+def test_flat_assignment_layout_and_merge(case):
+    """The flat assignment lists every point once, cluster by cluster and
+    ascending within each; each cluster's slice of the weights is the
+    softmax of its members' saliencies, and its merged row the weighted sum
+    of its members' rows, bit for bit."""
+    points, deltas, rows, k, rho_merge = case
+    n = points.shape[0]
+    out = cluster_pruned(points, deltas, k, rho_merge=rho_merge)
+    assert sorted(out.members.tolist()) == list(range(n))
+    assert np.array_equal(out.sizes, np.bincount(out.labels))
+    assert np.array_equal(out.labels[out.centers], np.arange(out.n_clusters))
+    merged = merge_clusters(out, rows)
+    assert merged.shape == (out.n_clusters, rows.shape[1])
+    ends = np.cumsum(out.sizes)
+    for c, (a, b) in enumerate(zip(ends - out.sizes, ends)):
+        members, weights = out.members[a:b], out.weights[a:b]
+        assert np.all(out.labels[members] == c)
+        assert np.all(np.diff(members) > 0)
+        assert np.all(out.cell[0][a:b] == c) and np.array_equal(out.cell[1][a:b], np.arange(b - a))
+        assert weights.tobytes() == stable_softmax(deltas[members]).tobytes()
+        assert merged[c].tobytes() == weighted_sum_rows(weights, rows[members]).tobytes()
 
 
 # ------------------------------------------------- clustering regression pin
@@ -247,12 +299,11 @@ def _cluster_digests(kind: str, n: int) -> dict:
     hashes = {name: hashlib.sha256() for name in CLUSTER_FIELDS}
     for k in CLUSTER_KS:
         out = cluster_pruned(points, deltas, k)
-        sizes = np.array([m.shape[0] for m in out.members], dtype=np.int64)
         hashes["labels"].update(out.labels.astype(np.int64).tobytes())
         hashes["centers"].update(out.centers.astype(np.int64).tobytes())
-        hashes["members"].update(sizes.tobytes())
-        hashes["members"].update(np.concatenate(out.members).astype(np.int64).tobytes())
-        hashes["weights"].update(np.concatenate(out.weights).tobytes())
+        hashes["members"].update(out.sizes.astype(np.int64).tobytes())
+        hashes["members"].update(out.members.astype(np.int64).tobytes())
+        hashes["weights"].update(out.weights.tobytes())
         hashes["merged"].update(np.ascontiguousarray(merge_clusters(out, rows)).tobytes())
     return {name: h.hexdigest() for name, h in hashes.items()}
 
