@@ -9,28 +9,22 @@ A cache instance is owned by exactly one decode session. Two maintenance modes:
 * ``compacted`` — pruned rows are physically evicted and each cluster is
   appended as one aggregate row (exempt from later pruning).
 
-Layout: each layer keeps all of its rows in one growable float64 buffer,
-one column per row. A column holds, per head, the key; then per head the
-value; then per head the column accumulator ``c`` and the visual-mass
-accumulator ``r``; then the row's visual flag and aggregate flag. So a
-head's keys are a ``(dim, rows)`` block, the heads' keys an ``(H, dim,
-rows)`` block, and ``c`` / ``r`` ``(H, rows)`` blocks; the accessors hand
-them out as views (keys and values transposed to ``(H, rows, dim)``).
-Appending a token writes one column; growing, compacting and cloning a
-layer each move one buffer.
+Layout: each layer keeps its rows in two growable float64 buffers, each in
+the layout its attention sum reads without a copy. The column buffer has one
+column per row: per head the key, then per head the column accumulator
+``c`` and the visual-mass accumulator ``r``, then the visual and aggregate
+flags. So the keys are an ``(H, dim, rows)`` block, ``matvec``'s layout,
+and ``c`` / ``r`` are ``(H, rows)`` blocks. The value buffer has one row
+per row, every head's value side by side, so the values are an ``(H, rows,
+dim)`` view with the features fastest, ``weighted_sum_rows``' layout.
 
-A layer's pending prune is one dict of plans, ``{None | head: (mask,
-MergedRecords)}``: ``None`` keys the mask every head shares, a head number
-that head's overlay (logical mode only). A plan covers the rows present
-when it was installed; the engine clears (logical) or compacts (compacted)
-it before the layer's next append. The records are columns in the same
-layout, one per cluster: the merge of the members' columns, whose visual
-row is the merge weight the cluster's visual members carry.
-
-Attention runs once per layer over head groups: all heads when the layer
-shares one mask, one head per group when per-head overlays are installed.
-A group is a slice of heads, or a head number for a group of one: its
-arrays then drop the head axis, and the same kernels run on them.
+A layer's pending prune is one plan: an ``(R, n)`` retention mask with one
+``MergedRecords`` per mask row, ``R = 1`` a mask every head shares and
+``R = H`` one per head (logical mode only). The engine clears (logical) or
+compacts (compacted) it before the layer's next append. Every head's plan
+keeps as many rows and clusters as the others, so attention is one call per
+layer over the ``(H, size)`` head block: an unmasked support is a view, a
+masked one one gather per buffer, and no head is reduced with another.
 """
 
 from __future__ import annotations
@@ -47,34 +41,34 @@ from sparsevcd.sac import calibrate_scores
 @dataclass
 class MergedRecords:
     """A layer's clusters of pruned rows, each merged into one virtual
-    aggregate row; cluster ``j`` is column ``j`` of ``columns``."""
+    aggregate row; cluster ``j`` is column ``j`` of ``columns``, whose
+    visual row is the merge weight the cluster's visual members carry."""
 
     members: np.ndarray        # (total,) physical rows of the members, cluster by cluster
     sizes: np.ndarray          # (m,) members per cluster
     weights: np.ndarray        # (total,) merge weights; each cluster's sum to 1
-    columns: np.ndarray        # (fields, m) merged member columns, in the layer's layout
+    columns: np.ndarray        # (fields, m) merged member rows, in the gather table's layout
 
     def __len__(self) -> int:
         return self.sizes.shape[0]
 
-    @property
-    def visual_weight(self) -> np.ndarray:
-        """(m,) merge weight carried by each cluster's visual members."""
-        return self.columns[-2]
-
 
 @dataclass
 class SupportView:
-    """Attention support for one head group of a layer: retained raw rows,
-    then the virtual aggregates."""
+    """A layer's attention support as a head block: per head its retained
+    raw rows, then its records' virtual aggregates. Arrays with a leading
+    ``R`` have one row per mask row of the plan (``R = 1`` is shared by
+    every head)."""
 
-    heads: int | slice         # a head number drops the head axis below
-    keys: np.ndarray           # (G, size, dim)
-    values: np.ndarray         # (G, size, dim)
-    c: np.ndarray              # (G, size)
-    raw_idx: np.ndarray | slice  # physical rows of the retained raw entries
+    keys: np.ndarray           # (H, size, dim)
+    values: np.ndarray         # (H, size, dim)
+    c: np.ndarray              # (H, size)
+    visual: np.ndarray         # (R, size) visual flags, then the records' visual weights
+    raw_idx: np.ndarray | slice  # (R, n_raw) physical rows of the retained raw entries
     n_raw: int
-    records: MergedRecords     # logical-mode virtual aggregates, in order
+    members: np.ndarray        # (R, total) physical rows of the records' members
+    sizes: np.ndarray          # (R, m) members per record
+    weights: np.ndarray        # (R, total) each member's merge weight
 
     @property
     def size(self) -> int:
@@ -83,12 +77,12 @@ class SupportView:
 
 @dataclass
 class Attention:
-    """One layer's attention: context per head, and per head group its
-    support and the attention rows folded into the accumulators."""
+    """One layer's attention: context per head, the support, and the
+    attention rows folded into the accumulators."""
 
     context: np.ndarray        # (H, dim)
-    rows: list[np.ndarray]     # per group (G, size), or (size,) for a lone head
-    supports: list[SupportView]
+    rows: np.ndarray           # (H, size)
+    support: SupportView
 
 
 @dataclass
@@ -99,87 +93,58 @@ class CompactStats:
 
 
 class _LayerState:
-    """One layer's rows, one column each, and its pending prune plans; see
-    the module docstring."""
+    """One layer's rows, in a column buffer and a value buffer, and its
+    pending prune plan; see the module docstring."""
 
-    def __init__(self, heads: int, dim: int, cap: int = 16):
-        hd = heads * dim
-        self.heads, self.dim = heads, dim
-        self._keys = slice(0, hd)
-        self._values = slice(hd, 2 * hd)
-        self._c = slice(2 * hd, 2 * hd + heads)
-        self._r = slice(2 * hd + heads, 2 * hd + 2 * heads)
+    def __init__(self, heads: int, dim: int):
+        self.heads, self.dim, self.hd = heads, dim, heads * dim
         self.n = 0
-        fields = 2 * hd + 2 * heads + 2
-        self._adopt(np.zeros((fields, cap)))
+        fields = self.hd + 2 * heads + 2
+        self.adopt(np.zeros((fields, 0)), np.zeros((0, self.hd)), 16)
         self.raw_present = 0        # raw rows physically present
         self.n_visual = 0           # rows whose visual flag is set
         self.no_records = MergedRecords(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                                        np.zeros(0), np.zeros((fields, 0)))  # never written
-        self.plans: dict[int | None, tuple[np.ndarray, MergedRecords]] = {}
+                                        np.zeros(0), np.zeros((self.hd + fields, 0)))
+        self.mask: np.ndarray | None = None    # (R, n) retention mask of the plan
+        self.records: tuple[MergedRecords, ...] = ()  # one per mask row
 
-    def blocks(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of a block of columns in this layer's layout (at least the
-        key, value and ``c`` fields): ``(H, rows, dim)`` keys and values,
-        and ``(H, rows)`` ``c``."""
-        shape = (self.heads, self.dim, cols.shape[1])
-        return (cols[self._keys].reshape(shape).swapaxes(1, 2),
-                cols[self._values].reshape(shape).swapaxes(1, 2), cols[self._c])
-
-    def _adopt(self, data: np.ndarray) -> None:
-        """Take ``data`` as the buffer, with full-capacity views of its
-        fields: ``(H, cap, dim)`` keys and values, ``(H, cap)`` ``c`` and
+    def adopt(self, columns: np.ndarray, values: np.ndarray, cap: int) -> None:
+        """Copy the first ``n`` columns and value rows into new buffers of
+        ``cap`` rows (columns past ``n`` are zero, so a new row's ``c`` and
+        ``r`` start at 0), with full-capacity views: ``(H, dim, cap)`` key
+        columns, ``(H, cap, dim)`` keys and values, ``(H, cap)`` ``c`` and
         ``r``, and the two flag rows."""
-        self.data = data
-        self.k_all, self.v_all, self.c_all = self.blocks(data)
-        self.r_all = data[self._r]
-        self.flags = data[-2:]      # visual, aggregate
-
-    # live views, (H, n) / (n,)
-    @property
-    def c(self) -> np.ndarray:
-        return self.c_all[:, : self.n]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.r_all[:, : self.n]
-
-    @property
-    def visual(self) -> np.ndarray:
-        return self.flags[0, : self.n]
-
-    @property
-    def is_agg(self) -> np.ndarray:
-        return self.flags[1, : self.n]
+        h, d, hd, n = self.heads, self.dim, self.hd, self.n
+        self.data = np.zeros((columns.shape[0], cap))
+        self.data[:, :n] = columns[:, :n]
+        self.vals = np.empty((cap, hd))
+        self.vals[:n] = values[:n]
+        self.k_cols = self.data[:hd].reshape(h, d, cap)
+        self.k_all = self.k_cols.swapaxes(1, 2)
+        self.v_all = self.vals.reshape(cap, h, d).swapaxes(0, 1)
+        self.c_all = self.data[hd: hd + h]
+        self.r_all = self.data[hd + h: hd + 2 * h]
+        self.flags = self.data[-2:]      # visual, aggregate
 
     def append(self, keys: np.ndarray, values: np.ndarray, visual: bool) -> int:
-        if self.n == self.data.shape[1]:
-            grown = np.zeros((self.data.shape[0], 2 * self.n))
-            grown[:, : self.n] = self.data[:, : self.n]
-            self._adopt(grown)
-        # columns past n are zero, so the new row's c and r start at 0
-        col = self.data[:, self.n]
-        col[self._keys] = keys.reshape(-1)
-        col[self._values] = values.reshape(-1)
+        n = self.n
+        if n == self.vals.shape[0]:
+            self.adopt(self.data, self.vals, 2 * n)
+        col = self.data[:, n]
+        col[: self.hd] = keys.reshape(-1)
         col[-2:] = (1.0 if visual else 0.0, 0.0)
-        self.n += 1
+        self.vals[n] = values.reshape(-1)
+        self.n = n + 1
         self.raw_present += 1
         if visual:
             self.n_visual += 1
-        return self.n - 1
-
-    def replace(self, columns: np.ndarray) -> None:
-        self.n = columns.shape[1]
-        data = np.zeros((self.data.shape[0], max(16, self.n)))
-        data[:, : self.n] = columns
-        self._adopt(data)
+        return n
 
     def clone(self) -> "_LayerState":
         out = _LayerState.__new__(_LayerState)
         out.__dict__.update(self.__dict__)
-        out._adopt(self.data.copy())
-        # plans are replaced, never written in place
-        out.plans = dict(self.plans)
+        # the plan is replaced, never written in place
+        out.adopt(self.data, self.vals, self.data.shape[1])
         return out
 
 
@@ -198,10 +163,14 @@ class KvCache:
         self.mode = mode
         self.accumulate_raw_scores = accumulate_raw_scores
         self.sqrt_dim = math.sqrt(dim)
-        # head groups; a lone head is addressed by its number, so its blocks
-        # drop the head axis (numpy calls on 1-d rows cost less than on 2-d)
-        self._all_heads = [slice(0, heads) if heads > 1 else 0]
-        self._each_head = list(range(heads))
+        self._head_ids = np.arange(heads)
+        self._heads = self._head_ids[:, None]   # a head index for (H, k) fancy indices
+        self._no_members = np.zeros((1, 0), dtype=np.int64)
+        # per head, its key rows, its c row and the visual row of a column
+        hd = heads * dim
+        self._head_fields = np.concatenate([
+            np.arange(hd).reshape(heads, dim), hd + self._heads,
+            np.full((heads, 1), hd + 2 * heads)], axis=1)
         self._layers = [_LayerState(heads, dim) for _ in range(layers)]
         self.n_logical = 0
         self.peak_rows = 0
@@ -234,7 +203,8 @@ class KvCache:
     # ------------------------------------------------------------- flags/sets
 
     def visual_flags(self, layer: int) -> np.ndarray:
-        return self._layers[layer].visual > 0.5
+        st = self._layers[layer]
+        return st.flags[0, : st.n] > 0.5
 
     def has_visual(self, layer: int) -> bool:
         return self._layers[layer].n_visual > 0
@@ -243,17 +213,19 @@ class KvCache:
         st = self._layers[layer]
         if st.raw_present == st.n:  # no aggregates, as in every logical-mode layer
             return np.arange(st.n)
-        return np.nonzero(st.is_agg < 0.5)[0]
+        return np.nonzero(st.flags[1, : st.n] < 0.5)[0]
 
     def raw_present(self, layer: int) -> int:
         return self._layers[layer].raw_present
 
     def mask_view(self, layer: int, head: int | None = None) -> np.ndarray:
-        """The retention mask a head (or, for ``None``, every head) attends
-        through: its overlay, else the shared mask, else all rows."""
+        """The retention mask a head attends through, or for ``None`` the
+        mask every head shares (all rows when the heads' masks differ);
+        all rows without a plan."""
         st = self._layers[layer]
-        plan = st.plans.get(head) or st.plans.get(None)
-        return np.ones(st.n, dtype=bool) if plan is None else plan[0]
+        if st.mask is None or (head is None and st.mask.shape[0] > 1):
+            return np.ones(st.n, dtype=bool)
+        return st.mask[0 if head is None else head % st.mask.shape[0]]
 
     def key_block(self, layer: int) -> np.ndarray:
         """Every head's keys as an ``(H, rows, dim)`` view."""
@@ -262,17 +234,19 @@ class KvCache:
 
     def c_block(self, layer: int) -> np.ndarray:
         """Every head's column accumulators, ``(H, rows)``, writable."""
-        return self._layers[layer].c
+        st = self._layers[layer]
+        return st.c_all[:, : st.n]
 
     def r_block(self, layer: int) -> np.ndarray:
         """Every head's visual-mass accumulators, ``(H, rows)``, writable."""
-        return self._layers[layer].r
+        st = self._layers[layer]
+        return st.r_all[:, : st.n]
 
     def c_view(self, layer: int, head: int) -> np.ndarray:
-        return self._layers[layer].c[head]
+        return self.c_block(layer)[head]
 
     def r_view(self, layer: int, head: int) -> np.ndarray:
-        return self._layers[layer].r[head]
+        return self.r_block(layer)[head]
 
     def key_rows(self, layer: int, head: int) -> np.ndarray:
         st = self._layers[layer]
@@ -284,77 +258,84 @@ class KvCache:
 
     def gather(self, layer: int, idx: np.ndarray) -> np.ndarray:
         """Rows ``idx`` of the layer as a ``(len(idx), fields)`` table: the
-        transposed columns (merging it column by column merges each field,
-        and the merged table transposed is ``MergedRecords.columns``)."""
-        return self._layers[layer].data[:, idx].T
+        value row, then the column (merging the table column by column
+        merges each field, and the merged table transposed is
+        ``MergedRecords.columns``)."""
+        st = self._layers[layer]
+        return np.concatenate([st.vals[idx], st.data[:, idx].T], axis=1)
 
     # -------------------------------------------------------------- attention
 
-    def head_groups(self, layer: int) -> list[int | slice]:
-        """All heads together, or one head per group once per-head
-        overlays are installed."""
-        plans = self._layers[layer].plans
-        return self._each_head if len(plans) > (None in plans) else self._all_heads
-
-    def support(self, layer: int, heads: int | slice) -> SupportView:
-        """Current attention support of a head group: retained rows followed
-        by virtual aggregates."""
+    def support(self, layer: int) -> SupportView:
+        """Current attention support of every head: retained rows followed
+        by virtual aggregates, one gather per buffer."""
         st = self._layers[layer]
-        n = st.n
-        # a slice group shares the mask: overlays split the layer into heads
-        plan = (isinstance(heads, int) and st.plans.get(heads)) or st.plans.get(None)
-        mask, records = plan or (None, st.no_records)
-        if mask is None or (mask.all() and not len(records)):
-            return SupportView(heads, st.k_all[heads, ..., :n, :], st.v_all[heads, ..., :n, :],
-                               st.c_all[heads, :n], slice(0, n), n, records)
-        raw_idx = np.nonzero(mask)[0]
-        top = st._c.stop            # the key, value and c fields
-        K, V, c = st.blocks(np.concatenate([st.data[:top, raw_idx], records.columns[:top]],
-                                           axis=1))
-        return SupportView(heads, K[heads], V[heads], c[heads], raw_idx, raw_idx.shape[0],
-                           records)
+        n, mask, records = st.n, st.mask, st.records
+        if mask is None or (mask.all() and not len(records[0])):
+            none = self._no_members
+            return SupportView(st.k_all[:, :n], st.v_all[:, :n], st.c_all[:, :n],
+                               st.flags[:1, :n], slice(0, n), n, none, none, none)
+        h, d, hd = self.heads, self.dim, st.hd
+        rec = records[0]
+        if mask.shape[0] == 1:
+            raw_idx = np.nonzero(mask[0])[0]
+            cols = np.concatenate([st.data[:, raw_idx], rec.columns[hd:]], axis=1)
+            keys = cols[:hd].reshape(h, d, -1)
+            c, visual = cols[hd: hd + h], cols[-2:-1]
+            values = np.concatenate([st.vals[raw_idx], rec.columns[:hd].T]).reshape(
+                -1, h, d).swapaxes(0, 1)
+            raw_idx, members, weights = raw_idx[None], rec.members[None], rec.weights[None]
+            sizes = rec.sizes[None]
+        else:
+            # head h's key rows, c row and visual row at its own rows, then
+            # the same fields of its own records
+            raw_idx = np.flatnonzero(mask).reshape(h, -1) - self._head_ids[:, None] * n
+            table = np.concatenate([rec.columns for rec in records]).reshape(h, -1, len(rec))
+            fields = self._head_fields
+            cols = np.concatenate([
+                np.take(st.data, fields[:, :, None] * st.data.shape[1] + raw_idx[:, None]),
+                table[self._heads, fields + hd]], axis=2)
+            keys, c, visual = cols[:, :d], cols[:, d], cols[:, d + 1]
+            values = np.concatenate([st.v_all[self._heads, raw_idx],
+                                     table[self._heads, fields[:, :d]].swapaxes(1, 2)], axis=1)
+            members, weights, sizes = (np.concatenate([getattr(rec, f) for rec in records])
+                                       .reshape(h, -1) for f in ("members", "weights", "sizes"))
+        return SupportView(keys.swapaxes(1, 2), values, c, visual, raw_idx, raw_idx.shape[1],
+                           members, sizes, weights)
 
     def attend(self, layer: int, q, beta: float = 0.0) -> Attention:
         """Scaled-dot attention of each head's query (``q`` is
-        ``(heads, dim)``) over its support, one head group at a time.
+        ``(heads, dim)``) over its support, all heads in one block.
 
         ``beta > 0`` applies sinking-attention calibration to the scores
         (penalty weights: the softmax of the support's ``c``). Every
         attention row is folded into the accumulators; pruned tokens
-        contribute nothing. Returns one row entry per head group, aligned
-        with the supports. Raises on an empty support.
+        contribute nothing. Raises on an empty support.
         """
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.heads, self.dim):
             raise ValueError(f"attend: query block {q.shape} != ({self.heads}, {self.dim})")
-        context = np.empty((self.heads, self.dim))
-        rows, supports = [], []
-        query_row = self.rows(layer) - 1
-        for heads in self.head_groups(layer):
-            sup = self.support(layer, heads)
-            if sup.size == 0:
-                raise ValueError("attend: empty support")
-            s = matvec(sup.keys, q[heads]) / self.sqrt_dim
-            cal = calibrate_scores(s, stable_softmax(sup.c), beta) if beta > 0.0 else s
-            row = stable_softmax(cal)
-            context[heads] = weighted_sum_rows(row, sup.values)
-            self.record_attention(layer, heads, row, s, sup, query_row)
-            rows.append(row)
-            supports.append(sup)
-        return Attention(context, rows, supports)
+        sup = self.support(layer)
+        if sup.size == 0:
+            raise ValueError("attend: empty support")
+        s = matvec(sup.keys, q) / self.sqrt_dim
+        cal = calibrate_scores(s, stable_softmax(sup.c), beta) if beta > 0.0 else s
+        rows = stable_softmax(cal)
+        context = weighted_sum_rows(rows, sup.values)
+        self.record_attention(layer, rows, s, sup, self._layers[layer].n - 1)
+        return Attention(context, rows, sup)
 
     # ----------------------------------------------------------- accumulators
 
-    def record_attention(self, layer: int, heads: int | slice, rows: np.ndarray,
-                         scores: np.ndarray, support: SupportView,
-                         query_row: int) -> None:
-        """Fold one step's attention rows (``(G, size)``, one per head of
-        the group, or one ``(size,)`` row) into the accumulators.
+    def record_attention(self, layer: int, rows: np.ndarray, scores: np.ndarray,
+                         support: SupportView, query_row: int) -> None:
+        """Fold one step's ``(H, size)`` attention rows into the
+        accumulators.
 
         Rows index the support; column sums get the rows (or the raw scores
         when the cache accumulates raw scores), with aggregate entries
-        redistributed to their members by merge weight (clusters are
-        disjoint, so one scatter adds each member once). The querying
+        redistributed to their members by merge weight (a head's clusters
+        are disjoint, so one scatter adds each member once). The querying
         token's visual-mass entry gets the probability mass landing on
         visual rows: the raw rows' flags, then the records' visual weights,
         summed along the row.
@@ -362,15 +343,17 @@ class KvCache:
         st = self._layers[layer]
         contrib = scores if self.accumulate_raw_scores else rows
         n_raw = support.n_raw
-        rec = support.records
-        c = st.c_all[heads]
-        c[..., support.raw_idx] += contrib[..., :n_raw]
-        flags = st.flags[0, support.raw_idx]
-        if len(rec):
-            amounts = np.repeat(contrib[..., n_raw:], rec.sizes, axis=-1)
-            c[..., rec.members] += amounts * rec.weights
-            flags = np.concatenate([flags, rec.visual_weight])
-        st.r_all[heads, query_row] += np.add.accumulate(rows * flags, axis=-1)[..., -1]
+        if isinstance(support.raw_idx, slice):
+            st.c_all[:, support.raw_idx] += contrib
+        else:
+            st.c_all[self._heads, support.raw_idx] += contrib[:, :n_raw]
+        if support.members.shape[1]:
+            # every head's record entries, each repeated once per member
+            sizes = np.broadcast_to(support.sizes, (self.heads, support.size - n_raw))
+            amounts = np.repeat(contrib[:, n_raw:].ravel(), sizes.ravel()).reshape(self.heads, -1)
+            st.c_all[self._heads, support.members] += amounts * support.weights
+        mass = np.add.accumulate(rows * support.visual, axis=-1)[:, -1]
+        st.r_all[:, query_row] = st.r_all[:, query_row] + mass
 
     # ---------------------------------------------------------- sparsification
 
@@ -380,17 +363,30 @@ class KvCache:
         """Install a layer's plan: a copy of a raw-row retention mask plus
         merged records.
 
-        ``head=None`` installs the shared per-layer mask; an integer head
-        installs a per-head overlay (logical mode only).
+        ``head=None`` installs the mask every head shares, replacing the
+        plan; an integer head installs that head's row of a per-head plan
+        (logical mode only), the other heads keeping theirs.
         """
         st = self._layers[layer]
         mask = np.array(mask, dtype=bool)
-        if mask.shape[0] != st.n:
+        if mask.shape != (st.n,):
             raise ValueError("set_sparsification: mask length must equal row count")
-        st.plans[head] = (mask, st.no_records if records is None else records)
+        records = st.no_records if records is None else records
+        if head is None:
+            st.mask, st.records = mask[None], (records,)
+            return
+        # a new plan each time: clones share the old one
+        if st.mask is None:
+            st.mask, st.records = np.ones((1, st.n), dtype=bool), (st.no_records,)
+        per_head = np.repeat(st.mask, self.heads // st.mask.shape[0], axis=0)
+        per_head[head] = mask
+        st.records = tuple(records if h == head else st.records[h % len(st.records)]
+                           for h in range(self.heads))
+        st.mask = per_head
 
     def clear_sparsification(self, layer: int) -> None:
-        self._layers[layer].plans.clear()
+        st = self._layers[layer]
+        st.mask, st.records = None, ()
 
     def compact(self) -> CompactStats:
         """Physically apply the shared plans: evict pruned raws and append
@@ -398,20 +394,23 @@ class KvCache:
         plans are then spent."""
         stats = CompactStats()
         for st in self._layers:
-            mask, records = st.plans.get(None, (None, st.no_records))
-            if mask is None or (mask.all() and not len(records)):
+            mask = st.mask
+            if mask is None or (mask.all() and not len(st.records[0])):
                 continue
-            if len(st.plans) > 1:
+            if mask.shape[0] > 1:
                 raise ValueError("compact: per-head masks cannot be compacted")
-            del st.plans[None]
-            keep = np.nonzero(mask)[0]
+            records = st.records[0]
+            st.mask, st.records = None, ()
+            keep = np.nonzero(mask[0])[0]
             stats.evicted += int(st.n - keep.shape[0])
             stats.aggregates += len(records)
-            aggregates = records.columns.copy()
+            aggregates = records.columns[st.hd:].copy()
             aggregates[-2:] = [[0.0], [1.0]]
-            st.replace(np.concatenate([st.data[:, keep], aggregates], axis=1))
-            st.raw_present = int((st.is_agg < 0.5).sum())
-            st.n_visual = int((st.visual > 0.5).sum())
+            st.n = keep.shape[0] + len(records)
+            st.adopt(np.concatenate([st.data[:, keep], aggregates], axis=1),
+                     np.concatenate([st.vals[keep], records.columns[: st.hd].T]), max(16, st.n))
+            st.raw_present = int(np.count_nonzero(st.flags[1, : st.n] < 0.5))
+            st.n_visual = int(np.count_nonzero(st.flags[0, : st.n] > 0.5))
             self.peak_rows = max(self.peak_rows, st.n)
         stats.no_op = not (stats.evicted or stats.aggregates)
         return stats

@@ -239,14 +239,10 @@ class EngineAttention:
             planned = False
         att = cache.attend(layer, q, beta=cfg.beta if cfg.sac_enabled else 0.0)
         if self.keep_records:
-            vis_full = cache.visual_flags(layer)
-            for sup, rows in zip(att.supports, att.rows):
-                vis = np.concatenate([vis_full[sup.raw_idx],
-                                      sup.records.visual_weight > 0.5])
-                heads = np.arange(cache.heads)[sup.heads].reshape(-1).tolist()
-                for h, row in zip(heads, np.atleast_2d(rows)):
-                    self.forward_records[-1]["rows"].append(
-                        {"layer": layer, "head": h, "row": row, "visual": vis})
+            vis = att.support.visual > 0.5
+            self.forward_records[-1]["rows"].extend(
+                {"layer": layer, "head": h, "row": row, "visual": vis[h % vis.shape[0]]}
+                for h, row in enumerate(att.rows))
         if planned and cfg.mode == "compacted":
             cache.compact()
         return att
@@ -283,12 +279,9 @@ class EngineAttention:
         g_heads = cal * cal
 
         if cfg.per_head_mask:
-            any_pruned = False
-            for h in range(cache.heads):
-                pruned = self._plan_one(layer, raw_idx, s_budget, g_heads[h], p_vec,
-                                        ip, head=h)
-                any_pruned = any_pruned or pruned
-            return any_pruned
+            # every head plans, or none: they share the budget and the candidates
+            return any([self._plan_one(layer, raw_idx, s_budget, g_heads[h], p_vec, ip, head=h)
+                        for h in range(cache.heads)])
         g = np.add.accumulate(g_heads, axis=0)[-1] / cache.heads
         return self._plan_one(layer, raw_idx, s_budget, g, p_vec, ip, head=None)
 

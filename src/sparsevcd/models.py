@@ -307,6 +307,8 @@ class PlantedPriorComposer(ModelInterface):
         self.heads = 1
         self.d_model = 2 * vocab
         self.head_dim = self.d_model
+        self._query = np.zeros((1, self.d_model))   # every step's query, never written
+        self._query.flags.writeable = False
         self.noise = np.array([
             sigma * SplitMix64(combine(seed, _NOISE_SALT, int(f))).gauss()
             for f in finding_ids
@@ -343,9 +345,10 @@ class PlantedPriorComposer(ModelInterface):
         x = np.asarray(emb, dtype=np.float64)
         if x.shape != (self.d_model,):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
-        cache.append(0, x[None], x[None], visual=visual)
-        att = (cache.attend if attend is None else attend)(0, np.zeros((1, self.d_model)))
-        return att.context[0] * float(att.supports[0].size)
+        row = x[None]
+        cache.append(0, row, row, visual=visual)
+        att = (cache.attend if attend is None else attend)(0, self._query)
+        return att.context[0] * float(att.support.size)
 
     def lm_head(self, pooled: np.ndarray) -> np.ndarray:
         pooled = np.asarray(pooled, dtype=np.float64)

@@ -15,8 +15,10 @@ of a block result is bit-identical to the 2-d (or 1-d) call on head ``g``'s
 slice: every element is reduced over the same terms in the same order, the
 dot over the features left to right, the weighted sum over the rows top to
 bottom, the softmax total along the row. Nothing is summed across heads.
-The blocks may be strided views (the cache keeps each head's rows
-column-major, one column per row); the order does not depend on the layout.
+The blocks may be strided views, and the order does not depend on the
+layout. The cache hands out keys with the rows running fastest (one column
+per row) and values with the features running fastest (one row per row),
+the layouts in which ``matvec`` and ``weighted_sum_rows`` sum without a copy.
 
 ``matvec`` also takes a row block: an ``(n, k)`` matrix against ``(b, k)``
 rows gives the ``(b, n)`` block whose row ``i`` is bit-identical to

@@ -24,9 +24,9 @@ def record(members, weights, keys, vals, cs, rs):
 
 def merged(clusters):
     """The clusters as one ``MergedRecords`` block: one column per cluster
-    in the cache's layout (per head the key, per head the value, ``c`` and
-    ``r`` per head, then the visual and aggregate flags, both 0)."""
-    columns = np.stack([np.concatenate([np.concatenate(cl[2]), np.concatenate(cl[3]),
+    in the gather table's layout (per head the value, per head the key, ``c``
+    and ``r`` per head, then the visual and aggregate flags, both 0)."""
+    columns = np.stack([np.concatenate([np.concatenate(cl[3]), np.concatenate(cl[2]),
                                         cl[4], cl[5], [0.0, 0.0]]) for cl in clusters], axis=1)
     return MergedRecords(
         np.concatenate([cl[0] for cl in clusters]),
@@ -48,7 +48,7 @@ def attend_head0(cache, q):
     attention path of a one-head cache."""
     q = np.reshape(q, (1, -1))
     att = cache.attend(0, q)
-    return att.rows[0], matvec(att.supports[0].keys, q[0]) / cache.sqrt_dim
+    return att.rows[0], matvec(att.support.keys[0], q[0]) / cache.sqrt_dim
 
 
 def pruned_error(cache, q):
@@ -178,18 +178,20 @@ def test_attention_error_superset_monotone():
 
 
 def test_compact_noop_reported():
-    cache, _ = fill_cache(4)
+    cache, _ = fill_cache(4, heads=2)
     stats = cache.compact()
     assert stats.no_op
     assert stats.evicted == 0 and stats.aggregates == 0
     assert cache.rows(0) == 4
-    # per-head overlays alone leave nothing to compact; a shared prune next
-    # to them cannot be compacted
+    # a per-head plan cannot be compacted, whether or not the other heads
+    # keep every row
     cache.set_sparsification(0, np.array([True, False, True, True]), head=0)
-    assert cache.compact().no_op and cache.rows(0) == 4
-    cache.set_sparsification(0, np.array([True, True, False, True]))
     with pytest.raises(ValueError, match="per-head"):
         cache.compact()
+    cache.set_sparsification(0, np.array([True, True, False, True]), head=1)
+    with pytest.raises(ValueError, match="per-head"):
+        cache.compact()
+    assert cache.rows(0) == 4
 
 
 def test_compact_evicts_pruned_rows_without_records():
@@ -259,7 +261,7 @@ def test_accumulator_column_sums_match_replay():
         for h in range(2):
             replay = np.zeros(cache.rows(ell))
             for rows in recorded:
-                row = rows[ell][0][h]  # one group: no masks are installed
+                row = rows[ell][h]
                 replay[: row.shape[0]] += row
             assert np.array_equal(replay, cache.c_view(ell, h))
 
@@ -333,7 +335,7 @@ def test_cached_row_counts_match_the_flag_rows(mode):
         mask = np.ones(cache.rows(layer), dtype=bool)
         mask[pruned] = False
         table = cache.gather(layer, pruned)
-        asg = cluster_pruned(table[:, :6], rng.random(pruned.shape[0]), k=2, rho_merge=0.5)
+        asg = cluster_pruned(table[:, 6:12], rng.random(pruned.shape[0]), k=2, rho_merge=0.5)
         cache.set_sparsification(layer, mask, MergedRecords(
             pruned[asg.members], asg.sizes, asg.weights, merge_clusters(asg, table).T))
     cache.compact()

@@ -372,12 +372,9 @@ def test_forward_record_rows_carry_their_heads_attention(per_head_mask):
     for k, att in enumerate(calls):
         labelled = {snap["head"]: snap["row"] for snap in rows[k * m.heads:(k + 1) * m.heads]}
         assert sorted(labelled) == list(range(m.heads))
-        for sup in att.supports:
-            heads = np.arange(m.heads)[sup.heads].reshape(-1)
-            values = sup.values.reshape(len(heads), -1, m.head_dim)
-            for g, h in enumerate(heads):
-                ctx = weighted_sum_rows(labelled[h], values[g])
-                assert ctx.tobytes() == att.context[h].tobytes()
+        for h in range(m.heads):
+            ctx = weighted_sum_rows(labelled[h], att.support.values[h])
+            assert ctx.tobytes() == att.context[h].tobytes()
 
 
 # ------------------------------------------------ engine pins off the bench

@@ -31,7 +31,7 @@ def test_weights_from_cache_support():
     for i in range(3):
         cache.append(0, [[float(i), 0.0]], [[0.0, 1.0]])
     cache.c_view(0, 0)[:] = np.array([3.0, 1.0, 0.0])
-    w = stable_softmax(cache.support(0, slice(0, 1)).c[0])
+    w = stable_softmax(cache.support(0).c[0])
     assert np.allclose(w, SOFTMAX_310, atol=1e-12)
 
 
@@ -40,7 +40,7 @@ def test_weights_empty_error():
         stable_softmax([])
     cache = KvCache(1, 1, 2)
     with pytest.raises(ValueError):
-        stable_softmax(cache.support(0, slice(0, 1)).c[0])
+        stable_softmax(cache.support(0).c[0])
 
 
 def test_beta_zero_is_bit_exact_identity():
