@@ -219,12 +219,13 @@ class KvCache:
         return self._layers[layer].raw_present
 
     def mask_view(self, layer: int, head: int | None = None) -> np.ndarray:
-        """The retention mask a head attends through, or for ``None`` the
-        mask every head shares (all rows when the heads' masks differ);
-        all rows without a plan."""
+        """The retention mask a head attends through, all rows without a
+        plan; ``None`` asks for the mask every head shares."""
         st = self._layers[layer]
-        if st.mask is None or (head is None and st.mask.shape[0] > 1):
+        if st.mask is None:
             return np.ones(st.n, dtype=bool)
+        if head is None and st.mask.shape[0] > 1:
+            raise ValueError("mask_view: the heads' masks differ; name a head")
         return st.mask[0 if head is None else head % st.mask.shape[0]]
 
     def key_block(self, layer: int) -> np.ndarray:

@@ -216,11 +216,14 @@ class EngineAttention:
         return float(sum(self.errors) / len(self.errors))
 
     def retained_raw(self) -> list[int]:
+        """Per layer, the raw rows each head keeps (as many for every head)."""
         out = []
         for layer in range(self.cache.layers):
-            mask = self.cache.mask_view(layer)
             raw = self.cache.raw_rows(layer)
-            out.append(int(mask[raw].sum()))
+            kept = {int(self.cache.mask_view(layer, h)[raw].sum()) for h in range(self.cache.heads)}
+            if len(kept) != 1:
+                raise ValueError(f"layer {layer}: heads keep {sorted(kept)} raw rows")
+            out.append(kept.pop())
         return out
 
     # -- attention callback -------------------------------------------------

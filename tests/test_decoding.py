@@ -377,6 +377,27 @@ def test_forward_record_rows_carry_their_heads_attention(per_head_mask):
             assert ctx.tobytes() == att.context[h].tobytes()
 
 
+@pytest.mark.parametrize("per_head_mask", [False, True])
+def test_retained_raw_counts_each_heads_mask(per_head_mask):
+    # the count each step reports is the raw rows every head's own mask
+    # keeps; a per-head plan has no mask every head shares
+    m = transformer(37)
+    cache = m.new_cache()
+    scfg = SparsifyConfig(sparsity_rate=0.5, l_min=8, per_head_mask=per_head_mask)
+    controller = EngineAttention(cache, scfg)
+    tokens = np.random.default_rng(13).integers(1, 64, size=20)
+    for i, t in enumerate(tokens):
+        m.forward_step(cache, m.embed_text([t])[0], attend=controller.attend, visual=i < 6)
+        for layer, count in enumerate(controller.retained_raw()):
+            raw = cache.raw_rows(layer)
+            for h in range(m.heads):
+                assert int(cache.mask_view(layer, h)[raw].sum()) == count
+            assert count < raw.shape[0] if i >= scfg.l_min else count == raw.shape[0]
+    if per_head_mask:
+        with pytest.raises(ValueError, match="name a head"):
+            cache.mask_view(0)
+
+
 # ------------------------------------------------ engine pins off the bench
 
 # Paths the benchmark's workloads never take, pinned at their tokens and the
@@ -464,6 +485,8 @@ def test_compacted_beam_matches_pins(stop_layer, eos_id):
 # Logical beam search with merging on, pinned per mask kind: tokens, sha256
 # of the ``beam_audit`` float bytes and sha256 of the winner's diagnostics
 # (all fields but the timing). Forks carry the planner's distance tables.
+# The per-head diagnostics digest was re-captured when ``retained_raw``
+# began counting each head's own mask; no other field moved.
 LOGICAL_BEAM_PINS = {
     "shared": (
         [35, 12, 49, 57, 37, 25, 49, 57, 31],
@@ -472,7 +495,7 @@ LOGICAL_BEAM_PINS = {
     "per_head_mask": (
         [35, 12, 49, 57, 40, 57, 40, 57, 40],
         "b87afdfef5a4e1d6f297d1fed752551ad517314db707a5909cc06dc03cf0712f",
-        "b98516f6c7e017c1ba2b3ba007a277ffe449a4fb6de4712ef40d88827a49d676"),
+        "31b309b524b4a7ccc0aa2bcfa3f3160f3503f7f02fdb1fd8e8b542dbcded4c4a"),
 }
 
 

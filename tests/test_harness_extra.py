@@ -216,8 +216,10 @@ FULL_DIAG_PINS = [
             "1882217784ea3c63d87099aad34a5acca56ee83c6d9ad87c3d15b1b6db39804c"}),
     ("decode", [], {
         "diag.json": "5fd3d76d509b022d6a158e7bd6d95dd79997c530cdf82cf96c2e500d12ab20c4"}),
+    # re-captured when ``retained_raw`` began counting each head's own mask
+    # (it counted every raw row under per-head masks); no other byte moved
     ("decode", PER_HEAD + ["--set", "decode.mode=beam", "--set", "decode.beam_size=3"], {
-        "diag.json": "2ca2b8c0c5846f041f4cb7b776ac3b90377d52f23440f0fa72fcd2a684bf401f"}),
+        "diag.json": "22ca84a7750d9e151be16d0ad26f93cadd8b52b6e86fb8762f3d314611952050"}),
 ]
 
 
