@@ -157,10 +157,7 @@ class KvCache:
             raise ValueError("layers, heads and dim must be positive")
         if mode not in ("logical", "compacted"):
             raise ValueError(f"unknown cache mode {mode!r}")
-        self.layers = layers
-        self.heads = heads
-        self.dim = dim
-        self.mode = mode
+        self.layers, self.heads, self.dim, self.mode = layers, heads, dim, mode
         self.accumulate_raw_scores = accumulate_raw_scores
         self.sqrt_dim = math.sqrt(dim)
         self._head_ids = np.arange(heads)
@@ -250,8 +247,7 @@ class KvCache:
         return self.r_block(layer)[head]
 
     def key_rows(self, layer: int, head: int) -> np.ndarray:
-        st = self._layers[layer]
-        return st.k_all[head, : st.n]
+        return self.key_block(layer)[head]
 
     def value_rows(self, layer: int, head: int) -> np.ndarray:
         st = self._layers[layer]
@@ -280,7 +276,9 @@ class KvCache:
         rec = records[0]
         if mask.shape[0] == 1:
             raw_idx = np.nonzero(mask[0])[0]
-            cols = np.concatenate([st.data[:, raw_idx], rec.columns[hd:]], axis=1)
+            # np.take keeps the columns C-ordered (a[:, idx] is F-ordered), so
+            # every field runs along the rows, as the score matvec sums them
+            cols = np.concatenate([np.take(st.data, raw_idx, axis=1), rec.columns[hd:]], axis=1)
             keys = cols[:hd].reshape(h, d, -1)
             c, visual = cols[hd: hd + h], cols[-2:-1]
             values = np.concatenate([st.vals[raw_idx], rec.columns[:hd].T]).reshape(
@@ -291,7 +289,7 @@ class KvCache:
             # head h's key rows, c row and visual row at its own rows, then
             # the same fields of its own records
             raw_idx = np.flatnonzero(mask).reshape(h, -1) - self._head_ids[:, None] * n
-            table = np.concatenate([rec.columns for rec in records]).reshape(h, -1, len(rec))
+            table = np.stack([rec.columns for rec in records])
             fields = self._head_fields
             cols = np.concatenate([
                 np.take(st.data, fields[:, :, None] * st.data.shape[1] + raw_idx[:, None]),

@@ -211,16 +211,15 @@ class EngineAttention:
         return twin
 
     def mean_error(self) -> float:
-        if not self.errors:
-            return 0.0
-        return float(sum(self.errors) / len(self.errors))
+        return float(sum(self.errors) / len(self.errors)) if self.errors else 0.0
 
     def retained_raw(self) -> list[int]:
         """Per layer, the raw rows each head keeps (as many for every head)."""
         out = []
         for layer in range(self.cache.layers):
             raw = self.cache.raw_rows(layer)
-            kept = {int(self.cache.mask_view(layer, h)[raw].sum()) for h in range(self.cache.heads)}
+            kept = {int(self.cache.mask_view(layer, h)[raw].sum())
+                    for h in range(self.cache.heads)}
             if len(kept) != 1:
                 raise ValueError(f"layer {layer}: heads keep {sorted(kept)} raw rows")
             out.append(kept.pop())
@@ -236,10 +235,7 @@ class EngineAttention:
                 self.forward_records.append({"errors": self.errors, "layers": [], "rows": []})
         if cfg.mode == "logical":
             cache.clear_sparsification(layer)
-        if cfg.sparsity_rate < 1.0 and cache.n_logical > cfg.l_min:
-            planned = self._plan(layer, q)
-        else:
-            planned = False
+        planned = cfg.sparsity_rate < 1.0 and cache.n_logical > cfg.l_min and self._plan(layer, q)
         att = cache.attend(layer, q, beta=cfg.beta if cfg.sac_enabled else 0.0)
         if self.keep_records:
             vis = att.support.visual > 0.5

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsevcd import numerics
 from sparsevcd.cache import KvCache, MergedRecords
 from sparsevcd.models import build_toy_transformer
 from sparsevcd.numerics import matvec
@@ -347,3 +352,99 @@ def test_cached_row_counts_match_the_flag_rows(mode):
     append(twin, 4)
     check(twin)
     check(cache)
+
+
+head_block_cases = st.fixed_dictionaries({
+    "heads": st.integers(2, 3),
+    "dim": st.integers(1, 6),
+    "n": st.integers(2, 90),
+    "plan": st.sampled_from([None, "shared", "per_head"]),
+    "merge": st.booleans(),
+    "beta": st.sampled_from([0.0, 0.25]),
+    "raw_scores": st.booleans(),
+    "mode": st.sampled_from(["logical", "compacted"]),
+    "seed": st.integers(0, 2**16),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_block_cases)
+def test_head_block_attend_equals_single_head_caches(case):
+    """``attend`` over an ``(H, n)`` head block is bit for bit H one-head
+    caches holding the same rows: contexts, attention rows, ``c`` and
+    ``r``, unmasked, under a shared or a per-head plan with or without
+    records, and on after a compaction."""
+    rng = np.random.default_rng(case["seed"])
+    h, dim, n = case["heads"], case["dim"], case["n"]
+    mode = case["mode"]
+    plan = "shared" if mode == "compacted" and case["plan"] == "per_head" else case["plan"]
+    block = KvCache(1, h, dim, mode=mode, accumulate_raw_scores=case["raw_scores"])
+    singles = [KvCache(1, 1, dim, mode=mode, accumulate_raw_scores=case["raw_scores"])
+               for _ in range(h)]
+
+    def append(rows):
+        for _ in range(rows):
+            k, v, visual = rng.normal(size=(h, dim)), rng.normal(size=(h, dim)), rng.random() < 0.3
+            block.append(0, k, v, visual)
+            for g, one in enumerate(singles):
+                one.append(0, k[g:g + 1], v[g:g + 1], visual)
+            attend()
+
+    def attend():
+        q = rng.normal(size=(h, dim)) * 2.0
+        att = block.attend(0, q, case["beta"])
+        for g, one in enumerate(singles):
+            ref = one.attend(0, q[g:g + 1], case["beta"])
+            assert att.context[g].tobytes() == ref.context[0].tobytes()
+            assert att.rows[g].tobytes() == ref.rows[0].tobytes()
+            assert block.c_view(0, g).tobytes() == one.c_view(0, 0).tobytes()
+            assert block.r_view(0, g).tobytes() == one.r_view(0, 0).tobytes()
+
+    append(n)
+    if plan is not None:
+        pruned_count = int(rng.integers(1, n))
+        for head in ([None] if plan == "shared" else range(h)):
+            pruned = np.sort(rng.permutation(n)[:pruned_count])
+            mask = np.ones(n, dtype=bool)
+            mask[pruned] = False
+            asg = cluster_pruned(rng.random((pruned_count, 2)), rng.random(pruned_count),
+                                 k=2, rho_merge=0.4)
+            for cache in [block] + ([singles[head]] if head is not None else singles):
+                records = MergedRecords(pruned[asg.members], asg.sizes, asg.weights,
+                                        merge_clusters(asg, cache.gather(0, pruned)).T)
+                cache.set_sparsification(0, mask, records if case["merge"] else None,
+                                         head=None if cache is not block else head)
+        attend()
+        if mode == "compacted":
+            for cache in [block] + singles:
+                cache.compact()
+            append(3)
+        else:
+            attend()
+
+
+@pytest.mark.parametrize("case", ["unmasked", "shared", "per-head", "compacted"])
+def test_long_attend_sums_copy_no_factor(case):
+    # 2 heads of 8 over at least 64 rows pass EINSUM_MIN_TERMS, so the score
+    # matvec and the value sum are einsums; the support hands both their
+    # factors in the summing layout, so _ordered_sum copies neither
+    mode = "compacted" if case == "compacted" else "logical"
+    cache, rng = fill_cache(96, heads=2, dim=8, mode=mode)
+    assert 2 * 8 * 64 >= numerics.EINSUM_MIN_TERMS
+    for head in {"unmasked": [], "per-head": [0, 1]}.get(case, [None]):
+        pruned = np.sort(rng.permutation(96)[:24])
+        mask = np.ones(96, dtype=bool)
+        mask[pruned] = False
+        asg = cluster_pruned(rng.random((24, 2)), rng.random(24), k=2)
+        cache.set_sparsification(0, mask, MergedRecords(
+            pruned[asg.members], asg.sizes, asg.weights,
+            merge_clusters(asg, cache.gather(0, pruned)).T), head=head)
+    if case == "compacted":
+        cache.compact()
+        assert cache.rows(0) == 96 - 24 + 6
+    patch = mock.patch.object
+    with patch(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies, \
+            patch(numerics.np, "einsum", wraps=np.einsum) as einsums:
+        cache.attend(0, rng.normal(size=(2, 8)), beta=0.1)
+    assert einsums.call_count == 2
+    assert copies.call_count == 0

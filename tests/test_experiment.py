@@ -270,6 +270,7 @@ def test_cli_bench_and_attn_stats(tmp_path):
     assert out.returncode == 0, out.stderr
     report = json.loads((tmp_path / "bench.json").read_text())
     assert "full_median_seconds" in report and "sparse_median_seconds" in report
+    assert report["sparse_faster"] == (report["sparse_full_ratio_median"] < 1.0)
 
     out = _cli("attn-stats", "--config", str(cfg), "--out-dir",
                str(tmp_path / "stats"))
