@@ -97,8 +97,7 @@ class _LayerState:
     pending prune plan; see the module docstring."""
 
     def __init__(self, heads: int, dim: int):
-        self.heads, self.dim, self.hd = heads, dim, heads * dim
-        self.n = 0
+        self.heads, self.dim, self.hd, self.n = heads, dim, heads * dim, 0
         fields = self.hd + 2 * heads + 2
         self.adopt(np.zeros((fields, 0)), np.zeros((0, self.hd)), 16)
         self.raw_present = 0        # raw rows physically present
@@ -110,8 +109,8 @@ class _LayerState:
 
     def adopt(self, columns: np.ndarray, values: np.ndarray, cap: int) -> None:
         """Copy the first ``n`` columns and value rows into new buffers of
-        ``cap`` rows (columns past ``n`` are zero, so a new row's ``c`` and
-        ``r`` start at 0), with full-capacity views: ``(H, dim, cap)`` key
+        ``cap`` rows (columns past ``n`` are zero, and nothing writes them
+        before ``append``), with full-capacity views: ``(H, dim, cap)`` key
         columns, ``(H, cap, dim)`` keys and values, ``(H, cap)`` ``c`` and
         ``r``, and the two flag rows."""
         h, d, hd, n = self.heads, self.dim, self.hd, self.n
@@ -130,13 +129,13 @@ class _LayerState:
         n = self.n
         if n == self.vals.shape[0]:
             self.adopt(self.data, self.vals, 2 * n)
-        col = self.data[:, n]
-        col[: self.hd] = keys.reshape(-1)
-        col[-2:] = (1.0 if visual else 0.0, 0.0)
+        # column n is zero, so the row's c, r and aggregate flag start at 0
+        self.data[: self.hd, n] = keys.reshape(-1)
         self.vals[n] = values.reshape(-1)
         self.n = n + 1
         self.raw_present += 1
         if visual:
+            self.flags[0, n] = 1.0
             self.n_visual += 1
         return n
 
@@ -283,12 +282,12 @@ class KvCache:
             c, visual = cols[hd: hd + h], cols[-2:-1]
             values = np.concatenate([st.vals[raw_idx], rec.columns[:hd].T]).reshape(
                 -1, h, d).swapaxes(0, 1)
-            raw_idx, members, weights = raw_idx[None], rec.members[None], rec.weights[None]
-            sizes = rec.sizes[None]
+            raw_idx, members, weights, sizes = (
+                a[None] for a in (raw_idx, rec.members, rec.weights, rec.sizes))
         else:
             # head h's key rows, c row and visual row at its own rows, then
             # the same fields of its own records
-            raw_idx = np.flatnonzero(mask).reshape(h, -1) - self._head_ids[:, None] * n
+            raw_idx = np.flatnonzero(mask).reshape(h, -1) - self._heads * n
             table = np.stack([rec.columns for rec in records])
             fields = self._head_fields
             cols = np.concatenate([
@@ -297,8 +296,8 @@ class KvCache:
             keys, c, visual = cols[:, :d], cols[:, d], cols[:, d + 1]
             values = np.concatenate([st.v_all[self._heads, raw_idx],
                                      table[self._heads, fields[:, :d]].swapaxes(1, 2)], axis=1)
-            members, weights, sizes = (np.concatenate([getattr(rec, f) for rec in records])
-                                       .reshape(h, -1) for f in ("members", "weights", "sizes"))
+            members, weights, sizes = (np.stack([getattr(rec, f) for rec in records])
+                                       for f in ("members", "weights", "sizes"))
         return SupportView(keys.swapaxes(1, 2), values, c, visual, raw_idx, raw_idx.shape[1],
                            members, sizes, weights)
 
@@ -343,7 +342,8 @@ class KvCache:
         contrib = scores if self.accumulate_raw_scores else rows
         n_raw = support.n_raw
         if isinstance(support.raw_idx, slice):
-            st.c_all[:, support.raw_idx] += contrib
+            c = st.c_all[:, support.raw_idx]
+            c += contrib
         else:
             st.c_all[self._heads, support.raw_idx] += contrib[:, :n_raw]
         if support.members.shape[1]:

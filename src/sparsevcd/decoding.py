@@ -218,7 +218,7 @@ class EngineAttention:
         out = []
         for layer in range(self.cache.layers):
             raw = self.cache.raw_rows(layer)
-            kept = {int(self.cache.mask_view(layer, h)[raw].sum())
+            kept = {int(np.count_nonzero(self.cache.mask_view(layer, h)[raw]))
                     for h in range(self.cache.heads)}
             if len(kept) != 1:
                 raise ValueError(f"layer {layer}: heads keep {sorted(kept)} raw rows")

@@ -195,7 +195,7 @@ def stable_softmax(x) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("stable_softmax: empty support (all entries are -inf)")
     e = np.exp(x - m)
-    return e / np.add.accumulate(e, axis=-1)[..., -1:]
+    return np.divide(e, np.add.accumulate(e, axis=-1)[..., -1:], out=e)
 
 
 def causal_attention(q, k, v, scale) -> np.ndarray:
