@@ -286,7 +286,7 @@ class EngineAttention:
 
     def _plan_one(self, layer, raw_idx, s_budget, g, p_vec, ip, head) -> bool:
         """Plan the shared mask (``head=None``, scored over all heads) or
-        one head's overlay."""
+        one head's row of a per-head plan."""
         cache, cfg = self.cache, self.cfg
         heads = slice(0, cache.heads) if head is None else slice(head, head + 1)
         n_rows = cache.rows(layer)
