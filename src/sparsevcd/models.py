@@ -158,12 +158,13 @@ class ToyTransformer(ModelInterface):
         self.unembedding = draw((vocab, d_model))
         # per layer: every head's W_q, then W_k, then W_v as one row stack
         # (each output row reduces on its own, so the bits equal per-head
-        # products), and the heads' W_o as one (H, d_model, head_dim) block
-        self.w_qkv = [np.vstack(self.w_q[ell] + self.w_k[ell] + self.w_v[ell])
+        # products), and the heads' W_o as one (H, d_model, head_dim) block.
+        # Products that reach numerics' einsum size (these from d_model 32)
+        # are stored rows-fastest, so they need no copy to be summed in order
+        self.w_qkv = [np.asfortranarray(np.vstack(self.w_q[ell] + self.w_k[ell] + self.w_v[ell]))
                       for ell in range(layers)]
-        self.w_o_heads = [np.stack(self.w_o[ell]) for ell in range(layers)]
-        # the feed-forward and unembedding products reach numerics' einsum
-        # size; stored rows-fastest, they need no copy to be summed in order
+        self.w_o_heads = [np.stack(self.w_o[ell]).swapaxes(1, 2).copy().swapaxes(1, 2)
+                          for ell in range(layers)]
         self.w_ff1 = [np.asfortranarray(w) for w in self.w_ff1]
         self.w_ff2 = [np.asfortranarray(w) for w in self.w_ff2]
         self.unembedding = np.asfortranarray(self.unembedding)

@@ -295,3 +295,19 @@ def test_model_from_config_dispatch():
     assert t.layers == 2 and t.vocab == 64
     c = model_from_config(ModelConfig(kind="composer", vocab=20, seed=2))
     assert c.layers == 1 and c.d_model == 40
+
+
+def test_forward_step_sums_copy_no_factor():
+    # at d_model 32 the QKV, W_o, feed-forward and unembedding products and,
+    # past 32 rows, both attention sums reach numerics' einsum; every weight
+    # and cache block is stored in its summing layout, so none is copied
+    m = build_toy_transformer(3, d_model=32, layers=2, heads=2, vocab=64)
+    cache = m.new_cache()
+    for t in np.random.default_rng(5).integers(1, 64, size=40):
+        hidden = m.forward_step(cache, m.embed_text([t])[0])
+    patch = mock.patch.object
+    with patch(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies, \
+            patch(numerics.np, "einsum", wraps=np.einsum) as einsums:
+        m.lm_head(m.forward_step(cache, hidden))
+    assert einsums.call_count == 2 * 6 + 1
+    assert copies.call_count == 0
