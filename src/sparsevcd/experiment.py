@@ -97,7 +97,7 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
         prompt = example.question if example.question else [TOKEN_BOS]
         try:
             result = decode(model, example.image, prompt, scfg, session)
-        except ValueError as exc:  # bad input aborts the row; engine bugs propagate
+        except ConfigError as exc:  # bad input aborts the row; engine bugs propagate
             row.error = f"{example.id}: {type(exc).__name__}: {exc}"
             row.chair = row.recall = row.accuracy = None
             return row

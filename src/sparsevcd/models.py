@@ -83,7 +83,8 @@ class ModelInterface(abc.ABC):
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
                      visual: bool = False) -> np.ndarray:
         """Process one input embedding against the cache and return the
-        hidden state.
+        hidden state. The toy transformer's layer is the one its
+        ``forward_sequence`` runs over a block of rows, here over one token.
 
         ``attend`` is the attention of every layer: a callable
         ``(layer, q) -> Attention`` with ``q`` the ``(heads, head_dim)``
@@ -195,19 +196,12 @@ class ToyTransformer(ModelInterface):
         if x.shape != (self.d_model,):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
         attend = cache.attend if attend is None else attend
-        for ell in range(self.layers):
-            q, k, v = matvec(self.w_qkv[ell], rms_normalize(x)).reshape(
-                3, self.heads, self.head_dim)
+
+        def attention(ell, q, k, v):
             cache.append(ell, k, v, visual=visual)
-            # W_o per head, then the heads summed in order from +0.0 (adding
-            # +0.0 to head 0 only turns a -0.0 into +0.0, as a zero start would)
-            per_head = matvec(self.w_o_heads[ell], attend(ell, q).context)
-            per_head[0] += 0.0
-            x = x + np.add.accumulate(per_head, axis=0)[-1]
-            xn2 = rms_normalize(x)
-            hidden_ff = np.maximum(matvec(self.w_ff1[ell], xn2), 0.0)
-            x = x + matvec(self.w_ff2[ell], hidden_ff)
-        return x
+            return attend(ell, q).context
+
+        return self._forward(x, self.layers, attention)
 
     def forward_sequence(self, embs: np.ndarray, n_layers: int | None = None):
         """Plain full-attention forward of a whole embedding sequence through
@@ -215,11 +209,11 @@ class ToyTransformer(ModelInterface):
         as the rows of an ``(n, d_model)`` array.
 
         Cache-free: used by the contrastive shortcut's stop-layer path and by
-        anything needing a from-scratch forward. Runs layer-major, each layer
-        over all positions at once with causal attention; the row-batched
-        kernels keep every reduction order of ``forward_step``, so row ``i``
-        is bit-identical to the hidden state ``forward_step`` gives position
-        ``i`` over a fresh cache.
+        anything needing a from-scratch forward. Runs ``forward_step``'s
+        layers over all positions at once, as one block of rows, each head's
+        attention one ``causal_attention`` call; the row-block kernels keep
+        every reduction order, so row ``i`` is bit-identical to the hidden
+        state ``forward_step`` gives position ``i`` over a fresh cache.
         """
         n_layers = self.layers if n_layers is None else n_layers
         if not 0 <= n_layers <= self.layers:
@@ -231,14 +225,26 @@ class ToyTransformer(ModelInterface):
         if x.shape != (n, self.d_model):
             raise ValueError(f"embedding block {x.shape} != ({n}, {self.d_model})")
         scale = np.sqrt(self.head_dim)
+
+        def attention(ell, q, k, v):
+            return np.array([causal_attention(q[:, h], k[:, h], v[:, h], scale)
+                             for h in range(self.heads)]).swapaxes(0, 1)
+
+        return self._forward(x, n_layers, attention)
+
+    def _forward(self, x: np.ndarray, n_layers: int, attention) -> np.ndarray:
+        """The first ``n_layers`` layers over one token ``(d_model,)`` or a
+        block of rows ``(m, d_model)``; ``attention(layer, q, k, v)`` returns
+        the contexts in the ``(..., heads, head_dim)`` shape of ``q``."""
+        shape = x.shape[:-1] + (3, self.heads, self.head_dim)
         for ell in range(n_layers):
-            qkv = matvec(self.w_qkv[ell], rms_normalize(x)).reshape(
-                n, 3, self.heads, self.head_dim)
-            attn_out = np.zeros((n, self.d_model))
-            for h in range(self.heads):
-                q, k, v = qkv[:, 0, h], qkv[:, 1, h], qkv[:, 2, h]
-                ctx = causal_attention(q, k, v, scale)
-                attn_out += matvec(self.w_o[ell][h], ctx)
+            q, k, v = matvec(self.w_qkv[ell], rms_normalize(x)).reshape(shape).swapaxes(0, -3)
+            # W_o per head, then the heads summed in order from +0.0 (adding
+            # +0.0 to head 0 only turns a -0.0 into +0.0, as a zero start would)
+            per_head = matvec(self.w_o_heads[ell], attention(ell, q, k, v))
+            attn_out = per_head[..., 0, :] + 0.0
+            for h in range(1, self.heads):
+                attn_out += per_head[..., h, :]
             x = x + attn_out
             hidden_ff = np.maximum(matvec(self.w_ff1[ell], rms_normalize(x)), 0.0)
             x = x + matvec(self.w_ff2[ell], hidden_ff)

@@ -20,11 +20,11 @@ layout. The cache hands out keys with the rows running fastest (one column
 per row) and values with the features running fastest (one row per row),
 the layouts in which ``matvec`` and ``weighted_sum_rows`` sum without a copy.
 
-``matvec`` also takes a row block: an ``(n, k)`` matrix against ``(b, k)``
-rows gives the ``(b, n)`` block whose row ``i`` is bit-identical to
-``matvec(m, v[i])``. ``causal_attention`` is a whole causal attention
-head over ``n`` positions, and keeps every reduction order of the per-row
-kernels: row ``i`` is bit-identical to ``stable_softmax`` of
+``matvec`` also takes a row block, ``v`` with one more leading axis: row
+``i`` of the result is bit-identical to ``matvec(m, v[i])``, a head block
+taking each head's row block in turn. ``causal_attention`` is a whole
+causal attention head over ``n`` positions, and keeps every reduction order
+of the per-row kernels: row ``i`` is bit-identical to ``stable_softmax`` of
 ``matvec(k[:i + 1], q[i]) / scale`` summed over ``v[:i + 1]`` by
 ``weighted_sum_rows``. It scores only the lower triangle, one block of
 ``CAUSAL_BLOCK`` query rows ``[a, b)`` at a time against keys ``0..b-1``,
@@ -69,8 +69,8 @@ Pooling 64 rows of 16 took 5.8 us against 7.8 us, and 256 rows 17.5 us
 against 7.8 us. ``EINSUM_MIN_TERMS = 1024`` keeps the composer's calls (at
 most 14 rows of 40) on ``accumulate``. It sends to the einsum the toy
 transformer's attention from 64 rows on (over both heads), its
-feed-forward and unembedding products, and the row blocks of
-``forward_sequence``.
+feed-forward and unembedding products, and its layer's products over the
+row blocks of ``forward_sequence``.
 
 Smaller causal blocks pay more Python per block, larger ones score and sum
 more of the upper triangle. Measured on the same VM, per
@@ -148,22 +148,21 @@ def _subscripts(nd: int, axis: int, n_factors: int) -> str:
 def matvec(m, v) -> np.ndarray:
     """Row-wise dot of ``m`` against ``v``, left-to-right per row.
 
-    ``m`` is ``(n, k)`` against ``v`` ``(k,)``; or a head block
-    ``(G, n, k)`` against ``(G, k)``: head ``g``'s rows against ``v[g]``;
-    or ``(n, k)`` against a row block ``(b, k)``, giving ``(b, n)``: row
-    ``i`` is ``m`` against ``v[i]``.
+    ``m`` is ``(n, k)`` rows or a head block ``(G, n, k)``. ``v`` has its
+    query shape, ``(k,)`` or ``(G, k)`` (head ``g``'s rows against ``v[g]``),
+    or is a row block of those, row ``i`` giving ``m`` against ``v[i]``.
     """
     m = np.asarray(m, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if not 2 <= m.ndim <= 3 or v.shape != m.shape[:-2] + m.shape[-1:]:
-        if m.ndim != 2 or v.ndim != 2 or v.shape[1] != m.shape[1]:
-            raise ValueError(f"matvec: shape mismatch {m.shape} vs {v.shape}")
-        n_terms = m.size * v.shape[0]
-        m, v = m[None], v[:, None]  # a row block
-    else:
-        n_terms = m.size
-        v = v[..., None, :]
-    if m.shape[-1] == 0 or v.shape[0] == 0:
+    if not 2 <= m.ndim <= 3 or v.shape[v.ndim == m.ndim:] != m.shape[:-2] + m.shape[-1:]:
+        raise ValueError(f"matvec: shape mismatch {m.shape} vs {v.shape}")
+    n_terms = m.size
+    if v.ndim == m.ndim:  # a row block
+        if m.ndim == 3:  # of a head block: each head's rows in turn
+            return np.array([matvec(m[g], v[:, g]) for g in range(len(m))]).swapaxes(0, 1)
+        m, n_terms = m[None], n_terms * len(v)
+    v = v[..., None, :]
+    if m.shape[-1] == 0:
         return np.zeros(np.broadcast_shapes(m.shape, v.shape)[:-1])
     return _ordered_sum(-1, n_terms, m, v)
 

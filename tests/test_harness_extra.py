@@ -12,7 +12,7 @@ from sparsevcd.corpus import (TOKEN_BOS, GeneratorSpec, gen_corpus, load_corpus,
                               write_corpus)
 from sparsevcd.experiment import (run_experiment, run_seed_row, sweep,
                                   write_diagnostics, write_rows_csv)
-from sparsevcd.models import model_from_config
+from sparsevcd.models import ToyTransformer, model_from_config
 from sparsevcd.oracle import reference_full_decode
 from sparsevcd.rng import combine
 
@@ -69,6 +69,19 @@ def test_failed_session_produces_error_record(tmp_path):
     write_rows_csv(tmp_path / "err.csv", rows)
     text = (tmp_path / "err.csv").read_text()
     assert "ConfigError" in text
+
+
+def test_engine_errors_propagate_out_of_a_row(corpus_path, monkeypatch):
+    # only bad input (a ConfigError) becomes a row's error text; a plain
+    # ValueError from inside the engine is a bug, and run_seed_row raises it
+    def broken(*args, **kwargs):
+        raise ValueError("matvec: shape mismatch")
+
+    monkeypatch.setattr(ToyTransformer, "forward_step", broken)
+    cfg = ExperimentConfig(model=ModelConfig(kind="transformer", seed=7),
+                           decode=DecodeConfig(max_len=4), corpus=corpus_path, seeds=[0])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        run_seed_row(cfg, load_corpus(corpus_path), 0)
 
 
 def test_questions_populate_accuracy(tmp_path):

@@ -63,7 +63,7 @@ def forward_with_rows(model, cache, emb):
 
     def attend(layer, q):
         att = cache.attend(layer, q)
-        rows.append([row for group in att.rows for row in np.atleast_2d(group)])
+        rows.append(list(att.rows))
         return att
 
     return model.forward_step(cache, emb, attend=attend), rows
@@ -122,7 +122,7 @@ def step_hiddens(model, embs, visual, n_layers):
     return [stepper.forward_step(cache, e, visual=v) for e, v in zip(embs, visual)]
 
 
-@given(st.sampled_from([(4, 1), (8, 2), (12, 3), (16, 2), (16, 4)]),
+@given(st.sampled_from([(4, 1), (8, 2), (12, 3), (16, 2), (16, 4), (32, 2)]),
        st.integers(1, 3), st.lists(st.tuples(st.booleans(), st.integers(0, 63)),
                                    min_size=1, max_size=48),
        st.data())
@@ -311,3 +311,16 @@ def test_forward_step_sums_copy_no_factor():
         m.lm_head(m.forward_step(cache, hidden))
     assert einsums.call_count == 2 * 6 + 1
     assert copies.call_count == 0
+
+
+def test_forward_sequence_copies_no_w_o_factor():
+    # at d_model 32 each head's W_o block against a block of rows reaches
+    # numerics' einsum; it is stored rows-fastest, so it is not copied (the
+    # copies left are causal_attention's own: its q, k and v, and its keys)
+    m = build_toy_transformer(3, d_model=32, layers=2, heads=2, vocab=64)
+    embs = m.embed_text(np.random.default_rng(5).integers(1, 64, size=40))
+    with mock.patch.object(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies:
+        m.forward_sequence(embs)
+    copied = [call.args[0].shape for call in copies.call_args_list
+              if not call.args[0].flags.c_contiguous]
+    assert (40, m.head_dim) in copied and (1, m.head_dim, m.d_model) not in copied

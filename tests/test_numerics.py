@@ -172,6 +172,13 @@ def test_head_blocks_are_per_head_calls_bitwise(heads, cols, frac, column_major,
     assert got.shape == (heads, rows)
     for g in range(heads):
         assert bitwise_equal(got[g], per_row_matvec(block[g], q[g]))
+    # against a row block of queries: each head's rows in turn
+    xs = rng.normal(size=(3, heads, cols))
+    got = matvec(block, xs)
+    assert got.shape == (3, heads, rows)
+    for i in range(3):
+        for g in range(heads):
+            assert bitwise_equal(got[i, g], matvec(block[g], xs[i, g]))
     if rows == 0:
         return
     w = rng.uniform(size=(heads, rows))
@@ -188,6 +195,12 @@ def test_head_blocks_reject_bad_shapes():
         matvec(np.ones((2, 3, 4)), np.ones((3, 4)))
     with pytest.raises(ValueError):
         matvec(np.ones((1, 2, 3, 4)), np.ones((1, 2, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):  # two batch axes
+        matvec(np.ones((2, 3, 4)), np.ones((5, 1, 2, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matvec(np.ones((3, 4)), np.ones((5, 2, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):  # wrong head count
+        matvec(np.ones((2, 3, 4)), np.ones((5, 3, 4)))
     with pytest.raises(ValueError):
         weighted_sum_rows(np.ones((2, 3)), np.ones((2, 4, 5)))
     with pytest.raises(ValueError):

@@ -111,6 +111,9 @@ def test_matvec_is_the_sequential_sum(n, k, heads, layout, binades, zero_row, se
     xs = rng.normal(size=(3, k))
     rows = np.add.accumulate(lone[None] * xs[:, None], axis=-1)[..., -1]
     assert bitwise_equal(matvec(lone, xs), rows)
+    xs = rng.normal(size=(3, heads, k))
+    rows = np.add.accumulate(block[None] * xs[:, :, None], axis=-1)[..., -1]
+    assert bitwise_equal(matvec(block, xs), rows)
 
 
 @given(lengths, features, st.integers(1, 3), layouts, scales, st.booleans(), seeds)
