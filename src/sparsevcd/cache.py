@@ -18,13 +18,15 @@ and ``c`` / ``r`` are ``(H, rows)`` blocks. The value buffer has one row
 per row, every head's value side by side, so the values are an ``(H, rows,
 dim)`` view with the features fastest, ``weighted_sum_rows``' layout.
 
-A layer's pending prune is one plan: an ``(R, n)`` retention mask with one
+A layer's pending prune is one plan, installed whole by one
+``set_sparsification`` call: an ``(R, n)`` retention mask with one
 ``MergedRecords`` per mask row, ``R = 1`` a mask every head shares and
 ``R = H`` one per head (logical mode only). The engine clears (logical) or
-compacts (compacted) it before the layer's next append. Every head's plan
-keeps as many rows and clusters as the others, so attention is one call per
-layer over the ``(H, size)`` head block: an unmasked support is a view, a
-masked one one gather per buffer, and no head is reduced with another.
+compacts (compacted) it before the layer's next append. The install checks
+that every head's plan keeps as many rows and clusters as the others, so
+attention is one call per layer over the ``(H, size)`` head block: an
+unmasked support is a view, a masked one one gather per buffer, and no head
+is reduced with another.
 """
 
 from __future__ import annotations
@@ -356,32 +358,29 @@ class KvCache:
 
     # ---------------------------------------------------------- sparsification
 
-    def set_sparsification(self, layer: int, mask: np.ndarray,
-                           records: MergedRecords | None = None,
-                           head: int | None = None) -> None:
-        """Install a layer's plan: a copy of a raw-row retention mask plus
-        merged records.
+    def set_sparsification(self, layer: int, mask: np.ndarray, records=None) -> None:
+        """Install a layer's plan, replacing any earlier one: a copy of a
+        raw-row retention mask plus merged records (``None`` for none).
 
-        ``head=None`` installs the mask every head shares, replacing the
-        plan; an integer head installs that head's row of a per-head plan
-        (logical mode only), the other heads keeping theirs.
+        An ``(n,)`` mask is shared by every head and takes one records
+        value; an ``(H, n)`` mask has one row per head (logical mode only)
+        and takes a sequence of H. Every row must keep as many rows and
+        records as the others, as ``support`` reads them as one block.
         """
         st = self._layers[layer]
         mask = np.array(mask, dtype=bool)
-        if mask.shape != (st.n,):
-            raise ValueError("set_sparsification: mask length must equal row count")
-        records = st.no_records if records is None else records
-        if head is None:
-            st.mask, st.records = mask[None], (records,)
+        if mask.shape == (st.n,):
+            st.mask, st.records = mask[None], (st.no_records if records is None else records,)
             return
-        # a new plan each time: clones share the old one
-        if st.mask is None:
-            st.mask, st.records = np.ones((1, st.n), dtype=bool), (st.no_records,)
-        per_head = np.repeat(st.mask, self.heads // st.mask.shape[0], axis=0)
-        per_head[head] = mask
-        st.records = tuple(records if h == head else st.records[h % len(st.records)]
-                           for h in range(self.heads))
-        st.mask = per_head
+        if mask.shape != (self.heads, st.n) or records is None or len(records) != self.heads:
+            raise ValueError("set_sparsification: expected an (n,) mask or an (H, n) "
+                             "mask with H records, n the row count")
+        records = tuple(st.no_records if rec is None else rec for rec in records)
+        kept = np.count_nonzero(mask, axis=1)
+        if (kept != kept[0]).any() or any(len(rec) != len(records[0]) for rec in records):
+            raise ValueError("set_sparsification: every head must keep as many rows "
+                             "and records")
+        st.mask, st.records = mask, records
 
     def clear_sparsification(self, layer: int) -> None:
         st = self._layers[layer]

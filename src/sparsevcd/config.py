@@ -66,7 +66,6 @@ class SparsifyConfig:
     merge_pruned: bool = True
     prune_scope: str = "full"  # "full" | "text_only"
     beta: float = 0.1
-    sac_enabled: bool = True
     sac_input: str = "probabilities"  # "probabilities" | "raw_scores"
     sac_before_vats: bool = True
 

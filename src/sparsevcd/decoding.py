@@ -185,9 +185,11 @@ class EngineAttention:
     call opens the forward's diagnostics: ``errors`` restarts, and with
     ``keep_records`` a new ``forward_records`` entry begins, the forward's
     only full record: its plans, and per layer and head the attention row
-    the cache accumulated, with the support's visual flags. In logical mode
-    the merge's distances come from one ``_DistanceTable`` per layer (per
-    layer and head with per-head masks).
+    the cache accumulated, with the support's visual flags. A layer's plan
+    is built whole, shared or one row per head, and installed with one
+    ``set_sparsification`` call. In logical mode the merge's distances come
+    from one ``_DistanceTable`` per layer (per layer and head with per-head
+    masks).
     """
 
     def __init__(self, cache: KvCache, cfg: SparsifyConfig, keep_records: bool = False):
@@ -215,15 +217,9 @@ class EngineAttention:
 
     def retained_raw(self) -> list[int]:
         """Per layer, the raw rows each head keeps (as many for every head)."""
-        out = []
-        for layer in range(self.cache.layers):
-            raw = self.cache.raw_rows(layer)
-            kept = {int(np.count_nonzero(self.cache.mask_view(layer, h)[raw]))
-                    for h in range(self.cache.heads)}
-            if len(kept) != 1:
-                raise ValueError(f"layer {layer}: heads keep {sorted(kept)} raw rows")
-            out.append(kept.pop())
-        return out
+        cache = self.cache
+        return [int(np.count_nonzero(cache.mask_view(layer, 0)[cache.raw_rows(layer)]))
+                for layer in range(cache.layers)]
 
     # -- attention callback -------------------------------------------------
 
@@ -236,7 +232,7 @@ class EngineAttention:
         if cfg.mode == "logical":
             cache.clear_sparsification(layer)
         planned = cfg.sparsity_rate < 1.0 and cache.n_logical > cfg.l_min and self._plan(layer, q)
-        att = cache.attend(layer, q, beta=cfg.beta if cfg.sac_enabled else 0.0)
+        att = cache.attend(layer, q, beta=cfg.beta)
         if self.keep_records:
             vis = att.support.visual > 0.5
             self.forward_records[-1]["rows"].extend(
@@ -249,6 +245,8 @@ class EngineAttention:
     # -- sparsification planning ---------------------------------------------
 
     def _plan(self, layer: int, q) -> bool:
+        """Build the layer's plan whole, one mask row scored over every head
+        or one per head, and install it in one call."""
         cache, cfg = self.cache, self.cfg
         n_rows = cache.rows(layer)
         n_raw = cache.raw_present(layer)
@@ -262,6 +260,13 @@ class EngineAttention:
             return False
 
         raw_idx = cache.raw_rows(layer)
+        cand = raw_idx
+        if cfg.prune_scope == "text_only":
+            cand = cand[~cache.visual_flags(layer)[cand]]
+        retain_cand = max(0, s_budget - (raw_idx.shape[0] - cand.shape[0]))
+        if retain_cand >= cand.shape[0]:
+            return False
+
         ip = matvec(cache.key_block(layer), q)   # (H, rows) unscaled inner products
 
         if cfg.lambda_ > 0.0 and cache.has_visual(layer):
@@ -273,67 +278,57 @@ class EngineAttention:
             p_vec = np.zeros(n_rows)
 
         cal = ip
-        if cfg.sac_enabled and cfg.beta > 0.0 and cfg.sac_before_vats:
+        if cfg.beta > 0.0 and cfg.sac_before_vats:
             cal = calibrate_scores(ip, stable_softmax(cache.c_block(layer)), cfg.beta)
         g_heads = cal * cal
 
-        if cfg.per_head_mask:
-            # every head plans, or none: they share the budget and the candidates
-            return any([self._plan_one(layer, raw_idx, s_budget, g_heads[h], p_vec, ip, head=h)
-                        for h in range(cache.heads)])
-        g = np.add.accumulate(g_heads, axis=0)[-1] / cache.heads
-        return self._plan_one(layer, raw_idx, s_budget, g, p_vec, ip, head=None)
-
-    def _plan_one(self, layer, raw_idx, s_budget, g, p_vec, ip, head) -> bool:
-        """Plan the shared mask (``head=None``, scored over all heads) or
-        one head's row of a per-head plan."""
-        cache, cfg = self.cache, self.cfg
-        heads = slice(0, cache.heads) if head is None else slice(head, head + 1)
-        n_rows = cache.rows(layer)
-        cand = raw_idx
-        if cfg.prune_scope == "text_only":
-            cand = cand[~cache.visual_flags(layer)[cand]]
-        n_forced = raw_idx.shape[0] - cand.shape[0]
-        retain_cand = max(0, s_budget - n_forced)
-        if retain_cand >= cand.shape[0]:
-            return False
-        mask_full = np.ones(n_rows, dtype=bool)
-        delta = g + cfg.lambda_ * p_vec
-        if retain_cand == 0:
-            pruned = cand
-        else:
-            w_recent = min(cfg.w_recent, retain_cand)
-            pruned = cand[~select_topS(delta[cand], retain_cand, w_recent)]
-        mask_full[pruned] = False
-        self.errors.append(attention_error(ip[heads], pruned))
-
-        records = None
-        if cfg.merge_pruned:
-            # a view with one column per row and head-major features: head
-            # 0's key, then head 1's, ...
-            cols = cache.key_block(layer)[heads].transpose(0, 2, 1).reshape(-1, n_rows)
-            if cfg.mode == "logical":
-                dist = self.tables.setdefault((layer, head), _DistanceTable()).gather(
-                    cols, pruned)
+        # one row of g per mask row; the budget and candidates are the layer's
+        g = g_heads if cfg.per_head_mask else np.add.accumulate(g_heads, axis=0)[-1:] / cache.heads
+        mask = np.ones(g.shape, dtype=bool)
+        records = []
+        for r, g_row in enumerate(g):
+            head = r if cfg.per_head_mask else None
+            heads = slice(0, cache.heads) if head is None else slice(head, head + 1)
+            delta = g_row + cfg.lambda_ * p_vec
+            if retain_cand == 0:
+                pruned = cand
             else:
-                dist = pairwise_distances(cols[:, pruned])
-            assignment = cluster_pruned(dist, delta[pruned], cfg.knn_k,
-                                        rho_merge=cfg.rho_merge, precomputed=True)
-            records = MergedRecords(pruned[assignment.members], assignment.sizes,
+                w_recent = min(cfg.w_recent, retain_cand)
+                pruned = cand[~select_topS(delta[cand], retain_cand, w_recent)]
+            mask[r, pruned] = False
+            self.errors.append(attention_error(ip[heads], pruned))
+
+            rec = None
+            if cfg.merge_pruned:
+                # a view with one column per row and head-major features:
+                # head 0's key, then head 1's, ...
+                cols = cache.key_block(layer)[heads].transpose(0, 2, 1).reshape(-1, n_rows)
+                if cfg.mode == "logical":
+                    dist = self.tables.setdefault((layer, head), _DistanceTable()).gather(
+                        cols, pruned)
+                else:
+                    dist = pairwise_distances(cols[:, pruned])
+                assignment = cluster_pruned(dist, delta[pruned], cfg.knn_k,
+                                            rho_merge=cfg.rho_merge, precomputed=True)
+                rec = MergedRecords(pruned[assignment.members], assignment.sizes,
                                     assignment.weights,
                                     merge_clusters(assignment, cache.gather(layer, pruned)).T)
-        cache.set_sparsification(layer, mask_full, records, head=head)
-        if self.keep_records:
-            self.forward_records[-1]["layers"].append({
-                "layer": layer,
-                "head": head,
-                "retained": int(mask_full.sum()),
-                "pruned": [int(i) for i in pruned],
-                "clusters": 0 if records is None else len(records),
-                "delta": [float(v) for v in delta],
-                "visual_saliency": [float(v) for v in p_vec],
-                "attn_error": self.errors[-1],
-            })
+            records.append(rec)
+            if self.keep_records:
+                self.forward_records[-1]["layers"].append({
+                    "layer": layer,
+                    "head": head,
+                    "retained": int(mask[r].sum()),
+                    "pruned": [int(i) for i in pruned],
+                    "clusters": 0 if rec is None else len(rec),
+                    "delta": [float(v) for v in delta],
+                    "visual_saliency": [float(v) for v in p_vec],
+                    "attn_error": self.errors[-1],
+                })
+        if cfg.per_head_mask:
+            cache.set_sparsification(layer, mask, records)
+        else:
+            cache.set_sparsification(layer, mask[0], records[0])
         return True
 
 

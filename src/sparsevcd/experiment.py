@@ -288,10 +288,8 @@ def bench_sparse_vs_full(cfg: ExperimentConfig, prefix_len: int = 2048,
     model, image, prompt = _bench_inputs(cfg, prefix_len, repeats)
     base = dataclasses.replace(cfg.decode, alpha=0.0, gamma_apc=0.0,
                                max_len=decode_len, mode="greedy", eos_id=-1)
-    full_s = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,
-                                 sac_enabled=False, mode="logical")
-    sparse_s = dataclasses.replace(cfg.sparsify, sparsity_rate=0.5, beta=0.0,
-                                   sac_enabled=False, mode="compacted")
+    full_s = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0, mode="logical")
+    sparse_s = dataclasses.replace(cfg.sparsify, sparsity_rate=0.5, beta=0.0, mode="compacted")
     full, sparse = [], []
     arms = [(full, full_s), (sparse, sparse_s)]
     for rep in range(repeats):
@@ -319,8 +317,7 @@ def bench_stop_layers(cfg: ExperimentConfig, repeats: int = 5,
     Each repeat times every stop layer in turn, so a change in host load
     during one repeat reaches all the layers, not one layer's block."""
     model, image, prompt = _bench_inputs(cfg, prefix_len, repeats)
-    scfg = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0,
-                               sac_enabled=False, mode="logical")
+    scfg = dataclasses.replace(cfg.sparsify, sparsity_rate=1.0, beta=0.0, mode="logical")
     tps = {ell: [] for ell in range(model.layers + 1)}
     for rep in range(repeats):
         for ell, times in tps.items():

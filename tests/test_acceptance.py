@@ -60,8 +60,7 @@ def test_c01_vats_exact_optimality():
 
 def test_c02_disabled_mechanism_identity():
     with criterion("C2 disabled-mechanism decode identical to reference (50 seeds x 128)"):
-        scfg = SparsifyConfig(sparsity_rate=1.0, beta=0.0, sac_enabled=False,
-                              w_recent=0)
+        scfg = SparsifyConfig(sparsity_rate=1.0, beta=0.0, w_recent=0)
         dcfg = DecodeConfig(alpha=0.0, gamma_apc=0.0, visual_mask_rate=0.0,
                             max_len=128, eos_id=-1, seed=0)
         for seed in range(50):

@@ -188,15 +188,51 @@ def test_compact_noop_reported():
     assert stats.no_op
     assert stats.evicted == 0 and stats.aggregates == 0
     assert cache.rows(0) == 4
-    # a per-head plan cannot be compacted, whether or not the other heads
-    # keep every row
-    cache.set_sparsification(0, np.array([True, False, True, True]), head=0)
-    with pytest.raises(ValueError, match="per-head"):
-        cache.compact()
-    cache.set_sparsification(0, np.array([True, True, False, True]), head=1)
-    with pytest.raises(ValueError, match="per-head"):
-        cache.compact()
+    # a per-head plan cannot be compacted, whether or not the heads' masks
+    # agree
+    for second in ([True, False, True, True], [True, True, False, True]):
+        cache.set_sparsification(0, np.array([[True, False, True, True], second]),
+                                 [None, None])
+        with pytest.raises(ValueError, match="per-head"):
+            cache.compact()
     assert cache.rows(0) == 4
+
+
+def test_unequal_per_head_plans_are_rejected():
+    # support reads every head's rows as one block, so a head keeping more
+    # rows or records than another would read rows past the layer's end
+    cache, rng = fill_cache(8, heads=2)
+
+    def mask(pruned):
+        out = np.ones(8, dtype=bool)
+        out[pruned] = False
+        return out
+
+    def singletons(pruned):
+        pruned = np.array(pruned)
+        ones = np.ones(pruned.shape[0])
+        return MergedRecords(pruned, ones.astype(np.int64), ones, cache.gather(0, pruned).T)
+
+    def one_cluster(pruned):
+        pruned = np.array(pruned)
+        return MergedRecords(pruned, np.array([pruned.shape[0]]),
+                             np.full(pruned.shape[0], 1 / pruned.shape[0]),
+                             cache.gather(0, pruned).mean(axis=0)[:, None])
+
+    five, seven = mask([1, 3, 5]), mask([6])
+    for plan in ([five, seven], [seven, five]):
+        with pytest.raises(ValueError, match="as many rows and records"):
+            cache.set_sparsification(0, np.stack(plan), [None, None])
+    for records in ([singletons([2, 6]), one_cluster([0, 3])],
+                    [singletons([2, 6]), None]):
+        with pytest.raises(ValueError, match="as many rows and records"):
+            cache.set_sparsification(0, np.stack([mask([2, 6]), mask([0, 3])]), records)
+    assert cache.mask_view(0, 0).all() and cache.mask_view(0, 1).all()
+    cache.set_sparsification(0, np.stack([mask([2, 6]), mask([0, 3])]),
+                             [singletons([2, 6]), singletons([0, 3])])
+    sup = cache.attend(0, rng.normal(size=(2, 4))).support
+    assert sup.size == 8
+    assert sup.raw_idx.tolist() == [[0, 1, 3, 4, 5, 7], [1, 2, 4, 5, 6, 7]]
 
 
 def test_compact_evicts_pruned_rows_without_records():
@@ -291,19 +327,25 @@ def test_clone_plans_are_independent():
     twin.clear_sparsification(0)
     assert np.array_equal(cache.mask_view(0), shared)
     assert twin.mask_view(0).all()
-    overlay = np.array([False, True, True, True, True, True])
-    cache.set_sparsification(0, overlay, head=1)
+    per_head = np.stack([shared, np.array([False, True, True, True, False, True])])
+    cache.set_sparsification(0, per_head, [None, None])
     twin = cache.clone()
     twin.clear_sparsification(0)
-    assert np.array_equal(cache.mask_view(0, head=1), overlay)
+    assert np.array_equal(cache.mask_view(0, head=1), per_head[1])
     assert np.array_equal(cache.mask_view(0, head=0), shared)
+    assert twin.mask_view(0).all()
 
 
 @pytest.mark.parametrize("head", [None, 0])
 def test_set_sparsification_copies_the_mask(head):
+    # the shared mask (head None) or head 0's row of a per-head mask
     cache, _ = fill_cache(5, heads=2)
     mask = np.array([True, False, True, True, True])
-    cache.set_sparsification(0, mask, head=head)
+    if head is None:
+        cache.set_sparsification(0, mask)
+    else:
+        mask = np.stack([mask, mask[::-1]])
+        cache.set_sparsification(0, mask, [None, None])
     mask[:] = False
     assert list(cache.mask_view(0, head)) == [True, False, True, True, True]
 
@@ -403,6 +445,7 @@ def test_head_block_attend_equals_single_head_caches(case):
     append(n)
     if plan is not None:
         pruned_count = int(rng.integers(1, n))
+        masks, block_records = [], []
         for head in ([None] if plan == "shared" else range(h)):
             pruned = np.sort(rng.permutation(n)[:pruned_count])
             mask = np.ones(n, dtype=bool)
@@ -412,8 +455,16 @@ def test_head_block_attend_equals_single_head_caches(case):
             for cache in [block] + ([singles[head]] if head is not None else singles):
                 records = MergedRecords(pruned[asg.members], asg.sizes, asg.weights,
                                         merge_clusters(asg, cache.gather(0, pruned)).T)
-                cache.set_sparsification(0, mask, records if case["merge"] else None,
-                                         head=None if cache is not block else head)
+                records = records if case["merge"] else None
+                if cache is block:
+                    masks.append(mask)
+                    block_records.append(records)
+                else:
+                    cache.set_sparsification(0, mask, records)
+        if plan == "shared":
+            block.set_sparsification(0, masks[0], block_records[0])
+        else:
+            block.set_sparsification(0, np.stack(masks), block_records)
         attend()
         if mode == "compacted":
             for cache in [block] + singles:
@@ -431,14 +482,18 @@ def test_long_attend_sums_copy_no_factor(case):
     mode = "compacted" if case == "compacted" else "logical"
     cache, rng = fill_cache(96, heads=2, dim=8, mode=mode)
     assert 2 * 8 * 64 >= numerics.EINSUM_MIN_TERMS
-    for head in {"unmasked": [], "per-head": [0, 1]}.get(case, [None]):
+    masks, records = [], []
+    for _ in range({"unmasked": 0, "per-head": 2}.get(case, 1)):
         pruned = np.sort(rng.permutation(96)[:24])
-        mask = np.ones(96, dtype=bool)
-        mask[pruned] = False
+        masks.append(np.ones(96, dtype=bool))
+        masks[-1][pruned] = False
         asg = cluster_pruned(rng.random((24, 2)), rng.random(24), k=2)
-        cache.set_sparsification(0, mask, MergedRecords(
-            pruned[asg.members], asg.sizes, asg.weights,
-            merge_clusters(asg, cache.gather(0, pruned)).T), head=head)
+        records.append(MergedRecords(pruned[asg.members], asg.sizes, asg.weights,
+                                     merge_clusters(asg, cache.gather(0, pruned)).T))
+    if case == "per-head":
+        cache.set_sparsification(0, np.stack(masks), records)
+    elif case != "unmasked":
+        cache.set_sparsification(0, masks[0], records[0])
     if case == "compacted":
         cache.compact()
         assert cache.rows(0) == 96 - 24 + 6

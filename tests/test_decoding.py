@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevcd.cache import KvCache
 from sparsevcd.config import DecodeConfig, ModelConfig, SparsifyConfig
 from sparsevcd.corpus import TOKEN_BOS, GeneratorSpec, gen_corpus
 from sparsevcd.decoding import (EngineAttention, contrastive_logits, decode, fuse,
@@ -24,7 +25,7 @@ def transformer(seed=1):
 
 
 def disabled_sparsify():
-    return SparsifyConfig(sparsity_rate=1.0, beta=0.0, sac_enabled=False, w_recent=0)
+    return SparsifyConfig(sparsity_rate=1.0, beta=0.0, w_recent=0)
 
 
 def disabled_decode(**kw):
@@ -396,6 +397,25 @@ def test_retained_raw_counts_each_heads_mask(per_head_mask):
     if per_head_mask:
         with pytest.raises(ValueError, match="name a head"):
             cache.mask_view(0)
+
+
+def test_per_head_plan_is_one_install():
+    # a per-head plan is built whole: one set_sparsification call per
+    # planned layer, with an (H, n) mask and one records value per head
+    m = transformer(37)
+    scfg = SparsifyConfig(sparsity_rate=0.5, l_min=8, per_head_mask=True)
+    dcfg = DecodeConfig(max_len=6, eos_id=-1)
+    with mock.patch.object(KvCache, "set_sparsification", autospec=True,
+                           side_effect=KvCache.set_sparsification) as spy:
+        res = decode(m, ImageDescriptor((3, 9, 14), 4), [1, 7, 9, 11, 13, 2], scfg, dcfg,
+                     diag_level="full")
+    plans = [plan for forward in res.forward_records for plan in forward["layers"]]
+    assert [plan["head"] for plan in plans] == list(range(m.heads)) * (len(plans) // m.heads)
+    installed = [plan["layer"] for plan in plans[::m.heads]]
+    assert installed and [call.args[1] for call in spy.call_args_list] == installed
+    for call in spy.call_args_list:
+        _, layer, mask, records = call.args
+        assert mask.shape == (m.heads, mask.shape[1]) and len(records) == m.heads
 
 
 # ------------------------------------------------ engine pins off the bench

@@ -27,8 +27,7 @@ def corpus_path(tmp_path_factory):
 def test_all_mechanisms_off_matches_reference_pipeline(corpus_path):
     cfg = ExperimentConfig(
         model=ModelConfig(kind="transformer", seed=7),
-        sparsify=SparsifyConfig(sparsity_rate=1.0, beta=0.0, sac_enabled=False,
-                                w_recent=0),
+        sparsify=SparsifyConfig(sparsity_rate=1.0, beta=0.0, w_recent=0),
         decode=DecodeConfig(alpha=0.0, gamma_apc=0.0, visual_mask_rate=0.0,
                             max_len=8),
         corpus=corpus_path,
