@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-corpus, decode, run, sweep, bench, attn-stats. A JSON config
-document (``--config``) supplies the model/sparsify/decode/ablation blocks;
+document (``--config``) supplies the model/sparsify/decode blocks;
 ``--set section.field=value`` overrides any field. Exit codes: 0 success,
 1 config error, 2 data error, 3 internal error.
 """
@@ -76,7 +76,10 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def _check_out_file(flag: str, path) -> None:
-    """An output file must go into an existing directory and not be one."""
+    """An output file must go into an existing directory and not be one.
+    An empty path is refused: ``Path("")`` would be the working directory."""
+    if not path:
+        raise ConfigError(f"{flag}: empty path")
     out = Path(path)
     if out.is_dir():
         raise ConfigError(f"{flag}: {str(path)!r} is a directory")
@@ -147,8 +150,7 @@ def _cmd_decode(args) -> int:
     else:
         raise ConfigError("decode needs --image or a corpus in the config")
     level = "full" if args.full_diag else "summary"
-    result = decode(model, image, prompt, cfg.effective_sparsify(),
-                    cfg.effective_decode(), diag_level=level)
+    result = decode(model, image, prompt, cfg.sparsify, cfg.decode, diag_level=level)
     print("tokens:", " ".join(str(t) for t in result.tokens))
     for d in result.diagnostics:
         print(f"step {d.step}: chosen={d.chosen} p_theta={d.p_theta_chosen:.6f} "
@@ -172,7 +174,7 @@ def _cmd_run(args) -> int:
     if not cfg.corpus:
         raise ConfigError("run needs a corpus (--corpus or config field)")
     _check_out_file("--out", cfg.out_csv)
-    if cfg.out_diagnostics:
+    if args.diagnostics is not None or cfg.out_diagnostics:
         _check_out_file("--diagnostics", cfg.out_diagnostics)
     rows = experiment.run_experiment(cfg)
     experiment.write_rows_csv(cfg.out_csv, rows, timing=cfg.timing)

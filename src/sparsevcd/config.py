@@ -135,23 +135,12 @@ class DecodeConfig:
 
 
 @dataclass
-class AblationConfig:
-    """Mechanism toggles; all default on."""
-
-    vats: bool = True
-    vps: bool = True
-    mbs: bool = True
-    sac: bool = True
-
-
-@dataclass
 class ExperimentConfig:
     """Top-level harness configuration."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
     sparsify: SparsifyConfig = field(default_factory=SparsifyConfig)
     decode: DecodeConfig = field(default_factory=DecodeConfig)
-    ablation: AblationConfig = field(default_factory=AblationConfig)
     corpus: str = ""
     seeds: list[int] = field(default_factory=lambda: [0])
     out_csv: str = "results.csv"
@@ -177,30 +166,11 @@ class ExperimentConfig:
             raise ConfigError("decode.eos_id must be 0 (the composer's EOS) "
                               "or -1 with the composer model")
 
-    def effective_sparsify(self) -> SparsifyConfig:
-        """Sparsify config with ablation toggles folded into neutral values."""
-        cfg = dataclasses.replace(self.sparsify)
-        if not self.ablation.vats:
-            cfg.lambda_ = 0.0
-            cfg.merge_pruned = False
-        if not self.ablation.vps:
-            cfg.lambda_ = 0.0
-        if not self.ablation.sac:
-            cfg.beta = 0.0
-        return cfg
-
-    def effective_decode(self) -> DecodeConfig:
-        cfg = dataclasses.replace(self.decode)
-        if not self.ablation.mbs:
-            cfg.visual_mask_rate = 0.0
-        return cfg
-
 
 _SECTION_TYPES = {
     "model": ModelConfig,
     "sparsify": SparsifyConfig,
     "decode": DecodeConfig,
-    "ablation": AblationConfig,
 }
 
 
@@ -271,7 +241,7 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
 def flatten_config(cfg: ExperimentConfig) -> dict[str, object]:
     """Flattened (section.field -> value) view used for result rows."""
     out: dict[str, object] = {}
-    for section in ("model", "sparsify", "decode", "ablation"):
+    for section in _SECTION_TYPES:
         block = getattr(cfg, section)
         for f in dataclasses.fields(block):
             value = getattr(block, f.name)

@@ -78,8 +78,6 @@ def _example_model(cfg: ExperimentConfig, shared, run_seed: int, index: int):
 def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
                  collect_diagnostics: bool = False) -> ResultRow:
     """Decode every corpus example under one seed and aggregate the metrics."""
-    scfg = cfg.effective_sparsify()
-    dcfg = cfg.effective_decode()
     finding_set = set(corpus.finding_ids)
     yes_id = int(corpus.meta.get("yes_id", TOKEN_YES))
     no_id = int(corpus.meta.get("no_id", TOKEN_NO))
@@ -93,10 +91,10 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
     peak_mem = 0
     for idx, example in enumerate(corpus.examples):
         model = _example_model(cfg, shared, run_seed, idx)
-        session = dataclasses.replace(dcfg, seed=combine(run_seed, idx))
+        session = dataclasses.replace(cfg.decode, seed=combine(run_seed, idx))
         prompt = example.question if example.question else [TOKEN_BOS]
         try:
-            result = decode(model, example.image, prompt, scfg, session)
+            result = decode(model, example.image, prompt, cfg.sparsify, session)
         except ConfigError as exc:  # bad input aborts the row; engine bugs propagate
             row.error = f"{example.id}: {type(exc).__name__}: {exc}"
             row.chair = row.recall = row.accuracy = None
@@ -179,7 +177,6 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         model=dataclasses.replace(cfg.model),
         sparsify=dataclasses.replace(cfg.sparsify),
         decode=dataclasses.replace(cfg.decode),
-        ablation=dataclasses.replace(cfg.ablation),
     )
     if axis == "alpha":
         out.decode.alpha = float(value)
@@ -350,9 +347,7 @@ def dump_attention_stats(cfg: ExperimentConfig, out_dir: str | Path,
     else:
         image = ImageDescriptor((4, 5, 6), tokens_per_finding=3)
         prompt = [TOKEN_BOS]
-    scfg = cfg.effective_sparsify()
-    dcfg = cfg.effective_decode()
-    result = decode(model, image, prompt, scfg, dcfg, diag_level="full")
+    result = decode(model, image, prompt, cfg.sparsify, cfg.decode, diag_level="full")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def test_default_hyperparameters():
     assert s.rho_merge == 0.25
     assert s.knn_k == 5
     assert s.l_min == 16
+
+
+def test_readme_config_example_names_every_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = experiment_from_dict(doc)
+    for block, cls in (("sparsify", SparsifyConfig), ("decode", DecodeConfig)):
+        named = {"lambda_" if k == "lambda" else k for k in doc[block]}
+        assert named == {f.name for f in dataclasses.fields(cls)}, block
+        assert getattr(cfg, block) == cls(), block
 
 
 def test_validation_ranges():
@@ -180,7 +192,7 @@ def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, 
 # (--out "" wrote ./results.csv, decode --image "" decoded corpus example 0,
 # --prompt "" became [BOS], --diagnostics "" wrote nothing), before the flags
 # were tested against None; attn-stats --out-dir "" wrote its two CSVs into
-# the working directory
+# the working directory; run --diagnostics "" wrote the CSV and no diagnostics
 @pytest.mark.parametrize("argv", [
     ["run", "--workers", "0", "--out", "{tmp}/rows.csv"],
     ["sweep", "--axis", "alpha", "--grid", "0.3", "--workers", "0", "--out", "{tmp}/rows.csv"],
@@ -190,6 +202,7 @@ def test_cli_rejects_unwritable_outputs_before_any_work(argv, tmp_path, capsys, 
     ["decode", "--image", "4", "--prompt", ""],
     ["decode", "--image", "4", "--diagnostics", ""],
     ["attn-stats", "--out-dir", ""],
+    ["run", "--out", "{tmp}/rows.csv", "--diagnostics", ""],
 ])
 def test_cli_rejects_falsy_flag_values_as_config_errors(argv, tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "c.jsonl"

@@ -8,9 +8,8 @@ import pytest
 
 from sparsevcd import experiment
 from sparsevcd.cli import main
-from sparsevcd.config import (AblationConfig, DecodeConfig, ExperimentConfig,
-                              ModelConfig, SparsifyConfig, experiment_from_dict,
-                              load_experiment)
+from sparsevcd.config import (DecodeConfig, ExperimentConfig, ModelConfig,
+                              SparsifyConfig, experiment_from_dict, load_experiment)
 from sparsevcd.corpus import GeneratorSpec, gen_corpus, load_corpus, write_corpus
 from sparsevcd.errors import ConfigError
 from sparsevcd.experiment import (apply_axis, dump_attention_stats,
@@ -97,26 +96,6 @@ def test_run_workers_go_through_the_pool_with_the_same_bytes(small_corpus, tmp_p
     assert outputs[0][1].count(b"\n") == 2 * 8  # two seeds of eight examples
 
 
-def test_ablation_off_equals_neutral_value(small_corpus):
-    base = composer_cfg(small_corpus)
-    sac_off = dataclasses.replace(base, ablation=AblationConfig(sac=False))
-    beta_zero = dataclasses.replace(
-        base, sparsify=dataclasses.replace(base.sparsify, beta=0.0))
-    rows_off = run_experiment(sac_off)
-    rows_zero = run_experiment(beta_zero)
-    for a, b in zip(rows_off, rows_zero):
-        assert a.chair == b.chair
-        assert a.recall == b.recall
-        assert a.attn_error_mean == b.attn_error_mean
-
-    vps_off = dataclasses.replace(base, ablation=AblationConfig(vps=False))
-    lam_zero = dataclasses.replace(
-        base, sparsify=dataclasses.replace(base.sparsify, lambda_=0.0))
-    for a, b in zip(run_experiment(vps_off), run_experiment(lam_zero)):
-        assert a.chair == b.chair
-        assert a.recall == b.recall
-
-
 def test_sweep_single_point_equals_run(small_corpus):
     cfg = composer_cfg(small_corpus)
     run_rows = run_experiment(cfg)
@@ -199,7 +178,6 @@ def test_config_document_roundtrip(tmp_path):
         "model": {"kind": "composer", "vocab": 20, "seed": 3},
         "sparsify": {"lambda": 0.2, "sparsity_rate": 0.9},
         "decode": {"alpha": 0.4, "max_len": 7},
-        "ablation": {"sac": False},
         "seeds": [1, 2],
         "timing": True,
     }
@@ -208,12 +186,15 @@ def test_config_document_roundtrip(tmp_path):
     cfg = load_experiment(p)
     assert cfg.sparsify.lambda_ == 0.2
     assert cfg.decode.alpha == 0.4
-    assert cfg.ablation.sac is False
-    assert cfg.effective_sparsify().beta == 0.0
     with pytest.raises(ConfigError):
         experiment_from_dict({"unknown_section": {}})
     with pytest.raises(ConfigError):
         experiment_from_dict({"decode": {"alpha": -1}})
+    # a mechanism is switched off by its own neutral value; there is no
+    # second toggle block
+    with pytest.raises(ConfigError, match="unknown config field ablation"):
+        experiment_from_dict({"ablation": {"sac": False}})
+    assert main(["decode", "--image", "4", "--set", "ablation.sac=false"]) == 1
 
 
 def _cli(*args):

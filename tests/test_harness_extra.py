@@ -6,10 +6,11 @@ import pytest
 
 from sparsevcd import experiment, metrics
 from sparsevcd.cli import main
-from sparsevcd.config import (AblationConfig, DecodeConfig, ExperimentConfig,
-                              ModelConfig, SparsifyConfig)
+from sparsevcd.config import (DecodeConfig, ExperimentConfig, ModelConfig,
+                              SparsifyConfig)
 from sparsevcd.corpus import (TOKEN_BOS, GeneratorSpec, gen_corpus, load_corpus,
                               write_corpus)
+from sparsevcd.decoding import decode
 from sparsevcd.experiment import (run_experiment, run_seed_row, sweep,
                                   write_diagnostics, write_rows_csv)
 from sparsevcd.models import ToyTransformer, model_from_config
@@ -112,19 +113,20 @@ def test_parallel_sweep_matches_sequential(corpus_path):
 
 
 def test_vats_off_uses_attention_order_without_clustering(corpus_path):
-    base = ExperimentConfig(
-        model=ModelConfig(kind="transformer", seed=9),
-        sparsify=SparsifyConfig(sparsity_rate=0.6, l_min=8),
-        decode=DecodeConfig(alpha=0.0, gamma_apc=0.0, max_len=4),
-        corpus=corpus_path,
-        seeds=[0],
-    )
-    off = dataclasses.replace(base, ablation=AblationConfig(vats=False))
-    scfg = off.effective_sparsify()
-    assert scfg.lambda_ == 0.0
-    assert scfg.merge_pruned is False
-    rows = run_experiment(off)
-    assert rows[0].error == ""
+    # VATS off is lambda_ = 0 (attention order alone) with merging off
+    model = model_from_config(ModelConfig(kind="transformer", seed=9))
+    example = load_corpus(corpus_path).examples[0]
+    dcfg = DecodeConfig(alpha=0.0, gamma_apc=0.0, max_len=4)
+
+    def plans(**sparsify_kw):
+        scfg = SparsifyConfig(sparsity_rate=0.6, l_min=8, **sparsify_kw)
+        result = decode(model, example.image, example.question or [TOKEN_BOS], scfg, dcfg,
+                        diag_level="full")
+        return [plan for rec in result.forward_records for plan in rec["layers"]]
+
+    off = plans(lambda_=0.0, merge_pruned=False)
+    assert off and all(plan["clusters"] == 0 for plan in off)
+    assert any(plan["clusters"] > 0 for plan in plans(lambda_=0.0))
 
 
 def test_diagnostics_written_as_jsonl(corpus_path, tmp_path):
