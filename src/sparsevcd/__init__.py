@@ -2,7 +2,7 @@
 
 from sparsevcd.config import DecodeConfig, ModelConfig, SparsifyConfig
 from sparsevcd.decoding import DecodeResult, decode
-from sparsevcd.models import ImageDescriptor, PlantedPriorComposer, ToyTransformer, build_toy_transformer
+from sparsevcd.models import ImageDescriptor, PlantedPriorComposer, ToyTransformer
 
 __all__ = [
     "DecodeConfig",
@@ -12,7 +12,6 @@ __all__ = [
     "PlantedPriorComposer",
     "SparsifyConfig",
     "ToyTransformer",
-    "build_toy_transformer",
     "decode",
 ]
 

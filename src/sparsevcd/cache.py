@@ -365,21 +365,27 @@ class KvCache:
         An ``(n,)`` mask is shared by every head and takes one records
         value; an ``(H, n)`` mask has one row per head (logical mode only)
         and takes a sequence of H. Every row must keep as many rows and
-        records as the others, as ``support`` reads them as one block.
+        records as the others, as ``support`` reads them as one block. A
+        row's non-empty records must hold each of its pruned rows once and
+        no other row, as ``attend`` moves their ``c`` through them.
         """
         st = self._layers[layer]
         mask = np.array(mask, dtype=bool)
         if mask.shape == (st.n,):
-            st.mask, st.records = mask[None], (st.no_records if records is None else records,)
-            return
-        if mask.shape != (self.heads, st.n) or records is None or len(records) != self.heads:
+            mask, records = mask[None], (st.no_records if records is None else records,)
+        elif mask.shape != (self.heads, st.n) or records is None or len(records) != self.heads:
             raise ValueError("set_sparsification: expected an (n,) mask or an (H, n) "
                              "mask with H records, n the row count")
-        records = tuple(st.no_records if rec is None else rec for rec in records)
-        kept = np.count_nonzero(mask, axis=1)
-        if (kept != kept[0]).any() or any(len(rec) != len(records[0]) for rec in records):
-            raise ValueError("set_sparsification: every head must keep as many rows "
-                             "and records")
+        else:
+            records = tuple(st.no_records if rec is None else rec for rec in records)
+            kept = np.count_nonzero(mask, axis=1)
+            if (kept != kept[0]).any() or any(len(rec) != len(records[0]) for rec in records):
+                raise ValueError("set_sparsification: every head must keep as many rows "
+                                 "and records")
+        for row, rec in zip(mask, records):
+            if len(rec) and not np.array_equal(np.bincount(rec.members, minlength=st.n), ~row):
+                raise ValueError("set_sparsification: the records' members must be "
+                                 "the mask's pruned rows")
         st.mask, st.records = mask, records
 
     def clear_sparsification(self, layer: int) -> None:

@@ -28,9 +28,6 @@ class ModelConfig:
     sigma: float = 0.1
     finding_ids: list[int] = field(default_factory=list)
     prior: list[float] = field(default_factory=list)
-    eos_logit: float = 2.1
-    filler_logit: float = -1.0
-    repeat_penalty: float = 1000.0
 
     def validate(self) -> None:
         if self.kind not in ("transformer", "composer"):
@@ -156,11 +153,11 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
-        # the composer is a single layer
-        layers = self.model.layers if self.model.kind == "transformer" else 1
+        # the composer has no decoder layers for the contrastive branch to run
+        layers = self.model.layers if self.model.kind == "transformer" else 0
         if self.decode.stop_layer > layers:
             raise ConfigError(f"decode.stop_layer {self.decode.stop_layer} exceeds "
-                              f"the model's {layers} layers")
+                              f"the model's {layers} decoder layers")
         if self.model.kind == "composer" and self.decode.eos_id not in (0, -1):
             # the composer's EOS logit sits on token 0
             raise ConfigError("decode.eos_id must be 0 (the composer's EOS) "

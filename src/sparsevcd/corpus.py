@@ -21,6 +21,8 @@ TOKEN_BOS = 1
 TOKEN_YES = 2
 TOKEN_NO = 3
 FINDINGS_START = 4
+DISTRACTOR_ID = FINDINGS_START       # the planted distractor: the first finding
+TRIGGER_ID = FINDINGS_START + 1      # the finding the distractor follows
 
 
 @dataclass
@@ -29,8 +31,6 @@ class GeneratorSpec:
     tokens_per_finding: int = 3
     findings_per_image: int = 3
     prior_rate: float = 0.8
-    distractor_index: int = 0
-    trigger_index: int = 1
     include_questions: bool = False
     distractor_in_images: bool = False
 
@@ -43,24 +43,10 @@ class GeneratorSpec:
             raise ConfigError("generator: findings_per_image outside [1, n_findings)")
         if not 0.0 <= self.prior_rate <= 1.0:
             raise ConfigError("generator: prior_rate must be in [0, 1]")
-        if not 0 <= self.distractor_index < self.n_findings:
-            raise ConfigError("generator: distractor_index out of range")
-        if not 0 <= self.trigger_index < self.n_findings:
-            raise ConfigError("generator: trigger_index out of range")
-        if self.distractor_index == self.trigger_index:
-            raise ConfigError("generator: distractor and trigger must differ")
 
     @property
     def finding_ids(self) -> list[int]:
         return list(range(FINDINGS_START, FINDINGS_START + self.n_findings))
-
-    @property
-    def distractor_id(self) -> int:
-        return FINDINGS_START + self.distractor_index
-
-    @property
-    def trigger_id(self) -> int:
-        return FINDINGS_START + self.trigger_index
 
 
 @dataclass
@@ -107,8 +93,8 @@ def gen_corpus(spec: GeneratorSpec, seed: int, n: int) -> Corpus:
         "tokens_per_finding": spec.tokens_per_finding,
         "findings_per_image": spec.findings_per_image,
         "prior_rate": spec.prior_rate,
-        "distractor_id": spec.distractor_id,
-        "trigger_id": spec.trigger_id,
+        "distractor_id": DISTRACTOR_ID,
+        "trigger_id": TRIGGER_ID,
         "eos_id": TOKEN_EOS,
         "bos_id": TOKEN_BOS,
         "yes_id": TOKEN_YES,
@@ -117,7 +103,7 @@ def gen_corpus(spec: GeneratorSpec, seed: int, n: int) -> Corpus:
     }
     pool_all = spec.finding_ids
     image_pool = [f for f in pool_all
-                  if spec.distractor_in_images or f != spec.distractor_id]
+                  if spec.distractor_in_images or f != DISTRACTOR_ID]
     examples = []
     for i in range(n):
         stream = SplitMix64(combine(seed, i))
@@ -125,9 +111,9 @@ def gen_corpus(spec: GeneratorSpec, seed: int, n: int) -> Corpus:
                                              spec.findings_per_image)
         image = ImageDescriptor(tuple(chosen), spec.tokens_per_finding)
         report = list(chosen)
-        if spec.trigger_id in chosen and stream.uniform() < spec.prior_rate:
-            if spec.distractor_id not in report:
-                report.append(spec.distractor_id)
+        if TRIGGER_ID in chosen and stream.uniform() < spec.prior_rate:
+            if DISTRACTOR_ID not in report:
+                report.append(DISTRACTOR_ID)
         question = None
         label = None
         if spec.include_questions:

@@ -92,11 +92,10 @@ def contrastive_logits(model: ModelInterface, prompt_block, visual_embeddings,
     embedding blocks. The kept visual embeddings, the prompt and the
     embedded history are joined into one block;
     ``stop_layer = 0`` pools that block and applies the head directly;
-    ``stop_layer > 0`` first runs it through the leading decoder layers
-    (models without decoder layers always take the direct path).
+    ``stop_layer > 0`` first runs it through the leading decoder layers.
     """
     embs = np.concatenate([visual_embeddings, prompt_block, model.embed_text(history_ids)])
-    if stop_layer > 0 and hasattr(model, "forward_sequence"):
+    if stop_layer > 0:
         hiddens = model.forward_sequence(embs, stop_layer)
         pooled = model.pool_embeddings(hiddens, pooling)
     else:
@@ -338,9 +337,11 @@ def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     dcfg.validate()
     if not prompt_ids:
         raise ConfigError("prompt must be non-empty")
-    if dcfg.stop_layer > model.layers:
+    # the contrastive branch runs its stop layers through forward_sequence
+    layers = model.layers if hasattr(model, "forward_sequence") else 0
+    if dcfg.stop_layer > layers:
         raise ConfigError(
-            f"stop_layer {dcfg.stop_layer} exceeds the model's {model.layers} layers")
+            f"stop_layer {dcfg.stop_layer} exceeds the model's {layers} decoder layers")
     if dcfg.eos_id >= model.vocab:
         raise ConfigError("eos id outside the model vocabulary")
     for t in prompt_ids:

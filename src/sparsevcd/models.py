@@ -31,6 +31,13 @@ RMS_EPS = 1e-12
 _VISUAL_SALT = 0x5649_5355
 _NOISE_SALT = 0x4E4F_4953
 
+# The composer's fixed logits: EOS sits on token 0 (the corpus layout), and an
+# emitted finding is suppressed by the repeat penalty so reports terminate.
+COMPOSER_EOS_ID = 0
+COMPOSER_EOS_LOGIT = 2.1
+COMPOSER_FILLER_LOGIT = -1.0
+COMPOSER_REPEAT_PENALTY = 1000.0
+
 
 def rms_normalize(x: np.ndarray) -> np.ndarray:
     """RMS-normalise a vector, or each row of a block, over the last axis (a
@@ -257,13 +264,6 @@ class ToyTransformer(ModelInterface):
         return matvec(self.unembedding, pooled)
 
 
-def build_toy_transformer(seed: int, d_model: int = 16, layers: int = 2,
-                          heads: int = 2, vocab: int = 64) -> ToyTransformer:
-    """Construct a reproducibly seeded toy transformer."""
-    return ToyTransformer(seed, d_model=d_model, layers=layers, heads=heads,
-                          vocab=vocab)
-
-
 class PlantedPriorComposer(ModelInterface):
     """Analytic model with a planted language prior.
 
@@ -282,9 +282,7 @@ class PlantedPriorComposer(ModelInterface):
     """
 
     def __init__(self, vocab: int, finding_ids, prior, a_vis: float = 2.0,
-                 b_prior: float = 3.0, sigma: float = 0.1, seed: int = 0,
-                 eos_id: int = 0, eos_logit: float = 2.1,
-                 filler_logit: float = -1.0, repeat_penalty: float = 1000.0):
+                 b_prior: float = 3.0, sigma: float = 0.1, seed: int = 0):
         if vocab < 8:
             raise ConfigError("vocab must be at least 8")
         finding_ids = [int(f) for f in finding_ids]
@@ -292,7 +290,7 @@ class PlantedPriorComposer(ModelInterface):
             raise ConfigError("composer needs a non-empty finding vocabulary")
         if any(not 0 <= f < vocab for f in finding_ids):
             raise ConfigError("finding ids must lie inside the vocabulary")
-        if eos_id in finding_ids:
+        if COMPOSER_EOS_ID in finding_ids:
             raise ConfigError("eos id cannot be a finding id")
         prior = np.asarray(prior, dtype=np.float64)
         if prior.shape != (len(finding_ids),):
@@ -306,10 +304,6 @@ class PlantedPriorComposer(ModelInterface):
         self.b_prior = b_prior
         self.sigma = sigma
         self.seed = seed
-        self.eos_id = eos_id
-        self.eos_logit = eos_logit
-        self.filler_logit = filler_logit
-        self.repeat_penalty = repeat_penalty
         self.layers = 1
         self.heads = 1
         self.d_model = 2 * vocab
@@ -363,14 +357,14 @@ class PlantedPriorComposer(ModelInterface):
             raise ValueError(f"lm_head: dim {pooled.shape} != d_model {self.d_model}")
         visible = pooled[: self.vocab]
         counts = pooled[self.vocab:]
-        logits = np.full(self.vocab, self.filler_logit)
+        logits = np.full(self.vocab, COMPOSER_FILLER_LOGIT)
         logits[self.finding_ids] = (
             self.a_vis * visible[self.finding_ids]
             + self.b_prior * self.prior
             + self.noise
-            - self.repeat_penalty * counts[self.finding_ids]
+            - COMPOSER_REPEAT_PENALTY * counts[self.finding_ids]
         )
-        logits[self.eos_id] = self.eos_logit
+        logits[COMPOSER_EOS_ID] = COMPOSER_EOS_LOGIT
         return logits
 
 
@@ -390,14 +384,11 @@ def default_prior(n_findings: int = 16, peak: float = 0.72) -> list[float]:
 def model_from_config(cfg: ModelConfig) -> ModelInterface:
     cfg.validate()
     if cfg.kind == "transformer":
-        return build_toy_transformer(cfg.seed, d_model=cfg.d_model,
-                                     layers=cfg.layers, heads=cfg.heads,
-                                     vocab=cfg.vocab)
+        return ToyTransformer(cfg.seed, d_model=cfg.d_model, layers=cfg.layers,
+                              heads=cfg.heads, vocab=cfg.vocab)
     finding_ids = cfg.finding_ids or default_finding_ids()
     prior = cfg.prior or default_prior(len(finding_ids))
     return PlantedPriorComposer(
         vocab=cfg.vocab, finding_ids=finding_ids, prior=prior,
         a_vis=cfg.a_vis, b_prior=cfg.b_prior, sigma=cfg.sigma, seed=cfg.seed,
-        eos_logit=cfg.eos_logit, filler_logit=cfg.filler_logit,
-        repeat_penalty=cfg.repeat_penalty,
     )

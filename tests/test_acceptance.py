@@ -18,7 +18,7 @@ from sparsevcd.config import (DecodeConfig, ExperimentConfig, ModelConfig,
 from sparsevcd.corpus import GeneratorSpec, gen_corpus, write_corpus
 from sparsevcd.decoding import decode
 from sparsevcd.experiment import bench_sparse_vs_full, bench_stop_layers, run_seed_row
-from sparsevcd.models import ImageDescriptor, build_toy_transformer
+from sparsevcd.models import ImageDescriptor, ToyTransformer
 from sparsevcd.numerics import stable_softmax
 from sparsevcd.oracle import (brute_force_mask, objective_value, reference_clustering,
                               reference_full_decode)
@@ -64,8 +64,8 @@ def test_c02_disabled_mechanism_identity():
         dcfg = DecodeConfig(alpha=0.0, gamma_apc=0.0, visual_mask_rate=0.0,
                             max_len=128, eos_id=-1, seed=0)
         for seed in range(50):
-            model = build_toy_transformer(1000 + seed, d_model=16, layers=2,
-                                          heads=2, vocab=64)
+            model = ToyTransformer(1000 + seed, d_model=16, layers=2,
+                                   heads=2, vocab=64)
             img = ImageDescriptor((4 + seed % 8,), tokens_per_finding=2)
             prompt = [1, 2 + seed % 4]
             engine = decode(model, img, prompt, scfg, dcfg)
@@ -142,8 +142,8 @@ def test_c05_apc_safety():
                 if run >= 50:
                     break
                 run += 1
-                model = build_toy_transformer(500 + run, d_model=16, layers=2,
-                                              heads=2, vocab=64)
+                model = ToyTransformer(500 + run, d_model=16, layers=2,
+                                       heads=2, vocab=64)
                 img = ImageDescriptor((4 + run % 6, 11), tokens_per_finding=2)
                 dcfg = DecodeConfig(alpha=0.3, gamma_apc=gamma, max_len=16,
                                     seed=run, eos_id=-1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sparsevcd import numerics
 from sparsevcd.cache import KvCache, MergedRecords
-from sparsevcd.models import build_toy_transformer
+from sparsevcd.models import ToyTransformer
 from sparsevcd.numerics import matvec
 from sparsevcd.vats import attention_error, cluster_pruned, merge_clusters
 
@@ -235,6 +235,26 @@ def test_unequal_per_head_plans_are_rejected():
     assert sup.raw_idx.tolist() == [[0, 1, 3, 4, 5, 7], [1, 2, 4, 5, 6, 7]]
 
 
+def test_records_must_have_the_pruned_rows_as_members():
+    # attend moves each pruned row's c through the records: members [2, 3]
+    # under a mask pruning rows 2 and 5 gave kept row 3 its c twice and
+    # pruned row 5 none
+    cache, _ = fill_cache(8)
+    mask = np.ones(8, dtype=bool)
+    mask[[2, 5]] = False
+
+    def one_cluster(members):
+        members = np.array(members)
+        return MergedRecords(members, np.array([2]), np.full(2, 0.5),
+                             cache.gather(0, members).mean(axis=0)[:, None])
+
+    with pytest.raises(ValueError, match="pruned rows"):
+        cache.set_sparsification(0, mask, one_cluster([2, 3]))
+    assert cache.mask_view(0).all()
+    cache.set_sparsification(0, mask, one_cluster([5, 2]))
+    cache.set_sparsification(0, mask)   # merge_pruned = false: no records
+
+
 def test_compact_evicts_pruned_rows_without_records():
     # pruning without merging (merge_pruned=False) compacts to the kept rows
     cache, _ = fill_cache(10, heads=2)
@@ -285,7 +305,7 @@ def test_logical_vs_compacted_argmax_with_singleton_clusters():
 
 def test_accumulator_column_sums_match_replay():
     # decode-style usage through the model, then replay the recorded rows
-    m = build_toy_transformer(5, d_model=8, layers=2, heads=2, vocab=16)
+    m = ToyTransformer(5, d_model=8, layers=2, heads=2, vocab=16)
     cache = m.new_cache()
     recorded = []  # per forward, per layer, the attention rows
 

@@ -11,7 +11,7 @@ from sparsevcd.config import (DecodeConfig, ModelConfig, SparsifyConfig,
                               experiment_from_dict)
 from sparsevcd.decoding import decode
 from sparsevcd.errors import ConfigError
-from sparsevcd.models import ImageDescriptor, build_toy_transformer
+from sparsevcd.models import ImageDescriptor, ToyTransformer
 
 
 def test_default_hyperparameters():
@@ -56,7 +56,7 @@ def test_validation_ranges():
 
 
 def _toy_run(scfg, seed=41, max_len=6):
-    model = build_toy_transformer(seed, d_model=16, layers=2, heads=2, vocab=64)
+    model = ToyTransformer(seed, d_model=16, layers=2, heads=2, vocab=64)
     img = ImageDescriptor((4, 5), 3)
     dcfg = DecodeConfig(alpha=0.0, gamma_apc=0.0, visual_mask_rate=0.0,
                         max_len=max_len, seed=1)
@@ -82,7 +82,7 @@ def test_sac_after_vats_ordering_flag():
 
 def test_recency_window_keeps_recent_tokens_retained():
     scfg = SparsifyConfig(l_min=8, sparsity_rate=0.5, w_recent=4)
-    model = build_toy_transformer(43, d_model=16, layers=2, heads=2, vocab=64)
+    model = ToyTransformer(43, d_model=16, layers=2, heads=2, vocab=64)
     img = ImageDescriptor((4,), 2)
     res = decode(model, img, [1] * 14, scfg,
                  DecodeConfig(alpha=0.0, gamma_apc=0.0, max_len=4, seed=0),
@@ -101,7 +101,8 @@ def test_recency_window_keeps_recent_tokens_retained():
 # each of these was accepted, or crashed with a stray TypeError, before the
 # section fields were checked against their declared types; the next two were
 # accepted before a negative l_min and repeated composer finding ids were
-# refused, and the last four before non-finite floats were
+# refused, the next four before non-finite floats were, and the last while the
+# composer's EOS logit was a setting rather than a constant
 @pytest.mark.parametrize("doc", [
     {"sparsify": {"per_head_mask": "false"}},
     {"decode": {"max_len": 2.5}},
@@ -113,6 +114,7 @@ def test_recency_window_keeps_recent_tokens_retained():
     {"sparsify": {"beta": float("nan")}},
     {"decode": {"alpha": float("inf")}},
     {"model": {"kind": "composer", "prior": [float("-inf")] + [0.1] * 15}},
+    {"model": {"kind": "composer", "eos_logit": 2.1}},
 ])
 def test_mistyped_config_values_fail_as_config_errors(doc, tmp_path):
     with pytest.raises(ConfigError):
@@ -144,6 +146,8 @@ def test_config_types_int_for_float_but_never_bool_for_number():
     ["bench", "--prefix-len", "8", "--decode-len", "2", "--repeats", "1"],
     ["sweep", "--axis", "alpha", "--grid", "0.3,-1"],
     ["sweep", "--axis", "stop_layer", "--grid", "0,5"],
+    # the composer has no decoder layers: stop layer 1 ran as stop layer 0
+    ["sweep", "--set", 'model.kind="composer"', "--axis", "stop_layer", "--grid", "0,1"],
 ])
 def test_cli_rejects_bad_numbers_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

@@ -1,7 +1,7 @@
 import pytest
 
-from sparsevcd.corpus import (GeneratorSpec, gen_corpus, load_corpus,
-                              write_corpus)
+from sparsevcd.corpus import (DISTRACTOR_ID, TRIGGER_ID, GeneratorSpec,
+                              gen_corpus, load_corpus, write_corpus)
 from sparsevcd.errors import ConfigError, CorpusError
 
 
@@ -26,7 +26,7 @@ def test_single_example_deterministic(tmp_path):
 def test_prior_rate_zero_no_cooccurrence():
     spec = GeneratorSpec(prior_rate=0.0)
     corpus = gen_corpus(spec, seed=4, n=200)
-    d = spec.distractor_id
+    d = DISTRACTOR_ID
     for ex in corpus.examples:
         assert d not in ex.report
 
@@ -34,7 +34,7 @@ def test_prior_rate_zero_no_cooccurrence():
 def test_prior_rate_binomial_bound():
     spec = GeneratorSpec(prior_rate=0.8)
     corpus = gen_corpus(spec, seed=7, n=1000)
-    t, d = spec.trigger_id, spec.distractor_id
+    t, d = TRIGGER_ID, DISTRACTOR_ID
     triggered = [ex for ex in corpus.examples if t in ex.image.finding_ids]
     assert triggered
     rate = sum(1 for ex in triggered if d in ex.report) / len(triggered)
@@ -45,7 +45,7 @@ def test_reports_subset_of_image_plus_distractor():
     spec = GeneratorSpec()
     corpus = gen_corpus(spec, seed=2, n=100)
     for ex in corpus.examples:
-        allowed = set(ex.image.finding_ids) | {spec.distractor_id}
+        allowed = set(ex.image.finding_ids) | {DISTRACTOR_ID}
         assert set(ex.report) <= allowed
     ids = [ex.id for ex in corpus.examples]
     assert len(set(ids)) == len(ids)

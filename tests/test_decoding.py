@@ -13,7 +13,7 @@ from sparsevcd.corpus import TOKEN_BOS, GeneratorSpec, gen_corpus
 from sparsevcd.decoding import (EngineAttention, contrastive_logits, decode, fuse,
                                 mask_visual, plausible_set)
 from sparsevcd.errors import ConfigError
-from sparsevcd.models import ImageDescriptor, build_toy_transformer, model_from_config
+from sparsevcd.models import ImageDescriptor, ToyTransformer, model_from_config
 from sparsevcd.numerics import NEG_INF, stable_softmax, weighted_sum_rows
 from sparsevcd.oracle import reference_full_decode
 from sparsevcd.rng import combine
@@ -21,7 +21,7 @@ from sparsevcd.vats import cluster_pruned, pairwise_distances
 
 
 def transformer(seed=1):
-    return build_toy_transformer(seed, d_model=16, layers=2, heads=2, vocab=64)
+    return ToyTransformer(seed, d_model=16, layers=2, heads=2, vocab=64)
 
 
 def disabled_sparsify():
@@ -217,6 +217,14 @@ def test_decode_validation_errors():
         decode(m, img, [1], disabled_sparsify(), disabled_decode(stop_layer=99))
     with pytest.raises(ConfigError):
         decode(m, img, [1], SparsifyConfig(sparsity_rate=0.0), disabled_decode())
+
+
+def test_decode_rejects_a_stop_layer_on_a_model_without_decoder_layers():
+    # the composer has no forward_sequence: stop_layer 1 ran as stop layer 0
+    composer = model_from_config(ModelConfig(kind="composer", vocab=20))
+    with pytest.raises(ConfigError, match="stop_layer"):
+        decode(composer, ImageDescriptor((4,), 3), [1], SparsifyConfig(),
+               DecodeConfig(stop_layer=1))
 
 
 def test_decode_rejects_an_unknown_diag_level():

@@ -53,6 +53,17 @@ def test_run_rows_have_metrics(small_corpus):
         assert row.n_examples == 8
 
 
+def test_decode_seed_does_not_reach_run_sessions(small_corpus):
+    # run_seed_row seeds each session from the run seed and the example's
+    # index; the rows still record the decode.seed they were given
+    a, b = (run_experiment(composer_cfg(small_corpus, seed=s)) for s in (0, 99))
+    assert [r.config["decode.seed"] for r in b] == [99, 99]
+    def outcome(r):
+        return r.seed, r.chair, r.recall, r.attn_error_mean, r.empty_generated, r.error
+
+    assert [outcome(r) for r in a] == [outcome(r) for r in b]
+
+
 def test_run_byte_identical(small_corpus, tmp_path):
     cfg = composer_cfg(small_corpus)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

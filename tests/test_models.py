@@ -11,12 +11,12 @@ from sparsevcd import numerics
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import (ImageDescriptor, PlantedPriorComposer,
-                              build_toy_transformer, default_finding_ids,
+                              ToyTransformer, default_finding_ids,
                               default_prior, model_from_config)
 
 
 def small_model(seed=1):
-    return build_toy_transformer(seed, d_model=16, layers=2, heads=2, vocab=64)
+    return ToyTransformer(seed, d_model=16, layers=2, heads=2, vocab=64)
 
 
 def weights(model):
@@ -49,11 +49,11 @@ def test_different_seeds_differ():
 
 def test_bad_dims_rejected():
     with pytest.raises(ConfigError):
-        build_toy_transformer(1, d_model=0)
+        ToyTransformer(1, d_model=0)
     with pytest.raises(ConfigError):
-        build_toy_transformer(1, vocab=4)
+        ToyTransformer(1, vocab=4)
     with pytest.raises(ConfigError):
-        build_toy_transformer(1, d_model=10, heads=4)
+        ToyTransformer(1, d_model=10, heads=4)
 
 
 def forward_with_rows(model, cache, emb):
@@ -105,8 +105,8 @@ def test_forward_step_deterministic():
 
 @lru_cache(maxsize=None)
 def sized_model(d_model, heads, layers):
-    return build_toy_transformer(7, d_model=d_model, layers=layers, heads=heads,
-                                 vocab=64)
+    return ToyTransformer(7, d_model=d_model, layers=layers, heads=heads,
+                          vocab=64)
 
 
 def step_hiddens(model, embs, visual, n_layers):
@@ -301,7 +301,7 @@ def test_forward_step_sums_copy_no_factor():
     # at d_model 32 the QKV, W_o, feed-forward and unembedding products and,
     # past 32 rows, both attention sums reach numerics' einsum; every weight
     # and cache block is stored in its summing layout, so none is copied
-    m = build_toy_transformer(3, d_model=32, layers=2, heads=2, vocab=64)
+    m = ToyTransformer(3, d_model=32, layers=2, heads=2, vocab=64)
     cache = m.new_cache()
     for t in np.random.default_rng(5).integers(1, 64, size=40):
         hidden = m.forward_step(cache, m.embed_text([t])[0])
@@ -317,7 +317,7 @@ def test_forward_sequence_copies_no_w_o_factor():
     # at d_model 32 each head's W_o block against a block of rows reaches
     # numerics' einsum; it is stored rows-fastest, so it is not copied (the
     # copies left are causal_attention's own: its q, k and v, and its keys)
-    m = build_toy_transformer(3, d_model=32, layers=2, heads=2, vocab=64)
+    m = ToyTransformer(3, d_model=32, layers=2, heads=2, vocab=64)
     embs = m.embed_text(np.random.default_rng(5).integers(1, 64, size=40))
     with mock.patch.object(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies:
         m.forward_sequence(embs)

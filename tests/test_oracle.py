@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevcd import oracle
-from sparsevcd.models import ImageDescriptor, build_toy_transformer
+from sparsevcd.models import ImageDescriptor, ToyTransformer
 from sparsevcd.oracle import (brute_force_mask, reference_clustering,
                               reference_full_decode, reference_hidden_states)
 
@@ -52,7 +52,7 @@ def test_bruteforce_refuses_large_instances():
 
 
 def test_reference_decode_deterministic_and_bounded():
-    model = build_toy_transformer(9, d_model=16, layers=2, heads=2, vocab=64)
+    model = ToyTransformer(9, d_model=16, layers=2, heads=2, vocab=64)
     img = ImageDescriptor((5,), 2)
     a = reference_full_decode(model, [1], img, max_len=12)
     b = reference_full_decode(model, [1], img, max_len=12)
@@ -97,8 +97,8 @@ def test_oracle_imports_no_engine_module():
 @settings(max_examples=50, deadline=None)
 def test_sequence_forward_rows_are_oracle_hidden_states_bitwise(dims, layers, n, seed):
     d_model, heads = dims
-    model = build_toy_transformer(seed % 1000, d_model=d_model, layers=layers,
-                                  heads=heads, vocab=64)
+    model = ToyTransformer(seed % 1000, d_model=d_model, layers=layers,
+                           heads=heads, vocab=64)
     rng = np.random.default_rng(seed)
     embs = [model.visual_base_embedding(int(t)) if is_visual else model.embed_text([int(t)])[0]
             for is_visual, t in zip(rng.random(n) < 0.4, rng.integers(0, 64, n))]

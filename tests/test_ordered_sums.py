@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from sparsevcd import numerics
 from sparsevcd.config import ModelConfig
-from sparsevcd.models import build_toy_transformer, model_from_config
+from sparsevcd.models import ToyTransformer, model_from_config
 from sparsevcd.numerics import (EINSUM_MIN_TERMS, causal_weighted_sum, matvec,
                                 weighted_sum_rows)
 
@@ -36,7 +36,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DISPATCH_SETTINGS = ["", "X86_V4 AVX512_ICL AVX512_SPR",
                      "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"]
 
-TOY = build_toy_transformer(0)
+TOY = ToyTransformer(0)
 COMPOSER = model_from_config(ModelConfig(kind="composer", vocab=20))
 
 

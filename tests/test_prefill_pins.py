@@ -15,7 +15,7 @@ import pytest
 
 from sparsevcd.config import SparsifyConfig
 from sparsevcd.decoding import EngineAttention
-from sparsevcd.models import ImageDescriptor, build_toy_transformer
+from sparsevcd.models import ImageDescriptor, ToyTransformer
 
 
 def _sha(data: bytes) -> str:
@@ -26,7 +26,7 @@ def prefill_state(overrides):
     """Run the prefix; ``overrides=None`` takes the plain path
     (``forward_step`` with ``attend=None``)."""
     rng = np.random.default_rng(503)
-    m = build_toy_transformer(29, d_model=24, layers=2, heads=3, vocab=64)
+    m = ToyTransformer(29, d_model=24, layers=2, heads=3, vocab=64)
     img = ImageDescriptor((4, 10, 19, 33), 12)
     prompt = [int(t) for t in rng.integers(1, 64, size=52)]
     if overrides is None:
