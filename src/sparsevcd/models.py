@@ -127,6 +127,8 @@ class ToyTransformer(ModelInterface):
     uniform(-1/sqrt(d_model), +1/sqrt(d_model)); the draw order is fixed
     (embedding table, then per layer: per-head W_q, W_k, W_v, W_o, then the
     feed-forward pair, finally the unembedding), so a seed pins every bit.
+    Each array is one block draw (``SplitMix64.uniforms``), the same bits
+    as one scalar draw per weight.
     """
 
     def __init__(self, seed: int, d_model: int = 16, layers: int = 2,
@@ -147,11 +149,10 @@ class ToyTransformer(ModelInterface):
 
         rng = SplitMix64(seed)
         bound = 1.0 / np.sqrt(d_model)
+        lo, hi = -bound, bound
 
         def draw(shape):
-            flat = np.array([rng.uniform_in(-bound, bound)
-                             for _ in range(int(np.prod(shape)))])
-            return flat.reshape(shape)
+            return (lo + (hi - lo) * rng.uniforms(int(np.prod(shape)))).reshape(shape)
 
         self.embedding = draw((vocab, d_model))
         self.w_q, self.w_k, self.w_v, self.w_o = [], [], [], []
@@ -191,7 +192,8 @@ class ToyTransformer(ModelInterface):
             raise ValueError(f"finding id {finding_id} outside vocabulary")
         rng = SplitMix64(combine(self.seed, _VISUAL_SALT, finding_id))
         bound = 1.0 / np.sqrt(self.d_model)
-        return np.array([rng.uniform_in(-bound, bound) for _ in range(self.d_model)])
+        lo, hi = -bound, bound
+        return lo + (hi - lo) * rng.uniforms(self.d_model)
 
     def embed_visual(self, img: ImageDescriptor) -> np.ndarray:
         bases = np.array([self.visual_base_embedding(f) for f in img.finding_ids])

@@ -202,7 +202,9 @@ def causal_attention(q, k, v, scale) -> np.ndarray:
     ``(n, e)`` values: row ``i`` is ``weighted_sum_rows(stable_softmax(
     matvec(k[:i + 1], q[i]) / scale), v[:i + 1])``, scored in blocks of
     ``CAUSAL_BLOCK`` query rows over the lower triangle only."""
-    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
+    q, v = as_matrix(q), as_matrix(v)
+    # keys rows-fastest once, so no block's prefix k[:b] is copied to be summed
+    k = np.asfortranarray(k, dtype=np.float64)
     n = q.shape[0]
     if k.shape != q.shape or v.shape[0] != n:
         raise ValueError(f"causal_attention: queries {q.shape}, keys {k.shape}, "

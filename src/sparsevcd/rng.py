@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# the stream's constants as numpy scalars, for block draws
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2_U64 = np.uint64(0x94D049BB133111EB)
 
 
 def mix64(x: int) -> int:
@@ -41,8 +47,16 @@ class SplitMix64:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` ``uniform()`` draws as one array, bit for bit: the
+        state after ``i`` draws is ``state + i * gamma`` mod 2**64, and
+        wrapping ``uint64`` array arithmetic computes the mix exactly."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA_U64 + np.uint64(self.state)
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * _MIX1_U64
+        z = (z ^ (z >> 27)) * _MIX2_U64
+        z ^= z >> 31
+        return (z >> 11) * (1.0 / (1 << 53))
 
     def gauss(self) -> float:
         """Standard normal via Box-Muller; consumes two draws."""

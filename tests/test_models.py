@@ -316,7 +316,7 @@ def test_forward_step_sums_copy_no_factor():
 def test_forward_sequence_copies_no_w_o_factor():
     # at d_model 32 each head's W_o block against a block of rows reaches
     # numerics' einsum; it is stored rows-fastest, so it is not copied (the
-    # copies left are causal_attention's own: its q, k and v, and its keys)
+    # copies left are causal_attention's own: its q and v, made contiguous)
     m = ToyTransformer(3, d_model=32, layers=2, heads=2, vocab=64)
     embs = m.embed_text(np.random.default_rng(5).integers(1, 64, size=40))
     with mock.patch.object(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies:
@@ -324,3 +324,16 @@ def test_forward_sequence_copies_no_w_o_factor():
     copied = [call.args[0].shape for call in copies.call_args_list
               if not call.args[0].flags.c_contiguous]
     assert (40, m.head_dim) in copied and (1, m.head_dim, m.d_model) not in copied
+
+
+def test_causal_attention_copies_no_key_prefix():
+    # 150 rows are three query blocks; each block's scores sum its key prefix
+    # k[:b] through numerics' einsum, and causal_attention lays the keys out
+    # rows-fastest once per call, so no block copies its prefix
+    m = ToyTransformer(3, d_model=32, layers=2, heads=2, vocab=64)
+    embs = m.embed_text(np.random.default_rng(5).integers(1, 64, size=150))
+    with mock.patch.object(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies:
+        m.forward_sequence(embs)
+    copied = [call.args[0].shape for call in copies.call_args_list]
+    assert (150, m.head_dim) in copied
+    assert [s for s in copied if s[:2] == (1, m.head_dim)] == []
