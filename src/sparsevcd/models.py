@@ -220,9 +220,11 @@ class ToyTransformer(ModelInterface):
         Cache-free: used by the contrastive shortcut's stop-layer path and by
         anything needing a from-scratch forward. Runs ``forward_step``'s
         layers over all positions at once, as one block of rows, each head's
-        attention one ``causal_attention`` call; the row-block kernels keep
-        every reduction order, so row ``i`` is bit-identical to the hidden
-        state ``forward_step`` gives position ``i`` over a fresh cache.
+        attention one ``causal_attention`` call on strided views of the
+        head's queries, keys and values (it lays the queries out once, in
+        key-major blocks); the row-block kernels keep every reduction order,
+        so row ``i`` is bit-identical to the hidden state ``forward_step``
+        gives position ``i`` over a fresh cache.
         """
         n_layers = self.layers if n_layers is None else n_layers
         if not 0 <= n_layers <= self.layers:

@@ -28,16 +28,26 @@ of the per-row kernels: row ``i`` is bit-identical to ``stable_softmax`` of
 ``matvec(k[:i + 1], q[i]) / scale`` summed over ``v[:i + 1]`` by
 ``weighted_sum_rows``. It scores only the lower triangle, one block of
 ``CAUSAL_BLOCK`` query rows ``[a, b)`` at a time against keys ``0..b-1``,
-with ``-inf`` above the diagonal of the block's last ``b - a`` columns. A
-row's finite scores are the same dot products, ``exp`` of the ``-inf``
-entries is exactly 0, and trailing exact zeros leave a left-to-right
-positive sum unchanged, so no row depends on the block size. The weights go
-to ``causal_weighted_sum``, which runs the same query blocks: block
-``[a, b)`` is one sum of ``b`` terms per row, row ``i`` reading only the
-weights and values ``0..i`` (its docstring says how).
+and holds each block key-major: a ``(b, b - a)`` array with the keys down
+the rows, ``-inf`` wherever a key comes after its query. The queries are
+laid out rows-fastest once per call (``q.T``), so a block's scores are one
+``_ordered_sum`` over the features with nothing copied, and the max, the
+softmax total and the context then all reduce along the key axis, top to
+bottom, as the per-row kernels reduce along the row; each of the block's
+einsums runs its inner loop over the block's queries. ``exp`` of a ``-inf``
+score is exactly 0, and trailing exact zeros leave a positive total as it
+is. In the context a key after its query adds one trailing term
+``0.0 * v[j]`` to the query's sum: ``±0.0`` for a finite value, which
+changes no sum but an exact zero (``-0.0 + +0.0`` is ``+0.0``), or NaN for
+a value that is not finite. So a block's entries that come out exactly zero
+or not finite, and only those, are summed again in order over their row's
+own prefix. A model's contexts have none (a test counts them over a 256-row
+``forward_sequence``), so no row depends on the block size and the exact
+path costs one check per block. ``causal_weighted_sum`` is the same block
+sum over given weights, with ``+0.0`` in place of those above the diagonal.
 
-The long sums. ``matvec``, ``weighted_sum_rows``, ``causal_weighted_sum``
-and the models' pooling all sum through ``_ordered_sum``. A sum of fewer
+The long sums. ``matvec``, ``weighted_sum_rows``, the causal kernels and
+the models' pooling all sum through ``_ordered_sum``. A sum of fewer
 than ``EINSUM_MIN_TERMS`` terms (counted over the whole call) is
 ``np.add.accumulate`` along the summed axis, a sequential loop by
 definition. A longer one is one ``np.einsum(..., optimize=False)``. On
@@ -69,18 +79,23 @@ Pooling 64 rows of 16 took 5.8 us against 7.8 us, and 256 rows 17.5 us
 against 7.8 us. ``EINSUM_MIN_TERMS = 1024`` keeps the composer's calls (at
 most 14 rows of 40) on ``accumulate``. It sends to the einsum the toy
 transformer's attention from 64 rows on (over both heads), its
-feed-forward and unembedding products, and its layer's products over the
-row blocks of ``forward_sequence``.
+feed-forward and unembedding products, its layer's products over the row
+blocks of ``forward_sequence``, and every causal block's scores, softmax
+total and context once they reach 1,024 terms.
 
 Smaller causal blocks pay more Python per block, larger ones score and sum
 more of the upper triangle. Measured on the same VM, per
 ``causal_attention`` call on one head of 8 features (the toy
-transformer's) at n = 272 (the longest prefix of the
-``contrastive-deep-256`` bench), weighted sum included: 8-row blocks took
-1.98 ms, 16 rows 1.49 ms, 32 to 64 rows 1.08-1.13 ms, 96 and 128 rows
-1.22-1.25 ms, and one block of all 272 rows 3.0 ms. At n = 100, 64-row
-blocks took 253 us, 32 rows 281 us and 16 rows 346 us. ``CAUSAL_BLOCK =
-64`` sits in the flat minimum.
+transformer's), medians of 21 interleaved rounds of 20 calls in two runs.
+The ``contrastive-deep-256`` bench's prefixes run 216 to 246 rows; at
+n = 232, 48-row blocks took 580-600 us, 64 rows 548-579 us, 96 rows
+548-561 us and 128 rows 530-547 us, and at n = 224 and 240 the four sizes
+were as close. At n = 272 (about the longest prefix the bench allows,
+with every visual token kept) they took 753-765, 730-737,
+674-676 and 738-742 us; at n = 100, 64-row blocks took 181-257 us and
+96 rows 207-299 us. No size is 5% faster than 64 rows over the bench's
+prefixes (96 rows is 8% faster only at 272), so ``CAUSAL_BLOCK = 64``
+stays.
 """
 
 from __future__ import annotations
@@ -88,7 +103,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 NEG_INF = float("-inf")
 EINSUM_MIN_TERMS = 1024
@@ -99,7 +113,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    return np.ascontiguousarray(m)
+    return m
 
 
 def _ordered_sum(axis: int, n_terms: int, a: np.ndarray,
@@ -200,62 +214,75 @@ def stable_softmax(x) -> np.ndarray:
 def causal_attention(q, k, v, scale) -> np.ndarray:
     """Causal attention of ``(n, d)`` queries over ``(n, d)`` keys and
     ``(n, e)`` values: row ``i`` is ``weighted_sum_rows(stable_softmax(
-    matvec(k[:i + 1], q[i]) / scale), v[:i + 1])``, scored in blocks of
-    ``CAUSAL_BLOCK`` query rows over the lower triangle only."""
-    q, v = as_matrix(q), as_matrix(v)
-    # keys rows-fastest once, so no block's prefix k[:b] is copied to be summed
-    k = np.asfortranarray(k, dtype=np.float64)
-    n = q.shape[0]
+    matvec(k[:i + 1], q[i]) / scale), v[:i + 1])``, scored in key-major
+    blocks of ``CAUSAL_BLOCK`` query rows over the lower triangle only."""
+    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
+    n, d = q.shape
     if k.shape != q.shape or v.shape[0] != n:
         raise ValueError(f"causal_attention: queries {q.shape}, keys {k.shape}, "
                          f"values {v.shape}")
     if n == 0:
         raise ValueError("causal_attention: empty support")
-    upper = ~np.tri(min(n, CAUSAL_BLOCK), dtype=bool)
-    weights = np.zeros((n, n))
+    # queries rows-fastest once, so no block's queries are copied to be summed
+    q_t = np.ascontiguousarray(q.T)
+    after = np.tri(min(n, CAUSAL_BLOCK), k=-1, dtype=bool)  # key a + j after query a + r
+    out = np.empty((n, v.shape[1]))
     for a in range(0, n, CAUSAL_BLOCK):
         b = min(a + CAUSAL_BLOCK, n)
-        scores = matvec(k[:b], q[a:b]) / scale
-        scores[:, a:][upper[: b - a, : b - a]] = NEG_INF
-        weights[a:b, :b] = stable_softmax(scores)
-    return causal_weighted_sum(weights, v)
+        rows = b - a
+        # scores[j, r]: key j against query a + r, the dot over the features
+        scores = (_ordered_sum(-2, b * rows * d, k[:b, :, None], q_t[None, :, a:b])
+                  if d else np.zeros((b, rows)))
+        scores /= scale
+        np.copyto(scores[a:], NEG_INF, where=after[:rows, :rows])
+        top = scores.max(axis=0)
+        if not np.isfinite(top).all():
+            raise ValueError("causal_attention: empty support (all entries are -inf)")
+        e = np.exp(np.subtract(scores, top, out=scores), out=scores)
+        e /= _ordered_sum(-2, e.size, e)
+        out[a:b] = _causal_block(e, v, a)
+    return out
 
 
 def causal_weighted_sum(weights, m) -> np.ndarray:
     """Row ``i`` is ``weighted_sum_rows(weights[i, :i + 1], m[:i + 1])``:
-    only the terms ``j <= i`` are added, top to bottom.
-
-    Rows go in blocks of ``CAUSAL_BLOCK``, each one ``_ordered_sum`` of ``b``
-    terms per row for the block ``[a, b)``: row ``i`` adds ``b - 1 - i``
-    terms ``0.0 * -0.0`` and then its own terms ``j = 0..i``. A sum that
-    starts with ``-0.0`` terms is the sum without them (``-0.0 + x == x``
-    for every ``x``). Both operands end at row ``i``'s last term, so no row
-    reads a weight or a value after its own: its weights are shifted right
-    by ``b - 1 - i`` in a zero-padded block, and its values are the last
-    ``b`` rows of a window ending at row ``i`` below ``-0.0`` padding rows.
-    """
-    w = as_matrix(weights)
-    m = as_matrix(m)
+    only the terms ``j <= i`` are added, top to bottom, and the weights
+    above the diagonal are ignored. Rows go in blocks of ``CAUSAL_BLOCK``
+    through ``_causal_block``, as ``causal_attention``'s contexts do."""
+    w, m = as_matrix(weights), as_matrix(m)
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"causal_weighted_sum: expected a square (n, n) block, got {w.shape}")
     if w.shape[0] != m.shape[0]:
         raise ValueError(f"causal_weighted_sum: {w.shape[0]} weight rows for {m.shape[0]} rows")
-    n, f = m.shape
+    n = m.shape[0]
     if n == 0:
         raise ValueError("causal_weighted_sum: empty matrix")
-    # window i holds n - 1 - i rows of -0.0, then rows 0..i
-    windows = sliding_window_view(np.concatenate([np.full((n - 1, f), -0.0), m]), n, axis=0)
-    windows = windows.swapaxes(1, 2)
-    out = np.empty((n, f))
+    out = np.empty(m.shape)
     for a in range(0, n, CAUSAL_BLOCK):
         b = min(a + CAUSAL_BLOCK, n)
-        rows = b - a
-        # weights of row a + r at columns rows - 1.. of a zero row of
-        # `width`; read with rows one longer, row r starts r columns later
-        width = b + rows - 1
-        shifted = np.zeros(rows * (width + 1))
-        shifted[: rows * width].reshape(rows, width)[:, rows - 1:] = w[a:b, :b]
-        shifted = shifted.reshape(rows, width + 1)[:, :b]
-        values = windows[a:b, n - b:]
-        out[a:b] = _ordered_sum(-2, values.size, shifted[:, :, None], values)
+        # key-major, with +0.0 for every key after its query
+        out[a:b] = _causal_block(np.triu(w[a:b, :b].T, -a), m, a)
     return out
+
+
+def _causal_block(w, m, a: int) -> np.ndarray:
+    """The contexts of query rows ``[a, b)`` from key-major weights ``w``
+    (``(b, b - a)``, ``+0.0`` wherever a key comes after its query) over
+    value rows ``m[:b]``: row ``r`` sums ``w[j, r] * m[j]`` over
+    ``j = 0..a + r``, top to bottom. One ``_ordered_sum`` over all ``b``
+    keys; the entries the trailing ``0.0 * m[j]`` terms can change, those
+    exactly zero or not finite (the module docstring says why), go to
+    ``_prefix_sums``."""
+    b = len(w)
+    out = _ordered_sum(-2, w.size * m.shape[1], m[:b].T[:, :, None], w[None])
+    if np.count_nonzero(out) < out.size or not np.isfinite(out).all():
+        redo = np.nonzero((out == 0) | ~np.isfinite(out))
+        out[redo] = _prefix_sums(w, m, a, *redo)
+    return out.T
+
+
+def _prefix_sums(w, m, a: int, feats, queries) -> np.ndarray:
+    """``_causal_block``'s entries ``(feats, queries)``, each summed in order
+    over its own query's prefix ``j = 0..a + r`` only."""
+    running = np.add.accumulate(w[:, queries] * m[: len(w), feats], axis=0)
+    return running[a + queries, np.arange(len(queries))]

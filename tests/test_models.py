@@ -316,24 +316,41 @@ def test_forward_step_sums_copy_no_factor():
 def test_forward_sequence_copies_no_w_o_factor():
     # at d_model 32 each head's W_o block against a block of rows reaches
     # numerics' einsum; it is stored rows-fastest, so it is not copied (the
-    # copies left are causal_attention's own: its q and v, made contiguous)
+    # copy left is causal_attention's own: its queries, transposed once)
     m = ToyTransformer(3, d_model=32, layers=2, heads=2, vocab=64)
     embs = m.embed_text(np.random.default_rng(5).integers(1, 64, size=40))
     with mock.patch.object(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies:
         m.forward_sequence(embs)
     copied = [call.args[0].shape for call in copies.call_args_list
               if not call.args[0].flags.c_contiguous]
-    assert (40, m.head_dim) in copied and (1, m.head_dim, m.d_model) not in copied
+    assert (m.head_dim, 40) in copied and (40, m.head_dim) not in copied
+    assert (1, m.head_dim, m.d_model) not in copied
 
 
 def test_causal_attention_copies_no_key_prefix():
     # 150 rows are three query blocks; each block's scores sum its key prefix
-    # k[:b] through numerics' einsum, and causal_attention lays the keys out
-    # rows-fastest once per call, so no block copies its prefix
+    # k[:b] through numerics' einsum, and causal_attention lays the queries
+    # out rows-fastest once per call and reads keys and values as views, so
+    # no block copies its prefix
     m = ToyTransformer(3, d_model=32, layers=2, heads=2, vocab=64)
     embs = m.embed_text(np.random.default_rng(5).integers(1, 64, size=150))
     with mock.patch.object(numerics.np, "ascontiguousarray", wraps=np.ascontiguousarray) as copies:
         m.forward_sequence(embs)
     copied = [call.args[0].shape for call in copies.call_args_list]
-    assert (150, m.head_dim) in copied
+    assert (m.head_dim, 150) in copied and (150, m.head_dim) not in copied
     assert [s for s in copied if s[:2] == (1, m.head_dim)] == []
+
+
+def test_forward_sequence_resums_no_entry():
+    # causal_attention sums each context over its whole query block and sums
+    # again, row prefix by row prefix, only the entries that come out exactly
+    # zero or not finite; a model's contexts have none, so a 256-row forward
+    # sends no entry down that slow path
+    m = ToyTransformer(3)
+    ids = np.random.default_rng(7).integers(1, m.vocab, size=192)
+    image = ImageDescriptor(tuple(int(f) for f in ids[:16]), tokens_per_finding=4)
+    embs = np.concatenate([m.embed_visual(image), m.embed_text(ids)])
+    assert len(embs) == 256
+    with mock.patch.object(numerics, "_prefix_sums", wraps=numerics._prefix_sums) as resums:
+        m.forward_sequence(embs)
+    assert resums.call_count == 0

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,42 @@ def test_causal_kernels_are_per_prefix_calls_bitwise(n, d, e, seed):
     for i in range(n):
         row = stable_softmax(matvec(k[: i + 1], q[i]) / scale)
         assert bitwise_equal(ctx[i], weighted_sum_rows(row, v[: i + 1]))
+
+
+def zero_column(rng, kind, n):
+    """A value column whose prefix sums come out exactly zero: all ``-0.0``;
+    a run of ``-0.0`` then mixed ``±0.0`` (a later ``+0.0`` would turn the
+    run's ``-0.0`` sums positive); or ``±c`` in turn, which cancels to
+    ``+0.0`` at every even prefix under equal weights."""
+    if kind == "-0.0":
+        return np.full(n, -0.0)
+    if kind == "±0.0":
+        mixed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        return np.where(np.arange(n) < rng.integers(1, n + 1), -0.0, mixed)
+    return rng.normal() * (-1.0) ** np.arange(n)
+
+
+@given(st.integers(1, 150), st.integers(1, 4), st.sampled_from(["-0.0", "±0.0", "cancel"]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_causal_kernels_keep_exact_zero_sums_bitwise(n, e, kind, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v = qkv_rows(rng, n, 4, e)
+    v[:, -1] = zero_column(rng, kind, n)
+    weights = np.tril(rng.uniform(size=(n, n)))
+    if kind == "cancel":
+        k[:] = k[0]  # a row's scores are all equal, and so are its weights
+        weights = np.tril(np.full((n, n), rng.uniform()))
+    with mock.patch.object(numerics, "_prefix_sums", wraps=numerics._prefix_sums) as resums:
+        ctx = causal_attention(q, k, v, 2.0)
+        summed = causal_weighted_sum(weights, v)
+    assert resums.call_count > 0 or (kind == "cancel" and n == 1)
+    for i in range(n):
+        row = stable_softmax(matvec(k[: i + 1], q[i]) / 2.0)
+        assert bitwise_equal(ctx[i], weighted_sum_rows(row, v[: i + 1]))
+        assert bitwise_equal(summed[i], weighted_sum_rows(weights[i, : i + 1], v[: i + 1]))
+    if kind == "-0.0":
+        assert np.signbit(ctx[:, -1]).all() and np.signbit(summed[:, -1]).all()
 
 
 def test_causal_rows_reduce_only_over_the_prefix():
