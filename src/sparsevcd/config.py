@@ -44,6 +44,8 @@ class ModelConfig:
                 raise ConfigError("model.prior must have one weight per finding id")
             if len(set(self.finding_ids)) != len(self.finding_ids):
                 raise ConfigError("model.finding_ids must be distinct")
+            if self.sigma < 0.0:
+                raise ConfigError("model.sigma must be non-negative")
 
 
 @dataclass

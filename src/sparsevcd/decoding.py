@@ -11,6 +11,7 @@ the configured seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -306,7 +307,9 @@ class EngineAttention:
                     dist = self.tables.setdefault((layer, head), _DistanceTable()).gather(
                         cols, pruned)
                 else:
-                    dist = pairwise_distances(cols[:, pruned])
+                    # np.take keeps the gather C-ordered (a fancy index gives
+                    # an F-ordered block, which the kernel reads 2x slower)
+                    dist = pairwise_distances(np.take(cols, pruned, axis=1))
                 assignment = cluster_pruned(dist, delta[pruned], cfg.knn_k,
                                             rho_merge=cfg.rho_merge, precomputed=True)
                 rec = MergedRecords(pruned[assignment.members], assignment.sizes,
@@ -385,9 +388,11 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     # call gathers from them
     vis_block = model.embed_visual(image)
     prompt_block = model.embed_text(prompt_ids)
-    for block, visual in ((vis_block, True), (prompt_block, False)):
-        for e in block:
-            hidden = model.forward_step(cache, e, attend=controller.attend, visual=visual)
+    # only the final prompt row's hidden state is read
+    last = len(vis_block) + len(prompt_block) - 1
+    for i, e in enumerate(itertools.chain(vis_block, prompt_block)):
+        hidden = model.forward_step(cache, e, attend=controller.attend,
+                                    visual=i < len(vis_block), hidden=i == last)
     prefill_len = cache.n_logical
 
     result = _search(model, controller, hidden, vis_block, prompt_block, dcfg)

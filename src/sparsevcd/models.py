@@ -25,7 +25,7 @@ from sparsevcd.cache import KvCache
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
 from sparsevcd.numerics import _ordered_sum, causal_attention, matvec
-from sparsevcd.rng import SplitMix64, combine
+from sparsevcd.rng import SplitMix64, combine, mix64
 
 RMS_EPS = 1e-12
 _VISUAL_SALT = 0x5649_5355
@@ -88,7 +88,7 @@ class ModelInterface(abc.ABC):
 
     @abc.abstractmethod
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
-                     visual: bool = False) -> np.ndarray:
+                     visual: bool = False, hidden: bool = True) -> np.ndarray | None:
         """Process one input embedding against the cache and return the
         hidden state. The toy transformer's layer is the one its
         ``forward_sequence`` runs over a block of rows, here over one token.
@@ -100,6 +100,13 @@ class ModelInterface(abc.ABC):
         cache-masked attention, which folds its rows into the cache
         accumulators); the decode engine passes its own to apply
         sparsification and calibration.
+
+        With ``hidden=False`` the step returns ``None`` once the last
+        layer's attention has run: every append and ``attend`` call happens
+        as with ``hidden=True``, so the cache and the ``attend`` callable's
+        state end the same, but nothing after the last attention is
+        computed. Prefill passes it for every prompt row but the last,
+        whose hidden state alone is read.
         """
 
     @abc.abstractmethod
@@ -200,7 +207,10 @@ class ToyTransformer(ModelInterface):
         return np.repeat(bases, img.tokens_per_finding, axis=0)
 
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
-                     visual: bool = False) -> np.ndarray:
+                     visual: bool = False, hidden: bool = True) -> np.ndarray | None:
+        """Every layer on one token; with ``hidden=False`` the last layer
+        stops after its attention, skipping its ``W_o`` product, head sum,
+        residuals, RMS norm and feed-forward pair."""
         x = np.asarray(emb, dtype=np.float64)
         if x.shape != (self.d_model,):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
@@ -210,7 +220,7 @@ class ToyTransformer(ModelInterface):
             cache.append(ell, k, v, visual=visual)
             return attend(ell, q).context
 
-        return self._forward(x, self.layers, attention)
+        return self._forward(x, self.layers, attention, hidden)
 
     def forward_sequence(self, embs: np.ndarray, n_layers: int | None = None):
         """Plain full-attention forward of a whole embedding sequence through
@@ -243,16 +253,22 @@ class ToyTransformer(ModelInterface):
 
         return self._forward(x, n_layers, attention)
 
-    def _forward(self, x: np.ndarray, n_layers: int, attention) -> np.ndarray:
+    def _forward(self, x: np.ndarray, n_layers: int, attention,
+                 hidden: bool = True) -> np.ndarray | None:
         """The first ``n_layers`` layers over one token ``(d_model,)`` or a
         block of rows ``(m, d_model)``; ``attention(layer, q, k, v)`` returns
-        the contexts in the ``(..., heads, head_dim)`` shape of ``q``."""
+        the contexts in the ``(..., heads, head_dim)`` shape of ``q``. With
+        ``hidden=False`` it returns ``None`` right after the last layer's
+        attention."""
         shape = x.shape[:-1] + (3, self.heads, self.head_dim)
         for ell in range(n_layers):
             q, k, v = matvec(self.w_qkv[ell], rms_normalize(x)).reshape(shape).swapaxes(0, -3)
+            context = attention(ell, q, k, v)
+            if not hidden and ell == n_layers - 1:
+                return None
             # W_o per head, then the heads summed in order from +0.0 (adding
             # +0.0 to head 0 only turns a -0.0 into +0.0, as a zero start would)
-            per_head = matvec(self.w_o_heads[ell], attention(ell, q, k, v))
+            per_head = matvec(self.w_o_heads[ell], context)
             attn_out = per_head[..., 0, :] + 0.0
             for h in range(1, self.heads):
                 attn_out += per_head[..., h, :]
@@ -314,10 +330,11 @@ class PlantedPriorComposer(ModelInterface):
         self.head_dim = self.d_model
         self._query = np.zeros((1, self.d_model))   # every step's query, never written
         self._query.flags.writeable = False
-        self.noise = np.array([
-            sigma * SplitMix64(combine(seed, _NOISE_SALT, int(f))).gauss()
-            for f in finding_ids
-        ])
+        # combine folds left, so combine(seed, _NOISE_SALT, f) is one mix64
+        # past the shared prefix (f lies in [0, vocab), inside 64 bits)
+        noise_seed = combine(seed, _NOISE_SALT)
+        self.noise = np.array([sigma * SplitMix64(mix64(noise_seed ^ f)).gauss()
+                               for f in finding_ids])
 
     def embed_text(self, token_ids) -> np.ndarray:
         out = np.zeros((len(token_ids), self.d_model))
@@ -346,13 +363,18 @@ class PlantedPriorComposer(ModelInterface):
         return _ordered_sum(-2, stack.size, stack)
 
     def forward_step(self, cache: KvCache, emb: np.ndarray, attend=None,
-                     visual: bool = False) -> np.ndarray:
+                     visual: bool = False, hidden: bool = True) -> np.ndarray | None:
+        """The one attention over the cache, whose context times the support
+        size is the hidden state; with ``hidden=False`` that product is
+        skipped."""
         x = np.asarray(emb, dtype=np.float64)
         if x.shape != (self.d_model,):
             raise ValueError(f"embedding dim {x.shape} != d_model {self.d_model}")
         row = x[None]
         cache.append(0, row, row, visual=visual)
         att = (cache.attend if attend is None else attend)(0, self._query)
+        if not hidden:
+            return None
         return att.context[0] * float(att.support.size)
 
     def lm_head(self, pooled: np.ndarray) -> np.ndarray:

@@ -53,6 +53,10 @@ def test_validation_ranges():
         DecodeConfig(beam_size=0).validate()
     with pytest.raises(ConfigError):
         ModelConfig(kind="rnn").validate()
+    # a negative noise scale flipped the noise's sign while the CSV recorded it
+    with pytest.raises(ConfigError, match="sigma"):
+        ModelConfig(kind="composer", sigma=-1.0).validate()
+    ModelConfig(kind="composer", sigma=0.0).validate()
 
 
 def _toy_run(scfg, seed=41, max_len=6):
@@ -228,7 +232,8 @@ def test_composer_rejects_eos_id_it_cannot_emit():
 
 # each of these exited 3 (a stray ValueError or IndexError), or decoded the
 # wrong example, before the decode arguments were checked where parsed (the
-# composer checks its own finding ids when it embeds the image)
+# composer checks its own finding ids when it embeds the image); the last
+# exited 0, the composer's noise flipped in sign by a negative sigma
 @pytest.mark.parametrize("argv", [
     ["--image", "4,99999,9"],
     ["--image", ","],
@@ -241,6 +246,7 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     ["--set", "sparsify.beta=NaN", "--image", "4"],
     ["--set", "decode.alpha=Infinity", "--image", "4"],
     ["--set", "model.vocab=8", "--example-index", "0"],  # corpus image id 8
+    ["--set", 'model.kind="composer"', "--set", "model.sigma=-1", "--image", "4"],
 ])
 def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevcd import models
 from sparsevcd.cache import KvCache
 from sparsevcd.config import DecodeConfig, ModelConfig, SparsifyConfig
 from sparsevcd.corpus import TOKEN_BOS, GeneratorSpec, gen_corpus
@@ -721,3 +722,87 @@ def test_logits_finite_and_attention_and_merge_weights_normalised(draw, mode):
     assert merge_weights
     for w in merge_weights:
         assert abs(np.add.accumulate(w)[-1] - 1.0) <= 1e-12
+
+
+# ------------------------------------------------------------------ prefill
+
+def engine_state(ctl):
+    """A controller's cache, per layer and whole, with its errors and
+    records, arrays as bytes."""
+    cache = ctl.cache
+    layers = [{"columns": st.data[:, :st.n], "values": st.vals[:st.n], "n": st.n,
+               "raw_present": st.raw_present, "n_visual": st.n_visual, "mask": st.mask,
+               "records": [[r.members, r.sizes, r.weights, r.columns] for r in st.records]}
+              for st in cache._layers]
+    return canonical({"layers": layers, "peak_rows": cache.peak_rows,
+                      "n_logical": cache.n_logical, "errors": np.array(ctl.errors),
+                      "records": ctl.forward_records})
+
+
+prefills = st.fixed_dictionaries({
+    "kind": st.sampled_from(["transformer", "composer"]),
+    "model_seed": st.integers(0, 2**16),
+    "mode": st.sampled_from(["logical", "compacted"]),
+    "per_head_mask": st.booleans(),
+    "beta": st.sampled_from([0.0, 0.1]),
+    "sac_input": st.sampled_from(["probabilities", "raw_scores"]),
+    "rate": st.sampled_from([0.4, 0.6, 1.0]),
+    "l_min": st.integers(0, 8),
+    # ids valid for both models: the composer's findings are 4..19 of 20
+    "findings": st.lists(st.integers(4, 19), min_size=1, max_size=3, unique=True),
+    "per_finding": st.integers(1, 4),
+    "prompt": st.lists(st.integers(1, 19), min_size=1, max_size=24),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefills)
+def test_rows_without_a_hidden_state_leave_the_same_engine_state(draw):
+    """``forward_step(hidden=False)`` still appends and attends at every
+    layer: row by row, the cache, the controller's errors and records, and
+    the final row's hidden state equal a ``hidden=True`` prefill's, bit for
+    bit."""
+    if draw["kind"] == "transformer":
+        m = transformer(draw["model_seed"])
+    else:
+        m = model_from_config(ModelConfig(kind="composer", vocab=20, seed=draw["model_seed"]))
+    scfg = SparsifyConfig(sparsity_rate=draw["rate"], l_min=draw["l_min"], mode=draw["mode"],
+                          per_head_mask=draw["per_head_mask"] and draw["mode"] == "logical",
+                          beta=draw["beta"], sac_input=draw["sac_input"], compact_band=2)
+    img = ImageDescriptor(tuple(draw["findings"]), draw["per_finding"])
+    embs = np.concatenate([m.embed_visual(img), m.embed_text(draw["prompt"])])
+    ctls = [EngineAttention(m.new_cache(scfg.mode, scfg.sac_input == "raw_scores"), scfg,
+                            keep_records=True) for _ in range(2)]
+    last = len(embs) - 1
+    for i, e in enumerate(embs):
+        outs = [m.forward_step(ctl.cache, e, attend=ctl.attend, visual=i < img.n_tokens,
+                               hidden=hidden or i == last)
+                for ctl, hidden in zip(ctls, (True, False))]
+        assert (outs[1] is None) == (i < last)
+        assert engine_state(ctls[1]) == engine_state(ctls[0])
+    assert outs[1].tobytes() == outs[0].tobytes()
+
+
+def test_prefill_runs_the_last_layers_output_for_the_final_prompt_row_only():
+    m = transformer(3)
+    img = ImageDescriptor((5, 9), 3)
+    prompt = [1, 2, 3, 4, 5]
+    calls = []  # per forward_step: its hidden flag and its products by the last w_ff1
+    forward_step, matvec = ToyTransformer.forward_step, models.matvec
+
+    def step_spy(self, *args, **kwargs):
+        calls.append([kwargs.get("hidden", True), 0])
+        return forward_step(self, *args, **kwargs)
+
+    def matvec_spy(w, x):
+        calls[-1][1] += w is m.w_ff1[-1]
+        return matvec(w, x)
+
+    with mock.patch.object(ToyTransformer, "forward_step", step_spy), \
+            mock.patch.object(models, "matvec", matvec_spy):
+        res = decode(m, img, prompt, SparsifyConfig(sparsity_rate=0.6, l_min=4),
+                     DecodeConfig(max_len=4, eos_id=-1))
+    n = img.n_tokens + len(prompt)
+    assert len(calls) == n + len(res.tokens) == n + 4
+    assert calls[:n] == [[False, 0]] * (n - 1) + [[True, 1]]
+    assert calls[n:] == [[True, 1]] * 4

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from sparsevcd import numerics
 from sparsevcd.config import ModelConfig
 from sparsevcd.errors import ConfigError
-from sparsevcd.models import (ImageDescriptor, PlantedPriorComposer,
+from sparsevcd.models import (_NOISE_SALT, ImageDescriptor, PlantedPriorComposer,
                               ToyTransformer, default_finding_ids,
                               default_prior, model_from_config)
+from sparsevcd.rng import SplitMix64, combine
 
 
 def small_model(seed=1):
@@ -277,6 +278,19 @@ def test_composer_determinism_same_seed():
     a, b = composer(seed=21), composer(seed=21)
     assert np.array_equal(a.noise, b.noise)
     assert not np.array_equal(composer(seed=22).noise, a.noise)
+
+
+@given(st.integers(-2**70, 2**70), st.lists(st.integers(1, 63), min_size=1, max_size=16,
+                                             unique=True), st.floats(0.0, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_composer_noise_equals_three_part_seed_draws(seed, ids, sigma):
+    """The composer folds the shared seed prefix once; each finding's draw
+    must still be seeded with ``combine(seed, _NOISE_SALT, f)``, bit for
+    bit."""
+    c = PlantedPriorComposer(vocab=64, finding_ids=ids, prior=[1.0 / len(ids)] * len(ids),
+                             sigma=sigma, seed=seed)
+    expected = [sigma * SplitMix64(combine(seed, _NOISE_SALT, f)).gauss() for f in ids]
+    assert c.noise.tobytes() == np.array(expected).tobytes()
 
 
 def test_composer_rejects_bad_config():
