@@ -31,12 +31,13 @@ is reduced with another.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevcd.numerics import matvec, stable_softmax, weighted_sum_rows
+from sparsevcd.numerics import _ordered_sum, stable_softmax
 from sparsevcd.sac import calibrate_scores
 
 
@@ -104,8 +105,6 @@ class _LayerState:
         self.adopt(np.zeros((fields, 0)), np.zeros((0, self.hd)), 16)
         self.raw_present = 0        # raw rows physically present
         self.n_visual = 0           # rows whose visual flag is set
-        self.no_records = MergedRecords(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                                        np.zeros(0), np.zeros((self.hd + fields, 0)))
         self.mask: np.ndarray | None = None    # (R, n) retention mask of the plan
         self.records: tuple[MergedRecords, ...] = ()  # one per mask row
 
@@ -117,9 +116,10 @@ class _LayerState:
         ``r``, and the two flag rows."""
         h, d, hd, n = self.heads, self.dim, self.hd, self.n
         self.data = np.zeros((columns.shape[0], cap))
-        self.data[:, :n] = columns[:, :n]
         self.vals = np.empty((cap, hd))
-        self.vals[:n] = values[:n]
+        if n:
+            self.data[:, :n] = columns[:, :n]
+            self.vals[:n] = values[:n]
         self.k_cols = self.data[:hd].reshape(h, d, cap)
         self.k_all = self.k_cols.swapaxes(1, 2)
         self.v_all = self.vals.reshape(cap, h, d).swapaxes(0, 1)
@@ -149,6 +149,23 @@ class _LayerState:
         return out
 
 
+@functools.cache
+def _constants(heads: int, dim: int) -> tuple:
+    """A cache's constant arrays, built once per shape and shared read-only:
+    a head index for ``(H, k)`` fancy indices, per head its key rows, its
+    ``c`` row and the visual row of a column, an empty ``(1, 0)`` member
+    block, and the empty records of a plan without clusters."""
+    heads_col = np.arange(heads)[:, None]
+    hd = heads * dim
+    fields = np.concatenate([np.arange(hd).reshape(heads, dim), hd + heads_col,
+                             np.full((heads, 1), hd + 2 * heads)], axis=1)
+    none = np.zeros(0, dtype=np.int64)
+    records = MergedRecords(none, none, np.zeros(0), np.zeros((2 * hd + 2 * heads + 2, 0)))
+    for a in (heads_col, fields, none, records.weights, records.columns):
+        a.flags.writeable = False
+    return heads_col, fields, none[None], records
+
+
 class KvCache:
     """Session-owned KV store; see module docstring for the two modes."""
 
@@ -161,14 +178,7 @@ class KvCache:
         self.layers, self.heads, self.dim, self.mode = layers, heads, dim, mode
         self.accumulate_raw_scores = accumulate_raw_scores
         self.sqrt_dim = math.sqrt(dim)
-        self._head_ids = np.arange(heads)
-        self._heads = self._head_ids[:, None]   # a head index for (H, k) fancy indices
-        self._no_members = np.zeros((1, 0), dtype=np.int64)
-        # per head, its key rows, its c row and the visual row of a column
-        hd = heads * dim
-        self._head_fields = np.concatenate([
-            np.arange(hd).reshape(heads, dim), hd + self._heads,
-            np.full((heads, 1), hd + 2 * heads)], axis=1)
+        self._heads, self._head_fields, self._no_members, self._no_records = _constants(heads, dim)
         self._layers = [_LayerState(heads, dim) for _ in range(layers)]
         self.n_logical = 0
         self.peak_rows = 0
@@ -225,6 +235,14 @@ class KvCache:
         if head is None and st.mask.shape[0] > 1:
             raise ValueError("mask_view: the heads' masks differ; name a head")
         return st.mask[0 if head is None else head % st.mask.shape[0]]
+
+    def retained_raw(self, layer: int) -> int:
+        """How many raw rows each head attends through (every head keeps as
+        many): the rows the plan keeps, every raw row without a plan."""
+        st = self._layers[layer]
+        if st.mask is None:
+            return st.raw_present
+        return int(np.count_nonzero(st.mask[0][self.raw_rows(layer)]))
 
     def key_block(self, layer: int) -> np.ndarray:
         """Every head's keys as an ``(H, rows, dim)`` view."""
@@ -311,6 +329,10 @@ class KvCache:
         (penalty weights: the softmax of the support's ``c``). Every
         attention row is folded into the accumulators; pruned tokens
         contribute nothing. Raises on an empty support.
+
+        The query and the support are checked here, so the score and the
+        context are the ``_ordered_sum`` calls ``matvec`` and
+        ``weighted_sum_rows`` make, without their second shape pass.
         """
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.heads, self.dim):
@@ -318,10 +340,11 @@ class KvCache:
         sup = self.support(layer)
         if sup.size == 0:
             raise ValueError("attend: empty support")
-        s = matvec(sup.keys, q) / self.sqrt_dim
+        s = _ordered_sum(-1, sup.keys.size, sup.keys, q[:, None])
+        s /= self.sqrt_dim
         cal = calibrate_scores(s, stable_softmax(sup.c), beta) if beta > 0.0 else s
         rows = stable_softmax(cal)
-        context = weighted_sum_rows(rows, sup.values)
+        context = _ordered_sum(-2, sup.values.size, rows[..., None], sup.values)
         self.record_attention(layer, rows, s, sup, self._layers[layer].n - 1)
         return Attention(context, rows, sup)
 
@@ -353,8 +376,7 @@ class KvCache:
             sizes = np.broadcast_to(support.sizes, (self.heads, support.size - n_raw))
             amounts = np.repeat(contrib[:, n_raw:].ravel(), sizes.ravel()).reshape(self.heads, -1)
             st.c_all[self._heads, support.members] += amounts * support.weights
-        mass = np.add.accumulate(rows * support.visual, axis=-1)[:, -1]
-        st.r_all[:, query_row] = st.r_all[:, query_row] + mass
+        st.r_all[:, query_row] += np.add.accumulate(rows * support.visual, axis=-1)[:, -1]
 
     # ---------------------------------------------------------- sparsification
 
@@ -372,12 +394,12 @@ class KvCache:
         st = self._layers[layer]
         mask = np.array(mask, dtype=bool)
         if mask.shape == (st.n,):
-            mask, records = mask[None], (st.no_records if records is None else records,)
+            mask, records = mask[None], (self._no_records if records is None else records,)
         elif mask.shape != (self.heads, st.n) or records is None or len(records) != self.heads:
             raise ValueError("set_sparsification: expected an (n,) mask or an (H, n) "
                              "mask with H records, n the row count")
         else:
-            records = tuple(st.no_records if rec is None else rec for rec in records)
+            records = tuple(self._no_records if rec is None else rec for rec in records)
             kept = np.count_nonzero(mask, axis=1)
             if (kept != kept[0]).any() or any(len(rec) != len(records[0]) for rec in records):
                 raise ValueError("set_sparsification: every head must keep as many rows "

@@ -11,6 +11,19 @@ from pathlib import Path
 
 from sparsevcd.errors import ConfigError
 
+# The largest magnitude a calibration or fusion scale (sparsify.beta,
+# decode.alpha) may take. A scale multiplies scores or logits, and SAC
+# squares the calibrated scores, so every product stays far inside float64's
+# range; at 1e308 they overflowed to inf and NaN.
+SCALE_MAX = 1e6
+# The composer's logit scales. With |a_vis| and |b_prior| at most 100 and
+# sigma at most 10, a finding's logit before the repeat penalty is at most
+# 100 + 100 + 10 * 8.6 (the largest Box-Muller draw) = 286 in magnitude for
+# an image that names each finding once, so the penalty (1000) always puts
+# an emitted finding below the EOS logit and reports terminate.
+COMPOSER_SCALE_MAX = 100.0
+COMPOSER_SIGMA_MAX = 10.0
+
 
 @dataclass
 class ModelConfig:
@@ -44,8 +57,12 @@ class ModelConfig:
                 raise ConfigError("model.prior must have one weight per finding id")
             if len(set(self.finding_ids)) != len(self.finding_ids):
                 raise ConfigError("model.finding_ids must be distinct")
-            if self.sigma < 0.0:
-                raise ConfigError("model.sigma must be non-negative")
+            for name in ("a_vis", "b_prior"):
+                if abs(getattr(self, name)) > COMPOSER_SCALE_MAX:
+                    raise ConfigError(f"model.{name} must lie in [-{COMPOSER_SCALE_MAX:g}, "
+                                      f"{COMPOSER_SCALE_MAX:g}]")
+            if not 0.0 <= self.sigma <= COMPOSER_SIGMA_MAX:
+                raise ConfigError(f"model.sigma must be in [0, {COMPOSER_SIGMA_MAX:g}]")
 
 
 @dataclass
@@ -91,8 +108,8 @@ class SparsifyConfig:
             raise ConfigError("sparsify.compact_band must be non-negative")
         if self.prune_scope not in ("full", "text_only"):
             raise ConfigError("sparsify.prune_scope must be 'full' or 'text_only'")
-        if self.beta < 0.0:
-            raise ConfigError("sparsify.beta must be non-negative")
+        if not 0.0 <= self.beta <= SCALE_MAX:
+            raise ConfigError(f"sparsify.beta must be in [0, {SCALE_MAX:g}]")
         if self.sac_input not in ("probabilities", "raw_scores"):
             raise ConfigError("sparsify.sac_input must be 'probabilities' or 'raw_scores'")
 
@@ -113,8 +130,8 @@ class DecodeConfig:
     eos_id: int = 0  # -1 disables EOS stopping (benchmarks)
 
     def validate(self) -> None:
-        if self.alpha < 0.0:
-            raise ConfigError("decode.alpha must be non-negative")
+        if not 0.0 <= self.alpha <= SCALE_MAX:
+            raise ConfigError(f"decode.alpha must be in [0, {SCALE_MAX:g}]")
         if not 0.0 <= self.gamma_apc <= 1.0:
             raise ConfigError("decode.gamma_apc must be in [0, 1]")
         if not 0.0 <= self.visual_mask_rate <= 1.0:

@@ -63,7 +63,7 @@ def plausible_set(p_theta, gamma: float) -> np.ndarray:
     p = np.asarray(p_theta, dtype=np.float64)
     if p.shape[0] == 0:
         raise ValueError("plausible_set: empty distribution")
-    return p >= gamma * np.max(p)
+    return p >= gamma * p.max()
 
 
 def fuse(logit_theta, logit_phi, alpha: float, plausible: np.ndarray) -> np.ndarray:
@@ -217,9 +217,7 @@ class EngineAttention:
 
     def retained_raw(self) -> list[int]:
         """Per layer, the raw rows each head keeps (as many for every head)."""
-        cache = self.cache
-        return [int(np.count_nonzero(cache.mask_view(layer, 0)[cache.raw_rows(layer)]))
-                for layer in range(cache.layers)]
+        return [self.cache.retained_raw(layer) for layer in range(self.cache.layers)]
 
     # -- attention callback -------------------------------------------------
 
@@ -448,7 +446,7 @@ def _search(model, controller, hidden, vis_block, prompt_block, dcfg) -> DecodeR
                                                beam.tokens, stop_layer=dcfg.stop_layer,
                                                pooling=dcfg.pooling)
             fused = fuse(logit_theta, logit_phi, dcfg.alpha, plaus)
-            top = int(np.argmax(fused))
+            top = int(fused.argmax())
             scored = (logit_theta, p_theta, plaus, top, time.perf_counter() - t0)
             if width == 1:
                 candidates.append((beam.score, bi, top, scored))
@@ -482,12 +480,12 @@ def _search(model, controller, hidden, vis_block, prompt_block, dcfg) -> DecodeR
             diag = StepDiagnostics(
                 step=step, chosen=token, is_eos=token == dcfg.eos_id,
                 p_theta_chosen=float(p_theta[token]),
-                p_theta_max=float(np.max(p_theta)),
-                plausible_size=int(plaus.sum()),
+                p_theta_max=float(p_theta.max()),
+                plausible_size=int(np.count_nonzero(plaus)),
                 attn_error_mean=ctl.mean_error(),
                 cache_rows=ctl.cache.max_rows(),
                 retained_raw=ctl.retained_raw(),
-                logit_theta_argmax=int(np.argmax(logit_theta)),
+                logit_theta_argmax=int(logit_theta.argmax()),
                 fused_argmax=top,
                 step_seconds=seconds,
                 logit_theta=logit_theta,

@@ -69,10 +69,9 @@ def _example_model(cfg: ExperimentConfig, shared, run_seed: int, index: int):
     if cfg.model.kind == "transformer":
         return shared
     # fresh composer noise per (run seed, example): keeps models immutable
-    # while giving per-example variation inside one seed
-    per_example = dataclasses.replace(
-        cfg.model, seed=combine(cfg.model.seed, run_seed, index))
-    return model_from_config(per_example)
+    # while giving per-example variation inside one seed; the row's one
+    # checked build lends every example its arrays
+    return shared.reseeded(combine(cfg.model.seed, run_seed, index))
 
 
 def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
@@ -81,7 +80,7 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
     finding_set = set(corpus.finding_ids)
     yes_id = int(corpus.meta.get("yes_id", TOKEN_YES))
     no_id = int(corpus.meta.get("no_id", TOKEN_NO))
-    shared = model_from_config(cfg.model) if cfg.model.kind == "transformer" else None
+    shared = model_from_config(cfg.model)
     row = ResultRow(config=flatten_config(cfg), seed=run_seed,
                     n_examples=len(corpus.examples))
     chairs, recalls, errors, empties = [], [], [], []

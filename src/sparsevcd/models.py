@@ -319,6 +319,7 @@ class PlantedPriorComposer(ModelInterface):
             raise ConfigError("prior must be a distribution over the findings")
         self.vocab = vocab
         self.finding_ids = np.array(finding_ids, dtype=np.int64)
+        self._finding_set = frozenset(finding_ids)   # embed_visual's membership test
         self.prior = prior
         self.a_vis = a_vis
         self.b_prior = b_prior
@@ -330,11 +331,24 @@ class PlantedPriorComposer(ModelInterface):
         self.head_dim = self.d_model
         self._query = np.zeros((1, self.d_model))   # every step's query, never written
         self._query.flags.writeable = False
+        self.noise = self._draw_noise(finding_ids)
+
+    def _draw_noise(self, finding_ids: list[int]) -> np.ndarray:
         # combine folds left, so combine(seed, _NOISE_SALT, f) is one mix64
         # past the shared prefix (f lies in [0, vocab), inside 64 bits)
-        noise_seed = combine(seed, _NOISE_SALT)
-        self.noise = np.array([sigma * SplitMix64(mix64(noise_seed ^ f)).gauss()
-                               for f in finding_ids])
+        noise_seed = combine(self.seed, _NOISE_SALT)
+        return np.array([self.sigma * SplitMix64(mix64(noise_seed ^ f)).gauss()
+                         for f in finding_ids])
+
+    def reseeded(self, seed: int) -> "PlantedPriorComposer":
+        """This composer with its noise drawn from ``seed``: the same model
+        as a build with that seed, sharing this one's checked arrays (none
+        is ever written) and drawing only its noise anew."""
+        twin = PlantedPriorComposer.__new__(PlantedPriorComposer)
+        twin.__dict__.update(self.__dict__)
+        twin.seed = seed
+        twin.noise = twin._draw_noise(self.finding_ids.tolist())
+        return twin
 
     def embed_text(self, token_ids) -> np.ndarray:
         out = np.zeros((len(token_ids), self.d_model))
@@ -349,7 +363,7 @@ class PlantedPriorComposer(ModelInterface):
         tpf = img.tokens_per_finding
         out = np.zeros((img.n_tokens, self.d_model))
         for i, f in enumerate(img.finding_ids):
-            if f not in self.finding_ids:
+            if f not in self._finding_set:
                 raise ConfigError(f"finding id {f} outside the composer's finding vocabulary")
             out[i * tpf:(i + 1) * tpf, f] = 1.0 / tpf
         return out

@@ -5,7 +5,8 @@ fixed order, each product rounded before it is added, so identical inputs
 reproduce identical bits (BLAS, ``np.dot`` and ``np.add.reduce`` split sums
 into pairwise or SIMD partial sums, and may fuse a multiply into the add).
 ``-inf`` is the only legal sentinel for masked logits; NaN anywhere is a
-bug.
+bug. ``stable_softmax`` raises on a row whose maximum is not finite: one
+that is all ``-inf`` (an empty support), or that holds ``+inf`` or NaN.
 
 The head-axis kernels are ``matvec``, ``weighted_sum_rows`` and
 ``stable_softmax`` given a head block: a leading axis of ``G`` heads, each
@@ -198,16 +199,24 @@ def weighted_sum_rows(weights, m) -> np.ndarray:
 
 def stable_softmax(x) -> np.ndarray:
     """Max-subtracted softmax along the last axis (a vector, or one row per
-    head); -inf entries get probability exactly 0."""
+    head); -inf entries get probability exactly 0.
+
+    A row that is all ``-inf`` (an empty support), or that holds ``+inf`` or
+    NaN, raises ``ValueError``: its maximum is then not finite. The input
+    is never written; the shift, ``exp`` and division reuse one new array.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"stable_softmax: expected a vector or a head block, got {x.shape}")
     if x.shape[-1] == 0:
         raise ValueError("stable_softmax: empty support")
-    m = x.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)
+    if np.count_nonzero(np.isfinite(m)) != m.size:
+        if np.isnan(m).any() or np.isposinf(m).any():
+            raise ValueError("stable_softmax: non-finite entries (NaN or +inf)")
         raise ValueError("stable_softmax: empty support (all entries are -inf)")
-    e = np.exp(x - m)
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
     return np.divide(e, np.add.accumulate(e, axis=-1)[..., -1:], out=e)
 
 

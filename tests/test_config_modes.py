@@ -7,7 +7,8 @@ import pytest
 
 from sparsevcd.cli import main
 from sparsevcd.corpus import GeneratorSpec, gen_corpus, write_corpus
-from sparsevcd.config import (DecodeConfig, ModelConfig, SparsifyConfig,
+from sparsevcd.config import (COMPOSER_SCALE_MAX, COMPOSER_SIGMA_MAX, SCALE_MAX,
+                              DecodeConfig, ModelConfig, SparsifyConfig,
                               experiment_from_dict)
 from sparsevcd.decoding import decode
 from sparsevcd.errors import ConfigError
@@ -57,6 +58,24 @@ def test_validation_ranges():
     with pytest.raises(ConfigError, match="sigma"):
         ModelConfig(kind="composer", sigma=-1.0).validate()
     ModelConfig(kind="composer", sigma=0.0).validate()
+    # each scale has a magnitude bound, inclusive; past it products overflowed
+    # (or, for the composer, outgrew the repeat penalty)
+    SparsifyConfig(beta=SCALE_MAX).validate()
+    with pytest.raises(ConfigError, match="beta"):
+        SparsifyConfig(beta=SCALE_MAX * 1.001).validate()
+    DecodeConfig(alpha=SCALE_MAX).validate()
+    with pytest.raises(ConfigError, match="alpha"):
+        DecodeConfig(alpha=SCALE_MAX * 1.001).validate()
+    for field, lo, hi in [("a_vis", -COMPOSER_SCALE_MAX, COMPOSER_SCALE_MAX),
+                          ("b_prior", -COMPOSER_SCALE_MAX, COMPOSER_SCALE_MAX),
+                          ("sigma", 0.0, COMPOSER_SIGMA_MAX)]:
+        for ok in (lo, hi):
+            ModelConfig(kind="composer", **{field: ok}).validate()
+        for bad in (lo - 0.5, hi + 0.5, 1e308):
+            with pytest.raises(ConfigError, match=field):
+                ModelConfig(kind="composer", **{field: bad}).validate()
+        # the composer's fields do not bind the transformer
+        ModelConfig(kind="transformer", **{field: 1e308}).validate()
 
 
 def _toy_run(scfg, seed=41, max_len=6):
@@ -233,7 +252,10 @@ def test_composer_rejects_eos_id_it_cannot_emit():
 # each of these exited 3 (a stray ValueError or IndexError), or decoded the
 # wrong example, before the decode arguments were checked where parsed (the
 # composer checks its own finding ids when it embeds the image); the last
-# exited 0, the composer's noise flipped in sign by a negative sigma
+# exited 0, the composer's noise flipped in sign by a negative sigma. Of the
+# overflowing scales, beta and sigma at 1e308 exited 3 (NaN scores or logits
+# reached stable_softmax), a_vis and b_prior at 1e308 exited 0 after emitting
+# one finding 64 times, and alpha at 1e308 exited 0 with an empty report
 @pytest.mark.parametrize("argv", [
     ["--image", "4,99999,9"],
     ["--image", ","],
@@ -247,6 +269,11 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     ["--set", "decode.alpha=Infinity", "--image", "4"],
     ["--set", "model.vocab=8", "--example-index", "0"],  # corpus image id 8
     ["--set", 'model.kind="composer"', "--set", "model.sigma=-1", "--image", "4"],
+    ["--set", "sparsify.beta=1e308", "--image", "4"],
+    ["--set", 'model.kind="composer"', "--set", "model.sigma=1e308", "--image", "4"],
+    ["--set", 'model.kind="composer"', "--set", "model.a_vis=1e308",
+     "--set", "model.b_prior=1e308", "--image", "4"],
+    ["--set", 'model.kind="composer"', "--set", "decode.alpha=1e308", "--image", "4"],
 ])
 def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

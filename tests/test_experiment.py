@@ -14,6 +14,7 @@ from sparsevcd.corpus import GeneratorSpec, gen_corpus, load_corpus, write_corpu
 from sparsevcd.errors import ConfigError
 from sparsevcd.experiment import (apply_axis, dump_attention_stats,
                                   run_experiment, sweep, write_rows_csv)
+from sparsevcd.rng import combine
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,47 @@ def test_run_rows_have_metrics(small_corpus):
         assert 0.0 <= row.chair <= 1.0
         assert 0.0 <= row.recall <= 1.0
         assert row.n_examples == 8
+
+
+def test_composer_row_builds_once_and_reseeds_each_example(small_corpus, tmp_path,
+                                                           monkeypatch, capsys):
+    # one checked composer build per row; each example's composer carries the
+    # seed and the noise bytes of a build with the example's own seed
+    cfg, corpus = composer_cfg(small_corpus), load_corpus(small_corpus)
+    build, real_decode = experiment.model_from_config, experiment.decode
+    builds, models = [], []
+
+    def counting_build(model_cfg):
+        builds.append(model_cfg)
+        return build(model_cfg)
+
+    def keeping_decode(model, *args, **kwargs):
+        models.append(model)
+        return real_decode(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "model_from_config", counting_build)
+    monkeypatch.setattr(experiment, "decode", keeping_decode)
+    for run_seed in (0, 7):
+        builds.clear()
+        models.clear()
+        assert experiment.run_seed_row(cfg, corpus, run_seed).error == ""
+        assert builds == [cfg.model]
+        assert len(models) == len(corpus.examples) == 8
+        for idx, model in enumerate(models):
+            own = build(dataclasses.replace(
+                cfg.model, seed=combine(cfg.model.seed, run_seed, idx)))
+            assert model.seed == own.seed
+            assert model.noise.tobytes() == own.noise.tobytes()
+    # a composer config the model rejects (its prior does not sum to 1) still
+    # fails run as a config error, before any example
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"model": {"kind": "composer", "vocab": 20,
+                                          "finding_ids": [4, 5], "prior": [0.5, 0.4]}}))
+    models.clear()
+    assert main(["run", "--config", str(path), "--corpus", small_corpus,
+                 "--out", str(tmp_path / "rows.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert models == [] and not (tmp_path / "rows.csv").exists()
 
 
 def test_decode_seed_does_not_reach_run_sessions(small_corpus):

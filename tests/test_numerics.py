@@ -85,6 +85,36 @@ def test_softmax_empty_support():
         stable_softmax([])
 
 
+@given(st.integers(0, 3), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from(["finite", "all -inf", "+inf", "nan"]))
+@settings(max_examples=200, deadline=None)
+def test_softmax_rejects_non_finite_rows_and_keeps_its_bits(heads, n, seed, poison):
+    # heads == 0 is a vector, else a (heads, n) head block; one row may be
+    # poisoned: all -inf (an empty support), or holding +inf or NaN
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=10.0, size=(max(heads, 1), n))
+    x[rng.random(x.shape) < 0.3] = NEG_INF
+    x[:, rng.integers(n)] = rng.normal(size=len(x))  # every row keeps a finite entry
+    bad = int(rng.integers(len(x)))
+    if poison == "all -inf":
+        x[bad] = NEG_INF
+    elif poison != "finite":
+        x[bad, rng.integers(n)] = np.inf if poison == "+inf" else np.nan
+    if heads == 0:
+        x = x[0]
+    before = x.copy()
+    if poison == "finite":
+        # the formula the in-place kernel replaced, bit for bit
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        expected = e / np.add.accumulate(e, axis=-1)[..., -1:]
+        assert stable_softmax(x).tobytes() == expected.tobytes()
+    else:
+        match = "empty support" if poison == "all -inf" else "non-finite"
+        with pytest.raises(ValueError, match=match):
+            stable_softmax(x)
+    assert x.tobytes() == before.tobytes()  # the input is never written
+
+
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=32),
        st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
 @settings(max_examples=200, deadline=None)
