@@ -69,9 +69,8 @@ class SupportView:
     visual: np.ndarray         # (R, size) visual flags, then the records' visual weights
     raw_idx: np.ndarray | slice  # (R, n_raw) physical rows of the retained raw entries
     n_raw: int
-    members: np.ndarray        # (R, total) physical rows of the records' members
-    sizes: np.ndarray          # (R, m) members per record
-    weights: np.ndarray        # (R, total) each member's merge weight
+    sources: np.ndarray | None  # (R, rows) each physical row's support column, with records
+    scales: np.ndarray | None   # (R, rows) the factor on that column's attention
 
     @property
     def size(self) -> int:
@@ -105,8 +104,16 @@ class _LayerState:
         self.adopt(np.zeros((fields, 0)), np.zeros((0, self.hd)), 16)
         self.raw_present = 0        # raw rows physically present
         self.n_visual = 0           # rows whose visual flag is set
-        self.mask: np.ndarray | None = None    # (R, n) retention mask of the plan
-        self.records: tuple[MergedRecords, ...] = ()  # one per mask row
+        self.install()
+
+    def install(self, mask=None, records=(), raw_idx=None, sources=None, scales=None) -> None:
+        """Replace the pending plan; no arguments drop it. ``mask`` is the
+        ``(R, n)`` retention mask, ``records`` one ``MergedRecords`` per
+        mask row, ``raw_idx`` the ``(R, kept)`` rows each mask row keeps,
+        and ``sources`` / ``scales`` the records' ``(R, n)`` index (see
+        ``KvCache.record_attention``), ``None`` without records."""
+        self.mask, self.records, self.raw_idx = mask, records, raw_idx
+        self.sources, self.scales = sources, scales
 
     def adopt(self, columns: np.ndarray, values: np.ndarray, cap: int) -> None:
         """Copy the first ``n`` columns and value rows into new buffers of
@@ -149,12 +156,48 @@ class _LayerState:
         return out
 
 
+_NOT_PRUNED = "set_sparsification: the records' members must be the mask's pruned rows"
+
+
+def _record_index(mask: np.ndarray, raw_idx: np.ndarray, records) -> tuple:
+    """The ``(R, n)`` index through which an attend moves ``c`` to a plan's
+    rows: per mask row, each row's support column and the factor on that
+    column's attention. A kept row takes its own column and 1; a member
+    takes its cluster's column, after the kept rows, and its merge weight.
+
+    Raises ``ValueError`` unless each row's records hold each of its pruned
+    rows once and no other row. Filled from -1, every entry is set exactly
+    when the members, as many as the pruned rows and none negative, cover
+    every pruned row.
+    """
+    kept = raw_idx.shape[1]
+    sources = np.empty(mask.shape, dtype=np.int64)
+    sources.fill(-1)
+    scales = np.empty(mask.shape)
+    scales.fill(1.0)
+    columns = np.arange(kept)
+    for src, scale, cols, rec in zip(sources, scales, raw_idx, records):
+        members = rec.members
+        if members.shape[0] != src.shape[0] - kept or (
+                members.shape[0] and np.minimum.reduce(members) < 0):
+            raise ValueError(_NOT_PRUNED)
+        src[cols] = columns
+        try:
+            src[members] = np.arange(kept, kept + len(rec)).repeat(rec.sizes)
+        except IndexError:
+            raise ValueError(_NOT_PRUNED) from None
+        if np.minimum.reduce(src) < 0:
+            raise ValueError(_NOT_PRUNED)
+        scale[members] = rec.weights
+    return sources, scales
+
+
 @functools.cache
 def _constants(heads: int, dim: int) -> tuple:
     """A cache's constant arrays, built once per shape and shared read-only:
     a head index for ``(H, k)`` fancy indices, per head its key rows, its
-    ``c`` row and the visual row of a column, an empty ``(1, 0)`` member
-    block, and the empty records of a plan without clusters."""
+    ``c`` row and the visual row of a column, and the empty records of a
+    plan without clusters."""
     heads_col = np.arange(heads)[:, None]
     hd = heads * dim
     fields = np.concatenate([np.arange(hd).reshape(heads, dim), hd + heads_col,
@@ -163,7 +206,7 @@ def _constants(heads: int, dim: int) -> tuple:
     records = MergedRecords(none, none, np.zeros(0), np.zeros((2 * hd + 2 * heads + 2, 0)))
     for a in (heads_col, fields, none, records.weights, records.columns):
         a.flags.writeable = False
-    return heads_col, fields, none[None], records
+    return heads_col, fields, records
 
 
 class KvCache:
@@ -178,7 +221,7 @@ class KvCache:
         self.layers, self.heads, self.dim, self.mode = layers, heads, dim, mode
         self.accumulate_raw_scores = accumulate_raw_scores
         self.sqrt_dim = math.sqrt(dim)
-        self._heads, self._head_fields, self._no_members, self._no_records = _constants(heads, dim)
+        self._heads, self._head_fields, self._no_records = _constants(heads, dim)
         self._layers = [_LayerState(heads, dim) for _ in range(layers)]
         self.n_logical = 0
         self.peak_rows = 0
@@ -278,7 +321,7 @@ class KvCache:
         merges each field, and the merged table transposed is
         ``MergedRecords.columns``)."""
         st = self._layers[layer]
-        return np.concatenate([st.vals[idx], st.data[:, idx].T], axis=1)
+        return np.concatenate([st.vals.take(idx, axis=0), st.data.take(idx, axis=1).T], axis=1)
 
     # -------------------------------------------------------------- attention
 
@@ -288,26 +331,22 @@ class KvCache:
         st = self._layers[layer]
         n, mask, records = st.n, st.mask, st.records
         if mask is None or (mask.all() and not len(records[0])):
-            none = self._no_members
             return SupportView(st.k_all[:, :n], st.v_all[:, :n], st.c_all[:, :n],
-                               st.flags[:1, :n], slice(0, n), n, none, none, none)
+                               st.flags[:1, :n], slice(0, n), n, None, None)
         h, d, hd = self.heads, self.dim, st.hd
-        rec = records[0]
+        raw_idx = st.raw_idx
         if mask.shape[0] == 1:
-            raw_idx = np.nonzero(mask[0])[0]
-            # np.take keeps the columns C-ordered (a[:, idx] is F-ordered), so
+            rec, kept = records[0], raw_idx[0]
+            # take keeps the columns C-ordered (a[:, idx] is F-ordered), so
             # every field runs along the rows, as the score matvec sums them
-            cols = np.concatenate([np.take(st.data, raw_idx, axis=1), rec.columns[hd:]], axis=1)
+            cols = np.concatenate([st.data.take(kept, axis=1), rec.columns[hd:]], axis=1)
             keys = cols[:hd].reshape(h, d, -1)
             c, visual = cols[hd: hd + h], cols[-2:-1]
-            values = np.concatenate([st.vals[raw_idx], rec.columns[:hd].T]).reshape(
+            values = np.concatenate([st.vals.take(kept, axis=0), rec.columns[:hd].T]).reshape(
                 -1, h, d).swapaxes(0, 1)
-            raw_idx, members, weights, sizes = (
-                a[None] for a in (raw_idx, rec.members, rec.weights, rec.sizes))
         else:
             # head h's key rows, c row and visual row at its own rows, then
             # the same fields of its own records
-            raw_idx = np.flatnonzero(mask).reshape(h, -1) - self._heads * n
             table = np.stack([rec.columns for rec in records])
             fields = self._head_fields
             cols = np.concatenate([
@@ -316,10 +355,8 @@ class KvCache:
             keys, c, visual = cols[:, :d], cols[:, d], cols[:, d + 1]
             values = np.concatenate([st.v_all[self._heads, raw_idx],
                                      table[self._heads, fields[:, :d]].swapaxes(1, 2)], axis=1)
-            members, weights, sizes = (np.stack([getattr(rec, f) for rec in records])
-                                       for f in ("members", "weights", "sizes"))
         return SupportView(keys.swapaxes(1, 2), values, c, visual, raw_idx, raw_idx.shape[1],
-                           members, sizes, weights)
+                           st.sources, st.scales)
 
     def attend(self, layer: int, q, beta: float = 0.0) -> Attention:
         """Scaled-dot attention of each head's query (``q`` is
@@ -357,25 +394,26 @@ class KvCache:
 
         Rows index the support; column sums get the rows (or the raw scores
         when the cache accumulates raw scores), with aggregate entries
-        redistributed to their members by merge weight (a head's clusters
-        are disjoint, so one scatter adds each member once). The querying
-        token's visual-mass entry gets the probability mass landing on
-        visual rows: the raw rows' flags, then the records' visual weights,
-        summed along the row.
+        redistributed to their members by merge weight. Under records every
+        row gets one term, its ``sources`` column times its ``scales``
+        factor (``x * 1.0 == x`` for a kept row), so the terms are one
+        gather added to the rows in place. The querying token's visual-mass
+        entry gets the probability mass landing on visual rows: the raw
+        rows' flags, then the records' visual weights, summed along the row.
         """
         st = self._layers[layer]
         contrib = scores if self.accumulate_raw_scores else rows
-        n_raw = support.n_raw
-        if isinstance(support.raw_idx, slice):
+        src = support.sources
+        if src is not None:
+            terms = contrib.take(src[0], axis=1) if len(src) == 1 else contrib[self._heads, src]
+            terms *= support.scales
+            c = st.c_all[:, : terms.shape[1]]
+            c += terms
+        elif isinstance(support.raw_idx, slice):
             c = st.c_all[:, support.raw_idx]
             c += contrib
         else:
-            st.c_all[self._heads, support.raw_idx] += contrib[:, :n_raw]
-        if support.members.shape[1]:
-            # every head's record entries, each repeated once per member
-            sizes = np.broadcast_to(support.sizes, (self.heads, support.size - n_raw))
-            amounts = np.repeat(contrib[:, n_raw:].ravel(), sizes.ravel()).reshape(self.heads, -1)
-            st.c_all[self._heads, support.members] += amounts * support.weights
+            st.c_all[self._heads, support.raw_idx] += contrib[:, : support.n_raw]
         st.r_all[:, query_row] += np.add.accumulate(rows * support.visual, axis=-1)[:, -1]
 
     # ---------------------------------------------------------- sparsification
@@ -390,6 +428,10 @@ class KvCache:
         records as the others, as ``support`` reads them as one block. A
         row's non-empty records must hold each of its pruned rows once and
         no other row, as ``attend`` moves their ``c`` through them.
+
+        The install also builds what every attend through the plan reads:
+        the rows each mask row keeps and, with records, the records' index
+        (``_record_index``).
         """
         st = self._layers[layer]
         mask = np.array(mask, dtype=bool)
@@ -404,15 +446,16 @@ class KvCache:
             if (kept != kept[0]).any() or any(len(rec) != len(records[0]) for rec in records):
                 raise ValueError("set_sparsification: every head must keep as many rows "
                                  "and records")
-        for row, rec in zip(mask, records):
-            if len(rec) and not np.array_equal(np.bincount(rec.members, minlength=st.n), ~row):
-                raise ValueError("set_sparsification: the records' members must be "
-                                 "the mask's pruned rows")
-        st.mask, st.records = mask, records
+        raw_idx = mask.ravel().nonzero()[0].reshape(mask.shape[0], -1)
+        if mask.shape[0] > 1:
+            raw_idx -= self._heads * st.n
+        if len(records[0]):
+            st.install(mask, records, raw_idx, *_record_index(mask, raw_idx, records))
+        else:
+            st.install(mask, records, raw_idx)
 
     def clear_sparsification(self, layer: int) -> None:
-        st = self._layers[layer]
-        st.mask, st.records = None, ()
+        self._layers[layer].install()
 
     def compact(self) -> CompactStats:
         """Physically apply the shared plans: evict pruned raws and append
@@ -425,9 +468,8 @@ class KvCache:
                 continue
             if mask.shape[0] > 1:
                 raise ValueError("compact: per-head masks cannot be compacted")
-            records = st.records[0]
-            st.mask, st.records = None, ()
-            keep = np.nonzero(mask[0])[0]
+            records, keep = st.records[0], st.raw_idx[0]
+            st.install()
             stats.evicted += int(st.n - keep.shape[0])
             stats.aggregates += len(records)
             aggregates = records.columns[st.hd:].copy()

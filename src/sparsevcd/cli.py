@@ -134,9 +134,10 @@ def _cmd_decode(args) -> int:
     model = model_from_config(cfg.model)
     if args.image is not None:
         finding_ids = tuple(_parse_ids("--image", args.image, model.vocab))
-        if args.tokens_per_finding < 1:
-            raise ConfigError("--tokens-per-finding must be positive")
-        image = ImageDescriptor(finding_ids, args.tokens_per_finding)
+        try:
+            image = ImageDescriptor(finding_ids, args.tokens_per_finding)
+        except ValueError as exc:
+            raise ConfigError(f"--image: {exc}") from exc
         prompt = ([TOKEN_BOS] if args.prompt is None
                   else _parse_ids("--prompt", args.prompt, model.vocab))
     elif cfg.corpus:

@@ -23,6 +23,14 @@ SCALE_MAX = 1e6
 # an emitted finding below the EOS logit and reports terminate.
 COMPOSER_SCALE_MAX = 100.0
 COMPOSER_SIGMA_MAX = 10.0
+# Size bounds on what one session allocates. The transformer's embedding and
+# unembedding hold 2 * vocab * d_model floats (16 MiB at the largest vocab
+# and the default d_model of 16). An image holds at most IMAGE_TOKENS_MAX
+# visual tokens, and its embedded block, n_tokens * d_model floats (the
+# composer's d_model is 2 * vocab), at most IMAGE_BLOCK_MAX (32 MiB).
+VOCAB_MAX = 65_536
+IMAGE_TOKENS_MAX = 1_024
+IMAGE_BLOCK_MAX = 1 << 22
 
 
 @dataclass
@@ -47,6 +55,8 @@ class ModelConfig:
             raise ConfigError(f"model.kind must be 'transformer' or 'composer', got {self.kind!r}")
         if self.vocab < 8:
             raise ConfigError("model.vocab must be at least 8")
+        if self.vocab > VOCAB_MAX:
+            raise ConfigError(f"model.vocab must be at most {VOCAB_MAX}")
         if self.kind == "transformer":
             if self.d_model <= 0 or self.layers <= 0 or self.heads <= 0:
                 raise ConfigError("transformer dims must be positive")

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from sparsevcd.config import IMAGE_TOKENS_MAX
 from sparsevcd.errors import ConfigError, CorpusError
 from sparsevcd.models import ImageDescriptor
 from sparsevcd.rng import SplitMix64, combine
@@ -41,6 +42,9 @@ class GeneratorSpec:
             raise ConfigError("generator: tokens_per_finding must be positive")
         if not 1 <= self.findings_per_image < self.n_findings:
             raise ConfigError("generator: findings_per_image outside [1, n_findings)")
+        if self.findings_per_image * self.tokens_per_finding > IMAGE_TOKENS_MAX:
+            raise ConfigError(f"generator: an image holds more than {IMAGE_TOKENS_MAX} "
+                              f"visual tokens")
         if not 0.0 <= self.prior_rate <= 1.0:
             raise ConfigError("generator: prior_rate must be in [0, 1]")
 

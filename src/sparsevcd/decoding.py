@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparsevcd.cache import Attention, KvCache, MergedRecords
-from sparsevcd.config import DecodeConfig, SparsifyConfig
+from sparsevcd.config import IMAGE_BLOCK_MAX, DecodeConfig, SparsifyConfig
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, ModelInterface
 from sparsevcd.numerics import NEG_INF, matvec, stable_softmax
 from sparsevcd.rng import SplitMix64, combine, step_seed
 from sparsevcd.sac import calibrate_scores
-from sparsevcd.vats import (attention_error, cluster_pruned, layer_visual_saliency,
-                            merge_clusters, pairwise_distances, select_topS,
-                            visual_saliency)
+from sparsevcd.vats import (SaliencySums, attention_error, cluster_pruned,
+                            layer_visual_saliency, merge_clusters, pairwise_distances,
+                            select_topS, visual_saliency)
 
 _MASK_SALT = 0x4D41_534B
 
@@ -173,7 +173,9 @@ class _DistanceTable:
             self.d[n0:n, :n] = fresh
             self.d[:n0, n0:n] = fresh[:, :n0].T
             self.n = n
-        return self.d[idx[:, None], idx]
+        # one flat take over computed offsets: fewer index passes than a
+        # 2-d fancy index
+        return self.d.take(idx[:, None] * self.d.shape[0] + idx)
 
 
 class EngineAttention:
@@ -189,7 +191,8 @@ class EngineAttention:
     is built whole, shared or one row per head, and installed with one
     ``set_sparsification`` call. In logical mode the merge's distances come
     from one ``_DistanceTable`` per layer (per layer and head with per-head
-    masks).
+    masks), and the saliency from row sums kept across plans
+    (``vats.SaliencySums``).
     """
 
     def __init__(self, cache: KvCache, cfg: SparsifyConfig, keep_records: bool = False):
@@ -201,15 +204,17 @@ class EngineAttention:
         self.forward_records: list[dict] = []
         self.errors: list[float] = []  # the attention errors of the latest forward
         self.tables: dict[tuple[int, int | None], _DistanceTable] = {}
+        self.saliency = SaliencySums()
 
     # -- plumbing used by decode -------------------------------------------
 
     def fork(self) -> "EngineAttention":
-        """A controller over a clone of the cache, keeping the records and
-        distance tables so far."""
+        """A controller over a clone of the cache, keeping the records,
+        distance tables and saliency sums so far."""
         twin = EngineAttention(self.cache.clone(), self.cfg, self.keep_records)
         twin.forward_records = list(self.forward_records)
         twin.tables = {key: table.fork() for key, table in self.tables.items()}
+        twin.saliency = self.saliency.fork()
         return twin
 
     def mean_error(self) -> float:
@@ -257,19 +262,26 @@ class EngineAttention:
         elif s_budget >= n_raw:
             return False
 
-        raw_idx = cache.raw_rows(layer)
-        cand = raw_idx
-        if cfg.prune_scope == "text_only":
-            cand = cand[~cache.visual_flags(layer)[cand]]
-        retain_cand = max(0, s_budget - (raw_idx.shape[0] - cand.shape[0]))
-        if retain_cand >= cand.shape[0]:
+        # the candidate rows: every row, unless the scope or aggregates
+        # leave some out
+        every = cfg.prune_scope == "full" and n_raw == n_rows
+        cand = None
+        if not every:
+            cand = cache.raw_rows(layer)
+            if cfg.prune_scope == "text_only":
+                cand = cand[~cache.visual_flags(layer)[cand]]
+        n_cand = n_rows if every else cand.shape[0]
+        retain_cand = max(0, s_budget - (n_raw - n_cand))
+        if retain_cand >= n_cand:
             return False
+        w_recent = min(cfg.w_recent, retain_cand)
 
-        ip = matvec(cache.key_block(layer), q)   # (H, rows) unscaled inner products
+        keys = cache.key_block(layer)
+        ip = matvec(keys, q)   # (H, rows) unscaled inner products
 
         if cfg.lambda_ > 0.0 and cache.has_visual(layer):
             if cfg.mode == "logical":
-                p_vec = visual_saliency(cache, self.early_layers)
+                p_vec = visual_saliency(cache, self.early_layers, self.saliency)
             else:
                 p_vec = layer_visual_saliency(cache, layer)
         else:
@@ -278,32 +290,42 @@ class EngineAttention:
         cal = ip
         if cfg.beta > 0.0 and cfg.sac_before_vats:
             cal = calibrate_scores(ip, stable_softmax(cache.c_block(layer)), cfg.beta)
-        g_heads = cal * cal
+        g = cal * cal
 
-        # one row of g per mask row; the budget and candidates are the layer's
-        g = g_heads if cfg.per_head_mask else np.add.accumulate(g_heads, axis=0)[-1:] / cache.heads
-        mask = np.ones(g.shape, dtype=bool)
-        records = []
+        # one row of g per mask row; the budget and candidates are the
+        # layer's. The head mean sums the heads in order: a plan has two
+        # rows or more, so a reduction over the leading axis adds one head
+        # to every row per pass, and its +0.0 start changes no square
+        if not cfg.per_head_mask:
+            g = np.add.reduce(g, axis=0, keepdims=True)
+            g /= cache.heads
+        masks, records = [], []
         for r, g_row in enumerate(g):
             head = r if cfg.per_head_mask else None
             heads = slice(0, cache.heads) if head is None else slice(head, head + 1)
-            delta = g_row + cfg.lambda_ * p_vec
-            if retain_cand == 0:
-                pruned = cand
+            delta = cfg.lambda_ * p_vec
+            delta += g_row
+            if every:
+                keep = select_topS(delta, retain_cand, w_recent)
+                pruned = (~keep).nonzero()[0]
             else:
-                w_recent = min(cfg.w_recent, retain_cand)
-                pruned = cand[~select_topS(delta[cand], retain_cand, w_recent)]
-            mask[r, pruned] = False
+                keep = np.ones(n_rows, dtype=bool)
+                pruned = cand if retain_cand == 0 else cand[
+                    ~select_topS(delta[cand], retain_cand, w_recent)]
+                keep[pruned] = False
+            masks.append(keep)
             self.errors.append(attention_error(ip[heads], pruned))
 
             rec = None
             if cfg.merge_pruned:
                 # a view with one column per row and head-major features:
                 # head 0's key, then head 1's, ...
-                cols = cache.key_block(layer)[heads].transpose(0, 2, 1).reshape(-1, n_rows)
+                cols = keys[heads].transpose(0, 2, 1).reshape(-1, n_rows)
                 if cfg.mode == "logical":
-                    dist = self.tables.setdefault((layer, head), _DistanceTable()).gather(
-                        cols, pruned)
+                    table = self.tables.get((layer, head))
+                    if table is None:
+                        table = self.tables[layer, head] = _DistanceTable()
+                    dist = table.gather(cols, pruned)
                 else:
                     # np.take keeps the gather C-ordered (a fancy index gives
                     # an F-ordered block, which the kernel reads 2x slower)
@@ -318,7 +340,7 @@ class EngineAttention:
                 self.forward_records[-1]["layers"].append({
                     "layer": layer,
                     "head": head,
-                    "retained": int(mask[r].sum()),
+                    "retained": int(np.count_nonzero(keep)),
                     "pruned": [int(i) for i in pruned],
                     "clusters": 0 if rec is None else len(rec),
                     "delta": [float(v) for v in delta],
@@ -326,9 +348,9 @@ class EngineAttention:
                     "attn_error": self.errors[-1],
                 })
         if cfg.per_head_mask:
-            cache.set_sparsification(layer, mask, records)
+            cache.set_sparsification(layer, np.stack(masks), records)
         else:
-            cache.set_sparsification(layer, mask[0], records[0])
+            cache.set_sparsification(layer, masks[0], records[0])
         return True
 
 
@@ -351,6 +373,9 @@ def _validate(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     for f in image.finding_ids:
         if not 0 <= int(f) < model.vocab:
             raise ConfigError(f"image finding id {f} outside the model vocabulary")
+    if image.n_tokens * model.d_model > IMAGE_BLOCK_MAX:
+        raise ConfigError(f"image's embedded block of {image.n_tokens} x {model.d_model} "
+                          f"floats exceeds {IMAGE_BLOCK_MAX}")
 
 
 def _log_softmax(fused: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparsevcd.cache import KvCache
-from sparsevcd.config import ModelConfig
+from sparsevcd.config import IMAGE_TOKENS_MAX, ModelConfig
 from sparsevcd.errors import ConfigError
 from sparsevcd.numerics import _ordered_sum, causal_attention, matvec
 from sparsevcd.rng import SplitMix64, combine, mix64
@@ -48,8 +48,8 @@ def rms_normalize(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ImageDescriptor:
-    """Synthetic image: a set of finding ids, each depicted by a fixed number
-    of visual tokens."""
+    """Synthetic image: a set of distinct finding ids, each depicted by a
+    fixed number of visual tokens, at most ``IMAGE_TOKENS_MAX`` in all."""
 
     finding_ids: tuple[int, ...]
     tokens_per_finding: int = 3
@@ -57,8 +57,13 @@ class ImageDescriptor:
     def __post_init__(self):
         if not self.finding_ids:
             raise ValueError("image must contain at least one finding")
+        if len(set(self.finding_ids)) != len(self.finding_ids):
+            raise ValueError(f"image finding ids must be distinct, got {self.finding_ids}")
         if self.tokens_per_finding < 1:
             raise ValueError("tokens_per_finding must be positive")
+        if self.n_tokens > IMAGE_TOKENS_MAX:
+            raise ValueError(f"image holds {self.n_tokens} visual tokens, more than "
+                             f"{IMAGE_TOKENS_MAX}")
 
     @property
     def n_tokens(self) -> int:

@@ -494,6 +494,68 @@ def test_head_block_attend_equals_single_head_caches(case):
             attend()
 
 
+record_index_cases = st.fixed_dictionaries({
+    "heads": st.integers(1, 3),
+    "dim": st.integers(1, 4),
+    "n": st.integers(2, 60),
+    "per_head": st.booleans(),
+    "rho_merge": st.sampled_from([0.2, 0.5, 1.0]),   # 1.0: single-member records
+    "raw_scores": st.booleans(),
+    "beta": st.sampled_from([0.0, 0.3]),
+    "seed": st.integers(0, 2**16),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(record_index_cases)
+def test_planned_attend_moves_c_as_a_per_member_loop(case):
+    """Through the install-time index, a planned attend adds to ``c``
+    exactly what a scalar loop adds: each kept row its own column, each
+    member its cluster's column times its merge weight, under a shared or a
+    per-head plan, in either accumulation mode."""
+    rng = np.random.default_rng(case["seed"])
+    h, dim, n = case["heads"], case["dim"], case["n"]
+    cache = KvCache(1, h, dim, accumulate_raw_scores=case["raw_scores"])
+    for _ in range(n):
+        cache.append(0, rng.normal(size=(h, dim)), rng.normal(size=(h, dim)), rng.random() < 0.3)
+        cache.attend(0, rng.normal(size=(h, dim)))
+    pruned_count = int(rng.integers(1, n))
+    masks, plan = [], []
+    for _ in range(h if case["per_head"] else 1):
+        pruned = np.sort(rng.permutation(n)[:pruned_count])
+        mask = np.ones(n, dtype=bool)
+        mask[pruned] = False
+        asg = cluster_pruned(rng.random((pruned_count, 2)), rng.random(pruned_count), k=2,
+                             rho_merge=case["rho_merge"])
+        masks.append(mask)
+        plan.append(MergedRecords(pruned[asg.members], asg.sizes, asg.weights,
+                                  merge_clusters(asg, cache.gather(0, pruned)).T))
+    if case["per_head"]:
+        cache.set_sparsification(0, np.stack(masks), plan)
+    else:
+        cache.set_sparsification(0, masks[0], plan[0])
+    before = cache.c_block(0).copy()
+    q = rng.normal(size=(h, dim))
+    att = cache.attend(0, q, beta=case["beta"])
+    sup = att.support
+    want = before.copy()
+    for g in range(h):
+        if case["raw_scores"]:
+            contrib = (matvec(sup.keys[g], q[g]) / cache.sqrt_dim).tolist()
+        else:
+            contrib = att.rows[g].tolist()
+        r = g if case["per_head"] else 0
+        for j, row in enumerate(np.flatnonzero(masks[r])):
+            want[g, row] += contrib[j]
+        rec, first = plan[r], 0
+        for cluster, size in enumerate(rec.sizes):
+            for member, weight in zip(rec.members[first:first + size],
+                                      rec.weights[first:first + size]):
+                want[g, member] += contrib[sup.n_raw + cluster] * float(weight)
+            first += size
+    assert cache.c_block(0).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case", ["unmasked", "shared", "per-head", "compacted"])
 def test_long_attend_sums_copy_no_factor(case):
     # 2 heads of 8 over at least 64 rows pass EINSUM_MIN_TERMS, so the score

@@ -274,6 +274,14 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     ["--set", 'model.kind="composer"', "--set", "model.a_vis=1e308",
      "--set", "model.b_prior=1e308", "--image", "4"],
     ["--set", 'model.kind="composer"', "--set", "decode.alpha=1e308", "--image", "4"],
+    # a repeated finding id; then one past each size bound: the vocabulary,
+    # an image's visual tokens, and the composer's embedded image block
+    # (513 x 8192 floats, 2**22 + 8192)
+    ["--image", "4,4,4", "--set", 'model.kind="composer"'],
+    ["--set", "model.vocab=65537", "--image", "4"],
+    ["--image", "4", "--tokens-per-finding", "1025"],
+    ["--set", 'model.kind="composer"', "--set", "model.vocab=4096", "--image", "4",
+     "--tokens-per-finding", "513"],
 ])
 def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

@@ -106,7 +106,10 @@ def test_load_errors(tmp_path):
                  + example % ("[4]", "1", "null"),
                  meta + valid.replace("}\n", ',"label":5}\n'),
                  meta + valid.replace('"id":"x"', '"id":[1]'),
-                 meta + example % ("[-3]", "1", "null")]:
+                 meta + example % ("[-3]", "1", "null"),
+                 # a repeated finding id, and one visual token past the bound
+                 meta + example % ("[4, 4]", "1", "null"),
+                 meta + example % ("[4]", "1025", "null")]:
         bad.write_text(text)
         with pytest.raises(CorpusError):
             load_corpus(bad)
@@ -127,5 +130,7 @@ def test_generator_validation():
         GeneratorSpec(findings_per_image=16).validate()
     with pytest.raises(ConfigError):
         GeneratorSpec(prior_rate=1.5).validate()
+    with pytest.raises(ConfigError, match="visual tokens"):
+        GeneratorSpec(findings_per_image=1, tokens_per_finding=1025).validate()
     with pytest.raises(ConfigError):
         gen_corpus(GeneratorSpec(), seed=1, n=0)

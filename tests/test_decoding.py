@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevcd import models
+from sparsevcd import decoding, models
 from sparsevcd.cache import KvCache
 from sparsevcd.config import DecodeConfig, ModelConfig, SparsifyConfig
 from sparsevcd.corpus import TOKEN_BOS, GeneratorSpec, gen_corpus
-from sparsevcd.decoding import (EngineAttention, contrastive_logits, decode, fuse,
-                                mask_visual, plausible_set)
+from sparsevcd.decoding import (EngineAttention, _DistanceTable, contrastive_logits, decode,
+                                fuse, mask_visual, plausible_set)
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, ToyTransformer, model_from_config
 from sparsevcd.numerics import NEG_INF, stable_softmax, weighted_sum_rows
@@ -596,6 +596,82 @@ def test_distance_table_gathers_equal_the_kernel_from_scratch(draw):
                 assert table.gather(points.T, idx).tobytes() == scratch.tobytes()
     heads = range(m.heads) if draw["per_head_mask"] else [None]
     assert set(root.tables) == {(layer, h) for layer in range(m.layers) for h in heads}
+
+
+table_growth = st.fixed_dictionaries({
+    "features": st.integers(1, 20),
+    "steps": st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    "keys": st.sampled_from(["normal", "grid", "equal"]),
+    "fork_at": st.integers(0, 11),
+    "seed": st.integers(0, 2**16),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_growth)
+def test_distance_table_fill_and_gather_equal_the_kernel(draw):
+    """A table grown in random steps, through capacity doublings and a
+    fork, gathers bit for bit ``pairwise_distances`` over the gathered
+    columns, sorted or not, for normal keys spread over binades, keys on a
+    small grid (many duplicates) and all-equal keys."""
+    rng = np.random.default_rng(draw["seed"])
+    n = sum(draw["steps"])
+    f = draw["features"]
+    if draw["keys"] == "normal":
+        cols = rng.normal(size=(f, n)) * 2.0 ** rng.integers(-30, 30, size=(f, n))
+    elif draw["keys"] == "grid":
+        cols = rng.integers(-1, 2, size=(f, n)).astype(np.float64)
+    else:
+        cols = np.full((f, n), 1.5)
+    tables, seen = [_DistanceTable()], 0
+    for step, rows in enumerate(draw["steps"]):
+        if step == draw["fork_at"]:
+            tables.append(tables[0].fork())
+        seen += rows
+        for table in tables:
+            for idx in (np.arange(seen), np.sort(rng.permutation(seen)[: rng.integers(1, seen + 1)]),
+                        rng.permutation(seen)[: rng.integers(1, seen + 1)]):
+                scratch = pairwise_distances(np.ascontiguousarray(cols[:, idx]))
+                assert table.gather(cols[:, :seen], idx).tobytes() == scratch.tobytes()
+            assert table.n == seen <= table.d.shape[0]
+
+
+saliency_sessions = st.fixed_dictionaries({
+    "model_seed": st.integers(0, 2**16),
+    "findings": st.lists(st.integers(1, 63), min_size=1, max_size=4, unique=True),
+    "per_finding": st.integers(1, 6),
+    "prompt": st.lists(st.integers(1, 63), min_size=4, max_size=24),
+    "rate": st.sampled_from([0.3, 0.6, 0.9]),
+    "l_min": st.integers(0, 8),
+    "width": st.integers(1, 3),
+    "per_head_mask": st.booleans(),
+})
+
+
+@settings(max_examples=15, deadline=None)
+@given(saliency_sessions)
+def test_kept_saliency_sums_equal_a_fresh_sum_at_every_plan(draw):
+    """At every plan of a logical decode, greedy or a beam whose children
+    fork the controller, the saliency from the kept row sums equals
+    ``visual_saliency`` summing every row afresh, bit for bit."""
+    fresh = decoding.visual_saliency
+    calls = []
+
+    def checked(cache, layers, kept):
+        out = fresh(cache, layers, kept)
+        assert out.tobytes() == fresh(cache, layers).tobytes()
+        calls.append(kept)
+        return out
+
+    scfg = SparsifyConfig(sparsity_rate=draw["rate"], l_min=draw["l_min"],
+                          per_head_mask=draw["per_head_mask"])
+    dcfg = DecodeConfig(mode="beam" if draw["width"] > 1 else "greedy",
+                        beam_size=draw["width"], max_len=5, eos_id=-1)
+    img = ImageDescriptor(tuple(draw["findings"]), draw["per_finding"])
+    with mock.patch.object(decoding, "visual_saliency", side_effect=checked):
+        decode(transformer(draw["model_seed"]), img, draw["prompt"], scfg, dcfg)
+    if draw["width"] > 1 and calls:
+        assert len({id(kept) for kept in calls}) > 1   # forked beams kept their own sums
 
 
 # ----------------------------------------------------- pinned equivalences

@@ -362,7 +362,7 @@ def test_forward_sequence_resums_no_entry():
     # sends no entry down that slow path
     m = ToyTransformer(3)
     ids = np.random.default_rng(7).integers(1, m.vocab, size=192)
-    image = ImageDescriptor(tuple(int(f) for f in ids[:16]), tokens_per_finding=4)
+    image = ImageDescriptor(tuple(dict.fromkeys(int(f) for f in ids))[:16], tokens_per_finding=4)
     embs = np.concatenate([m.embed_visual(image), m.embed_text(ids)])
     assert len(embs) == 256
     with mock.patch.object(numerics, "_prefix_sums", wraps=numerics._prefix_sums) as resums:

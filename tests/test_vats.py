@@ -155,6 +155,51 @@ def test_distance_kernel_equals_a_per_pair_loop_bitwise():
         cluster_pruned(np.zeros((3, 2)), np.zeros(3), k=1, precomputed=True)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 24), st.sampled_from(["normal", "grid", "equal"]),
+       st.integers(0, 2**16))
+def test_distance_fill_is_the_sequential_sum(n, f, keys, seed):
+    """The einsum fill equals squaring each feature's differences and
+    adding the planes in feature order from the first, bit for bit, for
+    every ``start``: an einsum that summed the features in another order, or
+    started at ``-0.0``, would differ."""
+    rng = np.random.default_rng(seed)
+    if keys == "normal":
+        cols = rng.normal(size=(f, n)) * 2.0 ** rng.integers(-40, 40, size=(f, 1))
+    elif keys == "grid":
+        cols = rng.integers(-1, 2, size=(f, n)).astype(np.float64)
+    else:
+        cols = np.full((f, n), -0.5)
+    for start in sorted({0, n // 2, n - 1}):
+        diff = cols[:, None, :] - cols[:, start:, None]
+        acc = diff[0] * diff[0]
+        for plane in diff[1:]:
+            acc = acc + plane * plane
+        assert pairwise_distances(cols, start).tobytes() == np.sqrt(acc).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 90), st.sampled_from(["normal", "ties", "signed zeros", "infinite"]),
+       st.integers(0, 2**16), st.data())
+def test_select_keeps_the_first_rows_of_a_stable_sort(n, kind, seed, data):
+    """The selection is the first ``s - w`` rows of a stable sort by
+    descending score, plus the window, with ties on the earlier row."""
+    rng = np.random.default_rng(seed)
+    delta = rng.normal(size=n)
+    if kind == "ties":
+        delta = rng.integers(0, 3, size=n).astype(np.float64)
+    elif kind == "signed zeros":
+        delta = rng.choice([-0.0, 0.0, 1.0], size=n)
+    elif kind == "infinite":
+        delta[rng.random(n) < 0.3] = rng.choice([np.inf, -np.inf])
+    s = data.draw(st.integers(1, n))
+    w = data.draw(st.integers(0, s))
+    want = np.zeros(n, dtype=bool)
+    want[n - w:] = True
+    want[np.argsort(-delta[: n - w], kind="stable")[: s - w]] = True
+    assert np.array_equal(select_topS(delta, s, w), want)
+
+
 def test_cluster_single_point():
     out = cluster_pruned(np.array([[1.0, 2.0]]), np.array([0.5]), k=5)
     assert out.n_clusters == 1
