@@ -31,6 +31,15 @@ COMPOSER_SIGMA_MAX = 10.0
 VOCAB_MAX = 65_536
 IMAGE_TOKENS_MAX = 1_024
 IMAGE_BLOCK_MAX = 1 << 22
+# The transformer draws 2 * vocab * d_model weights for its two vocabulary
+# tables and 12 * d_model**2 per layer (W_q, W_k, W_v, W_o and the 4x-wide
+# feed-forward pair), at most MODEL_FLOATS_MAX (128 MiB) in all; its stacked
+# copies of W_q, W_k, W_v and W_o add 4 * d_model**2 per layer on top.
+MODEL_FLOATS_MAX = 1 << 24
+# The fields the composer ignores (it has no decoder layers, and always sums
+# its embeddings); with the composer each must keep its default.
+COMPOSER_IGNORES = (("model", "d_model"), ("model", "layers"), ("model", "heads"),
+                    ("decode", "pooling"))
 
 
 @dataclass
@@ -62,6 +71,10 @@ class ModelConfig:
                 raise ConfigError("transformer dims must be positive")
             if self.d_model % self.heads != 0:
                 raise ConfigError("model.d_model must be divisible by model.heads")
+            floats = 2 * self.vocab * self.d_model + 12 * self.layers * self.d_model ** 2
+            if floats > MODEL_FLOATS_MAX:
+                raise ConfigError(f"the transformer's {floats} weights exceed {MODEL_FLOATS_MAX}: "
+                                  "lower model.d_model, model.layers or model.vocab")
         if self.kind == "composer":
             if self.prior and self.finding_ids and len(self.prior) != len(self.finding_ids):
                 raise ConfigError("model.prior must have one weight per finding id")
@@ -187,10 +200,16 @@ class ExperimentConfig:
         if self.decode.stop_layer > layers:
             raise ConfigError(f"decode.stop_layer {self.decode.stop_layer} exceeds "
                               f"the model's {layers} decoder layers")
-        if self.model.kind == "composer" and self.decode.eos_id not in (0, -1):
-            # the composer's EOS logit sits on token 0
-            raise ConfigError("decode.eos_id must be 0 (the composer's EOS) "
-                              "or -1 with the composer model")
+        if self.model.kind == "composer":
+            if self.decode.eos_id not in (0, -1):
+                # the composer's EOS logit sits on token 0
+                raise ConfigError("decode.eos_id must be 0 (the composer's EOS) "
+                                  "or -1 with the composer model")
+            for section, name in COMPOSER_IGNORES:
+                default = getattr(_SECTION_TYPES[section], name)
+                if getattr(getattr(self, section), name) != default:
+                    raise ConfigError(f"{section}.{name} does not apply to the composer model; "
+                                      "leave it at its default")
 
 
 _SECTION_TYPES = {

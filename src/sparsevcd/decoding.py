@@ -330,8 +330,7 @@ class EngineAttention:
                     # np.take keeps the gather C-ordered (a fancy index gives
                     # an F-ordered block, which the kernel reads 2x slower)
                     dist = pairwise_distances(np.take(cols, pruned, axis=1))
-                assignment = cluster_pruned(dist, delta[pruned], cfg.knn_k,
-                                            rho_merge=cfg.rho_merge, precomputed=True)
+                assignment = cluster_pruned(dist, delta[pruned], cfg.knn_k, cfg.rho_merge)
                 rec = MergedRecords(pruned[assignment.members], assignment.sizes,
                                     assignment.weights,
                                     merge_clusters(assignment, cache.gather(layer, pruned)).T)

@@ -44,10 +44,9 @@ a value that is not finite. So a block's entries that come out exactly zero
 or not finite, and only those, are summed again in order over their row's
 own prefix. A model's contexts have none (a test counts them over a 256-row
 ``forward_sequence``), so no row depends on the block size and the exact
-path costs one check per block. ``causal_weighted_sum`` is the same block
-sum over given weights, with ``+0.0`` in place of those above the diagonal.
+path costs one check per block.
 
-The long sums. ``matvec``, ``weighted_sum_rows``, the causal kernels and
+The long sums. ``matvec``, ``weighted_sum_rows``, ``causal_attention`` and
 the models' pooling all sum through ``_ordered_sum``. A sum of fewer
 than ``EINSUM_MIN_TERMS`` terms (counted over the whole call) is
 ``np.add.accumulate`` along the summed axis, a sequential loop by
@@ -67,7 +66,7 @@ whose output axis does not run faster than its summed axis. The einsum
 starts each element at ``+0.0`` where the sequential sum starts at its
 first term. The two differ only when every term is ``-0.0``: the einsum
 returns ``+0.0`` there. So a result with any exact zero is recomputed by
-``accumulate``. ``tests/test_ordered_sums.py`` checks all four kernels
+``accumulate``. ``tests/test_ordered_sums.py`` checks each of them
 against the sequential sums bit for bit, and under numpy's default, AVX2
 and baseline kernels (``NPY_DISABLE_CPU_FEATURES``).
 
@@ -108,13 +107,6 @@ import numpy as np
 NEG_INF = float("-inf")
 EINSUM_MIN_TERMS = 1024
 CAUSAL_BLOCK = 64
-
-
-def as_matrix(x) -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
 
 
 def _ordered_sum(axis: int, n_terms: int, a: np.ndarray,
@@ -225,11 +217,11 @@ def causal_attention(q, k, v, scale) -> np.ndarray:
     ``(n, e)`` values: row ``i`` is ``weighted_sum_rows(stable_softmax(
     matvec(k[:i + 1], q[i]) / scale), v[:i + 1])``, scored in key-major
     blocks of ``CAUSAL_BLOCK`` query rows over the lower triangle only."""
-    q, k, v = as_matrix(q), as_matrix(k), as_matrix(v)
-    n, d = q.shape
-    if k.shape != q.shape or v.shape[0] != n:
+    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
+    if q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or len(v) != len(q):
         raise ValueError(f"causal_attention: queries {q.shape}, keys {k.shape}, "
                          f"values {v.shape}")
+    n, d = q.shape
     if n == 0:
         raise ValueError("causal_attention: empty support")
     # queries rows-fastest once, so no block's queries are copied to be summed
@@ -250,27 +242,6 @@ def causal_attention(q, k, v, scale) -> np.ndarray:
         e = np.exp(np.subtract(scores, top, out=scores), out=scores)
         e /= _ordered_sum(-2, e.size, e)
         out[a:b] = _causal_block(e, v, a)
-    return out
-
-
-def causal_weighted_sum(weights, m) -> np.ndarray:
-    """Row ``i`` is ``weighted_sum_rows(weights[i, :i + 1], m[:i + 1])``:
-    only the terms ``j <= i`` are added, top to bottom, and the weights
-    above the diagonal are ignored. Rows go in blocks of ``CAUSAL_BLOCK``
-    through ``_causal_block``, as ``causal_attention``'s contexts do."""
-    w, m = as_matrix(weights), as_matrix(m)
-    if w.shape[0] != w.shape[1]:
-        raise ValueError(f"causal_weighted_sum: expected a square (n, n) block, got {w.shape}")
-    if w.shape[0] != m.shape[0]:
-        raise ValueError(f"causal_weighted_sum: {w.shape[0]} weight rows for {m.shape[0]} rows")
-    n = m.shape[0]
-    if n == 0:
-        raise ValueError("causal_weighted_sum: empty matrix")
-    out = np.empty(m.shape)
-    for a in range(0, n, CAUSAL_BLOCK):
-        b = min(a + CAUSAL_BLOCK, n)
-        # key-major, with +0.0 for every key after its query
-        out[a:b] = _causal_block(np.triu(w[a:b, :b].T, -a), m, a)
     return out
 
 

@@ -58,13 +58,17 @@ class SaliencySums:
 
     def update(self, blocks) -> np.ndarray:
         """The sums of every row of the ``(heads, n)`` ``r`` blocks, one per
-        layer, in order: a view valid until the next call."""
+        layer, in order: a view valid until the next call. A later block may
+        be narrower, and its missing rows count as ``+0.0``."""
         a, n = self.final, blocks[0].shape[1]
         if n > self.sums.shape[0]:
             grown = np.empty(max(n, 2 * self.sums.shape[0]))
             grown[:a] = self.sums[:a]
             self.sums = grown
-        rows = np.concatenate([b[:, a:] for b in blocks])
+        parts = [b[:, a:] for b in blocks]
+        if any(p.shape[1] < n - a for p in parts):
+            parts = [np.pad(p, ((0, 0), (0, n - a - p.shape[1]))) for p in parts]
+        rows = np.concatenate(parts)
         self.sums[a:n] = np.add.accumulate(rows, axis=0)[-1]
         self.final = n - 1
         return self.sums[:n]
@@ -75,9 +79,12 @@ def visual_saliency(cache: KvCache, layers, kept: SaliencySums | None = None) ->
 
     ``r_i`` is the attention mass token ``i``'s query rows have placed on
     visual-key columns, averaged over the given layers and all heads. The
-    requested layers must hold aligned row sets (always true in logical
-    mode). ``kept`` carries the row sums from one call to the next (see
-    ``SaliencySums``); without it every row is summed.
+    rows are the first layer's. A later layer may hold one row fewer: in
+    logical mode, a layer that the newest row has not reached yet, where
+    that row's ``r`` is still zero and counts as zero. A layer holding more
+    rows, or two or more fewer, raises. ``kept`` carries the row sums from
+    one call to the next (see ``SaliencySums``); without it every row is
+    summed.
     """
     layers = list(layers)
     if not layers:
@@ -89,7 +96,7 @@ def visual_saliency(cache: KvCache, layers, kept: SaliencySums | None = None) ->
         raise ValueError("visual_saliency: empty cache")
     block = []
     for ell in layers:
-        if cache.rows(ell) != n:
+        if not n - 1 <= cache.rows(ell) <= n:
             raise ValueError("visual_saliency: row sets diverge across the requested layers")
         block.append(cache.r_block(ell))
     kept = SaliencySums() if kept is None else kept
@@ -183,8 +190,7 @@ def pairwise_distances(cols: np.ndarray, start: int = 0) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
-                   precomputed: bool = False) -> ClusterAssignment:
+def cluster_pruned(dist, deltas, k: int, rho_merge: float = 0.25) -> ClusterAssignment:
     """k-nearest-neighbour density-peak clustering of the pruned tokens.
 
     Density is the reciprocal mean distance to the k nearest peers (plus a
@@ -196,18 +202,15 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
     nearest center). All ties break on the lower index. Each cluster's merge
     weights are the softmax of its members' saliency.
 
-    ``keys`` is an ``(n, features)`` array, or with ``precomputed`` the
-    ``(n, n)`` matrix of its ``pairwise_distances`` (zero on the diagonal,
-    nowhere negative). Returns the flat assignment described at
-    ``ClusterAssignment``.
+    ``dist`` is the points' ``(n, n)`` ``pairwise_distances`` matrix (zero
+    on the diagonal, nowhere negative). Returns the flat assignment
+    described at ``ClusterAssignment``.
     """
-    points = np.asarray(keys, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("cluster_pruned: need a non-empty 2-d key array")
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
+        raise ValueError("cluster_pruned: need a non-empty square distance matrix")
+    n = len(dist)
     deltas = np.asarray(deltas, dtype=np.float64)
-    n = points.shape[0]
-    if precomputed and points.shape != (n, n):
-        raise ValueError("cluster_pruned: a precomputed distance matrix must be square")
     if deltas.shape != (n,):
         raise ValueError("cluster_pruned: one saliency score per pruned token")
     if k < 1:
@@ -217,7 +220,6 @@ def cluster_pruned(keys, deltas, k: int, rho_merge: float = 0.25,
         return ClusterAssignment(zero, zero, zero, np.ones(1, dtype=np.int64), np.ones(1),
                                  (zero, zero))
     k = min(k, n - 1)
-    dist = points if precomputed else pairwise_distances(np.ascontiguousarray(points.T))
     # a row's own exact zero sorts first (no distance is below +0.0), so
     # columns 1..k hold the k nearest peers
     ranked = dist.copy()

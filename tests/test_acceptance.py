@@ -23,7 +23,13 @@ from sparsevcd.numerics import stable_softmax
 from sparsevcd.oracle import (brute_force_mask, objective_value, reference_clustering,
                               reference_full_decode)
 from sparsevcd.sac import calibrate_scores
-from sparsevcd.vats import cluster_pruned, select_topS, visual_saliency
+from sparsevcd.vats import (cluster_pruned, pairwise_distances, select_topS,
+                            visual_saliency)
+
+
+def distances(points):
+    """The ``(n, n)`` matrix ``cluster_pruned`` takes, of ``(n, features)`` points."""
+    return pairwise_distances(np.ascontiguousarray(points.T))
 
 
 @contextmanager
@@ -107,7 +113,7 @@ def test_c03_normalization_suite():
         total_clusters = 0
         for _ in range(1000):
             n = int(rng.integers(1, 12))
-            out = cluster_pruned(rng.normal(size=(n, 3)), rng.random(n), k=5)
+            out = cluster_pruned(distances(rng.normal(size=(n, 3))), rng.random(n), k=5)
             for w in np.split(out.weights, np.cumsum(out.sizes)[:-1]):
                 assert abs(w.sum() - 1.0) < 1e-9
                 total_clusters += 1
@@ -165,7 +171,7 @@ def test_c06_clustering_conformance():
             deltas = rng.random(n)
             k = int(rng.integers(1, 8))
             n_clusters = max(1, int(np.ceil(0.25 * n)))
-            engine = cluster_pruned(pts, deltas, k, rho_merge=0.25)
+            engine = cluster_pruned(distances(pts), deltas, k, rho_merge=0.25)
             ref_labels, ref_centers = reference_clustering(pts, k, n_clusters)
             assert list(engine.labels) == list(ref_labels), f"trial {trial}"
             assert list(engine.centers) == list(ref_centers)

@@ -9,7 +9,13 @@ from sparsevcd import numerics
 from sparsevcd.cache import KvCache, MergedRecords
 from sparsevcd.models import ToyTransformer
 from sparsevcd.numerics import matvec
-from sparsevcd.vats import attention_error, cluster_pruned, merge_clusters
+from sparsevcd.vats import (attention_error, cluster_pruned, merge_clusters,
+                            pairwise_distances)
+
+
+def distances(points):
+    """The ``(n, n)`` matrix ``cluster_pruned`` takes, of ``(n, features)`` points."""
+    return pairwise_distances(np.ascontiguousarray(points.T))
 
 
 def fill_cache(n_tokens, layers=1, heads=1, dim=4, seed=0, mode="logical"):
@@ -402,7 +408,8 @@ def test_cached_row_counts_match_the_flag_rows(mode):
         mask = np.ones(cache.rows(layer), dtype=bool)
         mask[pruned] = False
         table = cache.gather(layer, pruned)
-        asg = cluster_pruned(table[:, 6:12], rng.random(pruned.shape[0]), k=2, rho_merge=0.5)
+        asg = cluster_pruned(distances(table[:, 6:12]), rng.random(pruned.shape[0]), k=2,
+                             rho_merge=0.5)
         cache.set_sparsification(layer, mask, MergedRecords(
             pruned[asg.members], asg.sizes, asg.weights, merge_clusters(asg, table).T))
     cache.compact()
@@ -470,8 +477,8 @@ def test_head_block_attend_equals_single_head_caches(case):
             pruned = np.sort(rng.permutation(n)[:pruned_count])
             mask = np.ones(n, dtype=bool)
             mask[pruned] = False
-            asg = cluster_pruned(rng.random((pruned_count, 2)), rng.random(pruned_count),
-                                 k=2, rho_merge=0.4)
+            asg = cluster_pruned(distances(rng.random((pruned_count, 2))),
+                                 rng.random(pruned_count), k=2, rho_merge=0.4)
             for cache in [block] + ([singles[head]] if head is not None else singles):
                 records = MergedRecords(pruned[asg.members], asg.sizes, asg.weights,
                                         merge_clusters(asg, cache.gather(0, pruned)).T)
@@ -525,8 +532,8 @@ def test_planned_attend_moves_c_as_a_per_member_loop(case):
         pruned = np.sort(rng.permutation(n)[:pruned_count])
         mask = np.ones(n, dtype=bool)
         mask[pruned] = False
-        asg = cluster_pruned(rng.random((pruned_count, 2)), rng.random(pruned_count), k=2,
-                             rho_merge=case["rho_merge"])
+        asg = cluster_pruned(distances(rng.random((pruned_count, 2))), rng.random(pruned_count),
+                             k=2, rho_merge=case["rho_merge"])
         masks.append(mask)
         plan.append(MergedRecords(pruned[asg.members], asg.sizes, asg.weights,
                                   merge_clusters(asg, cache.gather(0, pruned)).T))
@@ -569,7 +576,7 @@ def test_long_attend_sums_copy_no_factor(case):
         pruned = np.sort(rng.permutation(96)[:24])
         masks.append(np.ones(96, dtype=bool))
         masks[-1][pruned] = False
-        asg = cluster_pruned(rng.random((24, 2)), rng.random(24), k=2)
+        asg = cluster_pruned(distances(rng.random((24, 2))), rng.random(24), k=2)
         records.append(MergedRecords(pruned[asg.members], asg.sizes, asg.weights,
                                      merge_clusters(asg, cache.gather(0, pruned)).T))
     if case == "per-head":

@@ -241,6 +241,28 @@ def test_cli_rejects_falsy_flag_values_as_config_errors(argv, tmp_path, capsys, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_decode_with_two_early_layers_plans_over_the_rows_each_holds(capsys):
+    # layer 0's plan sees layer 1 one row short; that raised and exited 3
+    assert main(["decode", "--image", "4,5", "--set", "sparsify.early_layer_frac=1.0",
+                 "--set", "sparsify.l_min=2", "--set", "decode.max_len=2"]) == 0
+    assert "tokens:" in capsys.readouterr().out
+
+
+def test_model_weight_bound():
+    # 2 * 64 * d + 12 * 2 * d**2 first passes 2**24 at d = 834, and
+    # 2 * 64 * 16 + 12 * layers * 16**2 at 5,461 layers; nothing is drawn
+    for field in ({"d_model": 834}, {"layers": 5461}):
+        with pytest.raises(ConfigError, match="weights exceed"):
+            ModelConfig(**field).validate()
+
+
+def test_composer_accepts_the_defaults_of_fields_it_ignores():
+    # non-default values are rejected in test_decode_rejects_bad_arguments_as_config_errors
+    experiment_from_dict({"model": {"kind": "composer", "d_model": 16, "layers": 2, "heads": 2},
+                          "decode": {"pooling": "mean"}})
+    experiment_from_dict({"model": {"layers": 7}, "decode": {"pooling": "last"}})
+
+
 def test_composer_rejects_eos_id_it_cannot_emit():
     with pytest.raises(ConfigError):
         experiment_from_dict({"model": {"kind": "composer"}, "decode": {"eos_id": 5}})
@@ -282,6 +304,15 @@ def test_composer_rejects_eos_id_it_cannot_emit():
     ["--image", "4", "--tokens-per-finding", "1025"],
     ["--set", 'model.kind="composer"', "--set", "model.vocab=4096", "--image", "4",
      "--tokens-per-finding", "513"],
+    # one past the transformer's weight bound (test_model_weight_bound)
+    ["--set", "model.d_model=834", "--image", "4"],
+    ["--set", "model.layers=5461", "--image", "4"],
+    # fields the composer ignores; each exited 0 with the default's output
+    ["--image", "4,5", "--set", 'model.kind="composer"', "--set", "model.vocab=20",
+     "--set", 'decode.pooling="last"'],
+    ["--image", "4,5", "--set", 'model.kind="composer"', "--set", "model.layers=7"],
+    ["--image", "4,5", "--set", 'model.kind="composer"', "--set", "model.d_model=10"],
+    ["--image", "4,5", "--set", 'model.kind="composer"', "--set", "model.heads=4"],
 ])
 def test_decode_rejects_bad_arguments_as_config_errors(argv, tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"

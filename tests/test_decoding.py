@@ -645,6 +645,7 @@ saliency_sessions = st.fixed_dictionaries({
     "l_min": st.integers(0, 8),
     "width": st.integers(1, 3),
     "per_head_mask": st.booleans(),
+    "early_layer_frac": st.sampled_from([0.25, 1.0]),  # one early layer, or both
 })
 
 
@@ -664,7 +665,8 @@ def test_kept_saliency_sums_equal_a_fresh_sum_at_every_plan(draw):
         return out
 
     scfg = SparsifyConfig(sparsity_rate=draw["rate"], l_min=draw["l_min"],
-                          per_head_mask=draw["per_head_mask"])
+                          per_head_mask=draw["per_head_mask"],
+                          early_layer_frac=draw["early_layer_frac"])
     dcfg = DecodeConfig(mode="beam" if draw["width"] > 1 else "greedy",
                         beam_size=draw["width"], max_len=5, eos_id=-1)
     img = ImageDescriptor(tuple(draw["findings"]), draw["per_finding"])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sparsevcd import numerics
 from sparsevcd.numerics import (CAUSAL_BLOCK, EINSUM_MIN_TERMS, NEG_INF,
-                                causal_attention, causal_weighted_sum, matvec,
-                                stable_softmax, weighted_sum_rows)
+                                causal_attention, matvec, stable_softmax,
+                                weighted_sum_rows)
 
 # expected values frozen from an mpmath (50-digit) softmax evaluation
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -300,7 +300,8 @@ def test_causal_kernels_keep_exact_zero_sums_bitwise(n, e, kind, seed):
         weights = np.tril(np.full((n, n), rng.uniform()))
     with mock.patch.object(numerics, "_prefix_sums", wraps=numerics._prefix_sums) as resums:
         ctx = causal_attention(q, k, v, 2.0)
-        summed = causal_weighted_sum(weights, v)
+        # the same weights' contexts as one key-major block over every row
+        summed = numerics._causal_block(weights.T.copy(), v, 0)
     assert resums.call_count > 0 or (kind == "cancel" and n == 1)
     for i in range(n):
         row = stable_softmax(matvec(k[: i + 1], q[i]) / 2.0)
@@ -326,12 +327,6 @@ def test_causal_rows_reduce_only_over_the_prefix():
             with np.errstate(invalid="ignore", over="ignore"):
                 got = causal_attention(q, k2, v2, 2.0)
             assert bitwise_equal(got[: i + 1], clean[: i + 1])
-    weights = rng.uniform(size=(9, 9))
-    noisy_weights = weights.copy()
-    noisy_weights[np.triu_indices(9, 1)] = 1e300
-    values = rng.normal(size=(9, 4))
-    assert bitwise_equal(causal_weighted_sum(noisy_weights, values),
-                         causal_weighted_sum(np.tril(weights), values))
 
 
 @pytest.mark.parametrize("n", [1, 2, CAUSAL_BLOCK, CAUSAL_BLOCK + 1, 2 * CAUSAL_BLOCK + 3])
@@ -349,7 +344,8 @@ def test_row_batched_kernels_edge_shapes():
     assert bitwise_equal(matvec(np.ones((3, 0)), np.ones((2, 0))), np.zeros((2, 3)))
     assert matvec(np.ones((3, 2)), np.ones((0, 2))).shape == (0, 3)
     assert bitwise_equal(causal_attention([[-5.0]], [[3.0]], [[2.0, 3.0]], 2.0), [[2.0, 3.0]])
-    assert bitwise_equal(causal_weighted_sum([[1.0]], [[2.0, 3.0]]), [[2.0, 3.0]])
+    assert bitwise_equal(numerics._causal_block(np.array([[1.0]]), np.array([[2.0, 3.0]]), 0),
+                         [[2.0, 3.0]])
 
 
 def test_row_batched_kernels_reject_bad_shapes():
@@ -361,13 +357,10 @@ def test_row_batched_kernels_reject_bad_shapes():
         causal_attention(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 3)), 1.0)
     with pytest.raises(ValueError):
         causal_attention(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 3)), 1.0)
+    for q, v in [(np.ones(3), np.ones((3, 1))), (np.ones((3, 1)), np.ones(3))]:
+        with pytest.raises(ValueError):
+            causal_attention(q, q, v, 1.0)
     with pytest.raises(ValueError, match="empty support"):
         causal_attention([[NEG_INF]], [[1.0]], [[1.0]], 1.0)
     with pytest.raises(ValueError, match="empty support"):
         causal_attention(np.ones((0, 2)), np.ones((0, 2)), np.ones((0, 2)), 1.0)
-    with pytest.raises(ValueError):
-        causal_weighted_sum(np.ones((2, 3)), np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        causal_weighted_sum(np.ones((3, 3)), np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        causal_weighted_sum(np.ones((0, 0)), np.ones((0, 2)))

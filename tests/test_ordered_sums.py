@@ -1,11 +1,11 @@
 """The engine's long sums against their sequential references, bit for bit.
 
-``matvec``, ``weighted_sum_rows``, ``causal_weighted_sum`` and the models'
-pooling run long sums through one ``np.einsum`` and short ones through
-``np.add.accumulate``. Every case here must equal the plain sequential
-reference: ``np.add.accumulate`` along the summed axis (which adds each
-element's terms one by one, in order), or for the causal sum a Python loop
-over the causal suffix.
+``matvec``, ``weighted_sum_rows``, the causal context sum
+(``numerics._causal_block``) and the models' pooling run long sums through
+one ``np.einsum`` and short ones through ``np.add.accumulate``. Every case
+here must equal the plain sequential reference: ``np.add.accumulate`` along
+the summed axis (which adds each element's terms one by one, in order), or
+for the causal sum a Python loop over the causal suffix.
 
 Run as a script (``python tests/test_ordered_sums.py``) it prints a digest
 of the kernels over a fixed grid; the dispatch test compares that digest
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from sparsevcd import numerics
 from sparsevcd.config import ModelConfig
 from sparsevcd.models import ToyTransformer, model_from_config
-from sparsevcd.numerics import (EINSUM_MIN_TERMS, causal_weighted_sum, matvec,
+from sparsevcd.numerics import (CAUSAL_BLOCK, EINSUM_MIN_TERMS, _causal_block, matvec,
                                 weighted_sum_rows)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -83,6 +83,18 @@ def suffix_loop(w, m):
     return out
 
 
+def causal_sums(weights, values):
+    """Row ``i`` sums ``weights[i, j] * values[j]`` over ``j <= i`` (``weights``
+    lower triangular) through ``_causal_block``, one key-major block of
+    ``CAUSAL_BLOCK`` query rows at a time, as ``causal_attention`` sums its
+    contexts."""
+    blocks = []
+    for a in range(0, len(values), CAUSAL_BLOCK):
+        b = min(a + CAUSAL_BLOCK, len(values))
+        blocks.append(_causal_block(weights[a:b, :b].T.copy(), values, a))
+    return np.concatenate(blocks)
+
+
 # -------------------------------------------------------------- properties
 
 lengths = st.one_of(st.sampled_from([1, 2, 63, 64, 65]), st.integers(1, 4100))
@@ -136,13 +148,13 @@ def test_weighted_sum_rows_is_the_sequential_sum(n, k, heads, layout, binades, z
 @given(st.one_of(st.sampled_from([1, 2, 63, 64, 65, 128, 129]), st.integers(1, 200)),
        features, scales, st.booleans(), seeds)
 @settings(max_examples=60, deadline=None)
-def test_causal_weighted_sum_is_the_suffix_loop(n, f, binades, zero_col, seed):
+def test_causal_sums_are_the_suffix_loop(n, f, binades, zero_col, seed):
     rng = np.random.default_rng(seed)
     values = spread(rng, (n, f), binades)
     if zero_col:
         values[:, -1] = -0.0
     weights = np.tril(rng.uniform(size=(n, n)))
-    got = causal_weighted_sum(weights, values)
+    got = causal_sums(weights, values)
     assert bitwise_equal(got, suffix_loop(weights, values))
     if zero_col:
         assert np.signbit(got[:, -1]).all()
@@ -177,7 +189,7 @@ def test_products_are_rounded_before_they_are_added():
     assert bitwise_equal(matvec(rows, np.tile([1.0, A], (3, 1))), np.zeros((3, n)))
     pair = np.array([[C] * n, [A] * n])
     assert bitwise_equal(weighted_sum_rows([1.0, A], pair), np.zeros(n))
-    got = causal_weighted_sum([[1.0, 0.0], [1.0, A]], pair)
+    got = causal_sums(np.array([[1.0, 0.0], [1.0, A]]), pair)
     assert bitwise_equal(got[1], np.zeros(n))
 
 
@@ -188,7 +200,7 @@ def test_long_sums_take_the_einsum_path():
     with mock.patch.object(numerics.np, "einsum", wraps=np.einsum) as einsum:
         matvec(keys, rng.normal(size=(2, 8)))
         weighted_sum_rows(rng.uniform(size=(2, EINSUM_MIN_TERMS)), keys)
-        causal_weighted_sum(np.tril(rng.uniform(size=(200, 200))), rng.normal(size=(200, 8)))
+        causal_sums(np.tril(rng.uniform(size=(200, 200))), rng.normal(size=(200, 8)))
         TOY.pool_embeddings(rng.normal(size=(EINSUM_MIN_TERMS, 16)))
     assert einsum.call_count >= 6
     with mock.patch.object(numerics.np, "einsum", wraps=np.einsum) as einsum:
@@ -216,8 +228,8 @@ def kernel_digest() -> str:
                 h.update(weighted_sum_rows(w, block).tobytes())
                 h.update(TOY.pool_embeddings(m[0]).tobytes())
             if n <= 300:
-                h.update(causal_weighted_sum(np.tril(rng.uniform(size=(n, n))),
-                                             spread(rng, (n, k), 996)).tobytes())
+                h.update(causal_sums(np.tril(rng.uniform(size=(n, n))),
+                                     spread(rng, (n, k), 996)).tobytes())
     return h.hexdigest()
 
 

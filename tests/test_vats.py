@@ -13,11 +13,16 @@ from sparsevcd.cache import KvCache
 from sparsevcd.errors import ConfigError
 from sparsevcd.numerics import stable_softmax, weighted_sum_rows
 from sparsevcd.oracle import brute_force_mask, objective_value, reference_clustering
-from sparsevcd.vats import (ClusterAssignment, cluster_pruned, merge_clusters,
+from sparsevcd.vats import (ClusterAssignment, SaliencySums, cluster_pruned, merge_clusters,
                             pairwise_distances, select_topS, visual_saliency)
 
 # frozen from an mpmath (50-digit) softmax of [1, 2, 3]
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
+
+
+def distances(points):
+    """The ``(n, n)`` matrix ``cluster_pruned`` takes, of ``(n, features)`` points."""
+    return pairwise_distances(np.ascontiguousarray(points.T))
 
 
 def cache_with_r(r_values, heads=1, visual_first=True):
@@ -55,6 +60,36 @@ def test_visual_saliency_requires_visual_tokens():
     cache = cache_with_r([1.0, 2.0], visual_first=False)
     with pytest.raises(ValueError, match="no visual tokens"):
         visual_saliency(cache, [0])
+
+
+def test_visual_saliency_counts_a_deeper_layers_missing_row_as_zero():
+    """Layer 0's plan with two early layers sees layer 1 one row short (the
+    newest row has not reached it): the saliency, afresh or from kept sums,
+    equals that over layer 1 padded with a zero ``r`` row, bit for bit. A
+    layer with more rows, or two fewer, still raises."""
+    rng = np.random.default_rng(17)
+    n, heads = 9, 2
+    r = rng.random((2, heads, n + 1))
+
+    def cache_of(rows_1):
+        cache = KvCache(2, heads, 2)
+        for layer, rows in ((0, n), (1, rows_1)):
+            for i in range(rows):
+                cache.append(layer, rng.normal(size=(heads, 2)), rng.normal(size=(heads, 2)),
+                             visual=i < 3)
+            cache.r_block(layer)[:] = r[layer, :, :rows]
+        return cache
+
+    short, padded = cache_of(n - 1), cache_of(n)
+    padded.r_block(1)[:, -1] = 0.0
+    want = visual_saliency(padded, [0, 1]).tobytes()
+    assert visual_saliency(short, [0, 1]).tobytes() == want
+    kept = SaliencySums()
+    kept.update([r[0, :, :4], r[1, :, :3]])
+    assert visual_saliency(short, [0, 1], kept).tobytes() == want
+    for rows_1 in (n + 1, n - 2):
+        with pytest.raises(ValueError, match="diverge"):
+            visual_saliency(cache_of(rows_1), [0, 1])
 
 
 def test_select_all_retained():
@@ -148,11 +183,9 @@ def test_distance_kernel_equals_a_per_pair_loop_bitwise():
                     assert block[i - start, j] == math.sqrt(acc)
         full = pairwise_distances(cols)
         assert full.tobytes() == full.T.copy().tobytes()
-        dist = cluster_pruned(full, np.zeros(n), k=3, precomputed=True)
-        keys = cluster_pruned(cols.T, np.zeros(n), k=3)
-        assert np.array_equal(dist.labels, keys.labels)
-    with pytest.raises(ValueError):
-        cluster_pruned(np.zeros((3, 2)), np.zeros(3), k=1, precomputed=True)
+    for bad in (np.zeros((3, 2)), np.zeros((0, 0)), 0.0):
+        with pytest.raises(ValueError, match="square distance matrix"):
+            cluster_pruned(bad, np.zeros(3), k=1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -201,7 +234,7 @@ def test_select_keeps_the_first_rows_of_a_stable_sort(n, kind, seed, data):
 
 
 def test_cluster_single_point():
-    out = cluster_pruned(np.array([[1.0, 2.0]]), np.array([0.5]), k=5)
+    out = cluster_pruned(distances(np.array([[1.0, 2.0]])), np.array([0.5]), k=5)
     assert out.n_clusters == 1
     assert list(out.labels) == [0]
     assert np.allclose(out.weights[0], [1.0])
@@ -209,7 +242,7 @@ def test_cluster_single_point():
 
 def test_cluster_duplicate_pairs_split():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
-    out = cluster_pruned(pts, np.zeros(4), k=3, rho_merge=0.5)
+    out = cluster_pruned(distances(pts), np.zeros(4), k=3, rho_merge=0.5)
     assert out.labels[0] == out.labels[1]
     assert out.labels[2] == out.labels[3]
     assert out.labels[0] != out.labels[2]
@@ -221,7 +254,7 @@ def test_cluster_matches_reference_on_planted_blobs():
     b = rng.normal(size=(4, 3)) * 0.1 + 8.0
     pts = np.vstack([a, b])
     deltas = rng.random(8)
-    engine = cluster_pruned(pts, deltas, k=3)
+    engine = cluster_pruned(distances(pts), deltas, k=3)
     ref_labels, ref_centers = reference_clustering(pts, 3, 2)
     assert list(engine.labels) == list(ref_labels)
     assert list(engine.centers) == list(ref_centers)
@@ -232,7 +265,7 @@ def test_cluster_labels_the_longest_nearest_denser_chain():
     its left neighbour: one chain through all n points to the only center."""
     for n in range(2, 40):
         pts = np.cumsum(np.arange(n, dtype=np.float64))[:, None]
-        out = cluster_pruned(pts, np.zeros(n), k=1, rho_merge=0.01)
+        out = cluster_pruned(distances(pts), np.zeros(n), k=1, rho_merge=0.01)
         ref_labels, ref_centers = reference_clustering(pts, 1, 1)
         assert list(out.centers) == list(ref_centers) == [0]
         assert list(out.labels) == list(ref_labels) == [0] * n
@@ -244,7 +277,7 @@ def test_cluster_totality_and_weight_sums():
         n = int(rng.integers(1, 20))
         pts = rng.normal(size=(n, 5))
         deltas = rng.random(n)
-        out = cluster_pruned(pts, deltas, k=5)
+        out = cluster_pruned(distances(pts), deltas, k=5)
         seen = out.members
         assert sorted(seen.tolist()) == list(range(n))
         assert out.n_clusters <= n
@@ -276,7 +309,7 @@ def test_merge_identical_members():
 
 def test_merge_equal_saliency_averages():
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = cluster_pruned(pts, np.array([0.5, 0.5]), k=1)
+    out = cluster_pruned(distances(pts), np.array([0.5, 0.5]), k=1)
     agg_k, = merge_clusters(out, pts)
     assert np.allclose(agg_k, [0.5, 0.5], atol=1e-12)
 
@@ -302,7 +335,7 @@ def test_flat_assignment_layout_and_merge(case):
     of its members' rows, bit for bit."""
     points, deltas, rows, k, rho_merge = case
     n = points.shape[0]
-    out = cluster_pruned(points, deltas, k, rho_merge=rho_merge)
+    out = cluster_pruned(distances(points), deltas, k, rho_merge=rho_merge)
     assert sorted(out.members.tolist()) == list(range(n))
     assert np.array_equal(out.sizes, np.bincount(out.labels))
     assert np.array_equal(out.labels[out.centers], np.arange(out.n_clusters))
@@ -341,9 +374,10 @@ def _cluster_case(kind: str, n: int):
 
 def _cluster_digests(kind: str, n: int) -> dict:
     points, deltas, rows = _cluster_case(kind, n)
+    dist = distances(points)
     hashes = {name: hashlib.sha256() for name in CLUSTER_FIELDS}
     for k in CLUSTER_KS:
-        out = cluster_pruned(points, deltas, k)
+        out = cluster_pruned(dist, deltas, k)
         hashes["labels"].update(out.labels.astype(np.int64).tobytes())
         hashes["centers"].update(out.centers.astype(np.int64).tobytes())
         hashes["members"].update(out.sizes.astype(np.int64).tobytes())
