@@ -1,13 +1,13 @@
 """Per-layer key-value store with pending prune plans, merged-token
 records, visual-token flags, and attention accumulators.
 
-A cache instance is owned by exactly one decode session. Two maintenance modes:
-
-* ``logical`` — every token stays physically present; pruning is a pending
-  plan per layer (a retention mask plus virtual merged-token records),
-  recomputed per step.
-* ``compacted`` — pruned rows are physically evicted and each cluster is
-  appended as one aggregate row (exempt from later pruning).
+A cache instance is owned by exactly one decode session. Pruning is a
+pending plan per layer (a retention mask plus virtual merged-token records);
+the engine, not the cache, decides how a plan ends. In its ``logical`` mode
+every token stays physically present and the plan is cleared
+(``clear_sparsification``) and recomputed per step; in its ``compacted``
+mode ``compact`` physically evicts the pruned rows and appends each cluster
+as one aggregate row (exempt from later pruning).
 
 Layout: each layer keeps its rows in two growable float64 buffers, each in
 the layout its attention sum reads without a copy. The column buffer has one
@@ -91,7 +91,6 @@ class Attention:
 class CompactStats:
     evicted: int = 0
     aggregates: int = 0
-    no_op: bool = False
 
 
 class _LayerState:
@@ -210,15 +209,12 @@ def _constants(heads: int, dim: int) -> tuple:
 
 
 class KvCache:
-    """Session-owned KV store; see module docstring for the two modes."""
+    """Session-owned KV store; see the module docstring."""
 
-    def __init__(self, layers: int, heads: int, dim: int, mode: str = "logical",
-                 accumulate_raw_scores: bool = False):
+    def __init__(self, layers: int, heads: int, dim: int, accumulate_raw_scores: bool = False):
         if layers < 1 or heads < 1 or dim < 1:
             raise ValueError("layers, heads and dim must be positive")
-        if mode not in ("logical", "compacted"):
-            raise ValueError(f"unknown cache mode {mode!r}")
-        self.layers, self.heads, self.dim, self.mode = layers, heads, dim, mode
+        self.layers, self.heads, self.dim = layers, heads, dim
         self.accumulate_raw_scores = accumulate_raw_scores
         self.sqrt_dim = math.sqrt(dim)
         self._heads, self._head_fields, self._no_records = _constants(heads, dim)
@@ -480,7 +476,6 @@ class KvCache:
             st.raw_present = int(np.count_nonzero(st.flags[1, : st.n] < 0.5))
             st.n_visual = int(np.count_nonzero(st.flags[0, : st.n] > 0.5))
             self.peak_rows = max(self.peak_rows, st.n)
-        stats.no_op = not (stats.evicted or stats.aggregates)
         return stats
 
     # ----------------------------------------------------------------- misc

@@ -19,7 +19,7 @@ from pathlib import Path
 from sparsevcd import experiment
 from sparsevcd.config import (ExperimentConfig, experiment_from_dict,
                               load_experiment)
-from sparsevcd.corpus import (TOKEN_BOS, GeneratorSpec, gen_corpus, load_corpus,
+from sparsevcd.corpus import (TOKEN_BOS, GeneratorSpec, dumps, gen_corpus, load_corpus,
                               write_corpus)
 from sparsevcd.decoding import decode
 from sparsevcd.errors import ConfigError, CorpusError
@@ -146,8 +146,7 @@ def _cmd_decode(args) -> int:
             raise ConfigError(f"--example-index {args.example_index} outside the corpus's "
                               f"{len(corpus.examples)} examples")
         example = corpus.examples[args.example_index]
-        image = example.image
-        prompt = example.question or [TOKEN_BOS]
+        image, prompt = example.image, example.prompt
     else:
         raise ConfigError("decode needs --image or a corpus in the config")
     level = "full" if args.full_diag else "summary"
@@ -164,8 +163,7 @@ def _cmd_decode(args) -> int:
                 "errors": rec["errors"],
                 "layers": rec["layers"],
             } for rec in result.forward_records]
-        Path(args.diagnostics).write_text(json.dumps(payload, sort_keys=True,
-                                                     separators=(",", ":")))
+        Path(args.diagnostics).write_text(dumps(payload))
         print(f"diagnostics written to {args.diagnostics}")
     return 0
 
@@ -195,11 +193,9 @@ def _cmd_sweep(args) -> int:
     raw_values = [v for v in args.grid.split(",") if v.strip() != ""]
     if not raw_values:
         raise ConfigError("sweep grid must be non-empty")
+    tp = experiment.axis_field(args.axis)[2]
     try:
-        if args.axis == "stop_layer":
-            grid = [int(v) for v in raw_values]
-        else:
-            grid = [float(v) for v in raw_values]
+        grid = [tp(v) for v in raw_values]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid value: {exc}") from exc
     if not all(math.isfinite(v) for v in grid):

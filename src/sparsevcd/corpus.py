@@ -61,6 +61,12 @@ class CorpusExample:
     question: list[int] | None = None
     label: str | None = None
 
+    @property
+    def prompt(self) -> list[int]:
+        """The prompt a session decodes after the image: the question, or
+        BOS if there is none."""
+        return self.question or [TOKEN_BOS]
+
 
 @dataclass
 class Corpus:
@@ -131,25 +137,28 @@ def gen_corpus(spec: GeneratorSpec, seed: int, n: int) -> Corpus:
     return Corpus(meta=meta, examples=examples)
 
 
-def _dumps(obj: dict) -> str:
+def dumps(obj: dict) -> str:
+    """``obj`` as one line of compact JSON with sorted keys."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_jsonl(path: str | Path, records) -> None:
+    """One ``dumps`` line per record, each ending in a newline."""
+    Path(path).write_text("".join(dumps(rec) + "\n" for rec in records))
+
+
 def write_corpus(path: str | Path, corpus: Corpus) -> None:
-    lines = [_dumps(corpus.meta)]
-    for ex in corpus.examples:
-        lines.append(_dumps({
-            "type": "example",
-            "id": ex.id,
-            "image": {
-                "finding_ids": list(ex.image.finding_ids),
-                "tokens_per_finding": ex.image.tokens_per_finding,
-            },
-            "report": ex.report,
-            "question": ex.question,
-            "label": ex.label,
-        }))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_jsonl(path, [corpus.meta] + [{
+        "type": "example",
+        "id": ex.id,
+        "image": {
+            "finding_ids": list(ex.image.finding_ids),
+            "tokens_per_finding": ex.image.tokens_per_finding,
+        },
+        "report": ex.report,
+        "question": ex.question,
+        "label": ex.label,
+    } for ex in corpus.examples])
 
 
 def _int(value, what: str) -> int:

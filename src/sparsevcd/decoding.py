@@ -137,7 +137,6 @@ class DecodeResult:
     peak_rows: int = 0
     memory_elements: int = 0
     wall_seconds: float = 0.0
-    prefill_len: int = 0
 
 
 class _DistanceTable:
@@ -403,8 +402,7 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     _validate(model, image, prompt_ids, scfg, dcfg)
     t0 = time.perf_counter()
 
-    cache = model.new_cache(mode=scfg.mode,
-                            accumulate_raw_scores=scfg.sac_input == "raw_scores")
+    cache = model.new_cache(accumulate_raw_scores=scfg.sac_input == "raw_scores")
     controller = EngineAttention(cache, scfg, keep_records=diag_level == "full")
     # embedded once: prefill steps through these rows and every contrastive
     # call gathers from them
@@ -415,10 +413,8 @@ def decode(model: ModelInterface, image: ImageDescriptor, prompt_ids,
     for i, e in enumerate(itertools.chain(vis_block, prompt_block)):
         hidden = model.forward_step(cache, e, attend=controller.attend,
                                     visual=i < len(vis_block), hidden=i == last)
-    prefill_len = cache.n_logical
 
     result = _search(model, controller, hidden, vis_block, prompt_block, dcfg)
-    result.prefill_len = prefill_len
     result.wall_seconds = time.perf_counter() - t0
     result.memory_elements = (result.peak_rows * model.head_dim * 2
                               * model.layers * model.heads)

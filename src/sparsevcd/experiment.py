@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import statistics
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,14 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from sparsevcd import metrics
-from sparsevcd.config import ExperimentConfig, flatten_config
-from sparsevcd.corpus import TOKEN_BOS, TOKEN_NO, TOKEN_YES, Corpus, load_corpus
+from sparsevcd.config import DecodeConfig, ExperimentConfig, flatten_config
+from sparsevcd.corpus import TOKEN_BOS, TOKEN_NO, TOKEN_YES, Corpus, load_corpus, write_jsonl
 from sparsevcd.decoding import decode
 from sparsevcd.errors import ConfigError
 from sparsevcd.models import ImageDescriptor, model_from_config
 from sparsevcd.rng import combine
 
-SWEEP_AXES = ("alpha", "beta", "lambda", "stop_layer", "sparsity")
+# each sweep axis and the (section, field) of the config it sets
+SWEEP_AXES = {
+    "alpha": ("decode", "alpha"),
+    "beta": ("sparsify", "beta"),
+    "lambda": ("sparsify", "lambda_"),
+    "stop_layer": ("decode", "stop_layer"),
+    "sparsity": ("sparsify", "sparsity_rate"),
+}
 
 METRIC_COLUMNS = [
     "seed", "n_examples", "chair", "recall", "accuracy", "attn_error_mean",
@@ -91,9 +98,8 @@ def run_seed_row(cfg: ExperimentConfig, corpus: Corpus, run_seed: int,
     for idx, example in enumerate(corpus.examples):
         model = _example_model(cfg, shared, run_seed, idx)
         session = dataclasses.replace(cfg.decode, seed=combine(run_seed, idx))
-        prompt = example.question if example.question else [TOKEN_BOS]
         try:
-            result = decode(model, example.image, prompt, cfg.sparsify, session)
+            result = decode(model, example.image, example.prompt, cfg.sparsify, session)
         except ConfigError as exc:  # bad input aborts the row; engine bugs propagate
             row.error = f"{example.id}: {type(exc).__name__}: {exc}"
             row.chair = row.recall = row.accuracy = None
@@ -142,6 +148,10 @@ def _run_rows(cfg: ExperimentConfig, axis: str, grid: list,
     """One row per (grid value, seed), on ``cfg.workers`` processes when
     there are more than one; ``axis=""`` runs the base config once per seed.
     Rows come back sorted by (grid position, seed)."""
+    if cfg.decode.seed != DecodeConfig.seed:
+        raise ConfigError("decode.seed does not apply to run or sweep, which seed each "
+                          "session from the run seed and the example's index; leave it "
+                          "at its default")
     tasks = []
     for value in grid:
         varied = apply_axis(cfg, axis, value) if axis else cfg
@@ -170,26 +180,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     return _run_rows(cfg, "", [""], collect_diagnostics=bool(cfg.out_diagnostics))
 
 
+def axis_field(axis: str) -> tuple[str, str, type]:
+    """The section and field a sweep axis sets, and the field's declared type."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {tuple(SWEEP_AXES)}")
+    section, name = SWEEP_AXES[axis]
+    section_type = typing.get_type_hints(ExperimentConfig)[section]
+    return section, name, typing.get_type_hints(section_type)[name]
+
+
 def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    out = dataclasses.replace(
-        cfg,
-        model=dataclasses.replace(cfg.model),
-        sparsify=dataclasses.replace(cfg.sparsify),
-        decode=dataclasses.replace(cfg.decode),
-    )
-    if axis == "alpha":
-        out.decode.alpha = float(value)
-    elif axis == "beta":
-        out.sparsify.beta = float(value)
-    elif axis == "lambda":
-        out.sparsify.lambda_ = float(value)
-    elif axis == "stop_layer":
-        out.decode.stop_layer = int(value)
-    elif axis == "sparsity":
-        out.sparsify.sparsity_rate = float(value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
-    return out
+    """A copy of ``cfg`` whose field ``axis`` sets is ``value``, converted to
+    the field's type."""
+    section, name, tp = axis_field(axis)
+    block = dataclasses.replace(getattr(cfg, section), **{name: tp(value)})
+    return dataclasses.replace(cfg, **{section: block})
 
 
 def sweep(cfg: ExperimentConfig, axis: str, grid) -> list[ResultRow]:
@@ -199,12 +204,11 @@ def sweep(cfg: ExperimentConfig, axis: str, grid) -> list[ResultRow]:
     grid = list(grid)
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     # every grid point is checked before any row runs
     for value in grid:
+        varied = apply_axis(cfg, axis, value)
         try:
-            apply_axis(cfg, axis, value).validate()
+            varied.validate()
         except ConfigError as exc:
             raise ConfigError(f"sweep {axis}={value!r}: {exc}") from exc
     return _run_rows(cfg, axis, grid)
@@ -247,14 +251,7 @@ def write_rows_csv(path: str | Path, rows: list[ResultRow],
 
 
 def write_diagnostics(path: str | Path, rows: list[ResultRow]) -> None:
-    lines = []
-    for row in rows:
-        for rec in row.diagnostics:
-            payload = dict(rec)
-            payload["seed"] = row.seed
-            lines.append(json.dumps(payload, sort_keys=True,
-                                    separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(path, ({**rec, "seed": row.seed} for row in rows for rec in row.diagnostics))
 
 
 # --------------------------------------------------------------------- bench
@@ -342,7 +339,7 @@ def dump_attention_stats(cfg: ExperimentConfig, out_dir: str | Path,
     model = model_from_config(cfg.model)
     if corpus is not None and corpus.examples:
         example = corpus.examples[0]
-        image, prompt = example.image, (example.question or [TOKEN_BOS])
+        image, prompt = example.image, example.prompt
     else:
         image = ImageDescriptor((4, 5, 6), tokens_per_finding=3)
         prompt = [TOKEN_BOS]

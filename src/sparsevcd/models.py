@@ -127,9 +127,8 @@ class ModelInterface(abc.ABC):
             return _ordered_sum(-2, stack.size, stack) / float(len(embs))
         raise ConfigError(f"unknown pooling mode {mode!r}")
 
-    def new_cache(self, mode: str = "logical", accumulate_raw_scores: bool = False) -> KvCache:
-        return KvCache(self.layers, self.heads, self.head_dim, mode,
-                       accumulate_raw_scores)
+    def new_cache(self, accumulate_raw_scores: bool = False) -> KvCache:
+        return KvCache(self.layers, self.heads, self.head_dim, accumulate_raw_scores)
 
 
 class ToyTransformer(ModelInterface):
@@ -302,8 +301,11 @@ class PlantedPriorComposer(ModelInterface):
 
     Already-emitted findings are additionally suppressed so reports terminate,
     the EOS token carries a fixed logit, and all other tokens a filler logit.
-    Attention is degenerate (zero queries give uniform rows), which makes the
-    selection and calibration mechanisms exact no-ops on this model.
+    Attention is degenerate (zero queries give uniform rows), which makes SAC
+    calibration an exact no-op on this model. Selection is not: the hidden
+    state is the sum over the attention support, so once an image passes
+    ``l_min`` a plan that prunes visual rows, or merges them into aggregates,
+    changes the visible fractions and so the report.
     """
 
     def __init__(self, vocab: int, finding_ids, prior, a_vis: float = 2.0,

@@ -18,9 +18,9 @@ def distances(points):
     return pairwise_distances(np.ascontiguousarray(points.T))
 
 
-def fill_cache(n_tokens, layers=1, heads=1, dim=4, seed=0, mode="logical"):
+def fill_cache(n_tokens, layers=1, heads=1, dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    cache = KvCache(layers, heads, dim, mode=mode)
+    cache = KvCache(layers, heads, dim)
     for _ in range(n_tokens):
         for ell in range(layers):
             pairs = [(rng.normal(size=dim), rng.normal(size=dim)) for _ in range(heads)]
@@ -191,7 +191,6 @@ def test_attention_error_superset_monotone():
 def test_compact_noop_reported():
     cache, _ = fill_cache(4, heads=2)
     stats = cache.compact()
-    assert stats.no_op
     assert stats.evicted == 0 and stats.aggregates == 0
     assert cache.rows(0) == 4
     # a per-head plan cannot be compacted, whether or not the heads' masks
@@ -291,7 +290,7 @@ def test_logical_vs_compacted_argmax_with_singleton_clusters():
     # score the next query identically (support order matches: retained then
     # aggregates)
     def build(mode):
-        cache, rng = fill_cache(9, seed=13, mode=mode)
+        cache, rng = fill_cache(9, seed=13)
         mask = np.ones(9, dtype=bool)
         mask[[2, 6]] = False
         recs = [singleton_record(cache, 0, 2), singleton_record(cache, 0, 6)]
@@ -376,8 +375,7 @@ def test_set_sparsification_copies_the_mask(head):
     assert list(cache.mask_view(0, head)) == [True, False, True, True, True]
 
 
-@pytest.mark.parametrize("mode", ["logical", "compacted"])
-def test_cached_row_counts_match_the_flag_rows(mode):
+def test_cached_row_counts_match_the_flag_rows():
     """The visual-row and raw-row counts a layer keeps equal a recount of
     its flag rows after appends, after compaction and on a clone."""
     rng = np.random.default_rng(17)
@@ -397,7 +395,7 @@ def test_cached_row_counts_match_the_flag_rows(mode):
             assert cache.raw_present(layer) == raw.shape[0]
             assert np.array_equal(cache.raw_rows(layer), raw)
 
-    cache = KvCache(2, 2, 3, mode=mode)
+    cache = KvCache(2, 2, 3)
     check(cache)
     append(cache, 14)
     check(cache)
@@ -447,8 +445,8 @@ def test_head_block_attend_equals_single_head_caches(case):
     h, dim, n = case["heads"], case["dim"], case["n"]
     mode = case["mode"]
     plan = "shared" if mode == "compacted" and case["plan"] == "per_head" else case["plan"]
-    block = KvCache(1, h, dim, mode=mode, accumulate_raw_scores=case["raw_scores"])
-    singles = [KvCache(1, 1, dim, mode=mode, accumulate_raw_scores=case["raw_scores"])
+    block = KvCache(1, h, dim, accumulate_raw_scores=case["raw_scores"])
+    singles = [KvCache(1, 1, dim, accumulate_raw_scores=case["raw_scores"])
                for _ in range(h)]
 
     def append(rows):
@@ -568,8 +566,7 @@ def test_long_attend_sums_copy_no_factor(case):
     # 2 heads of 8 over at least 64 rows pass EINSUM_MIN_TERMS, so the score
     # matvec and the value sum are einsums; the support hands both their
     # factors in the summing layout, so _ordered_sum copies neither
-    mode = "compacted" if case == "compacted" else "logical"
-    cache, rng = fill_cache(96, heads=2, dim=8, mode=mode)
+    cache, rng = fill_cache(96, heads=2, dim=8)
     assert 2 * 8 * 64 >= numerics.EINSUM_MIN_TERMS
     masks, records = [], []
     for _ in range({"unmasked": 0, "per-head": 2}.get(case, 1)):

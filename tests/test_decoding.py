@@ -297,6 +297,21 @@ def test_composer_hallucinated_count_drops_with_contrast():
     assert wins >= 40  # at least 80% of 50 seeds
 
 
+def test_planning_changes_a_composer_session_past_l_min():
+    # zero queries make the composer's attention rows uniform, but its hidden
+    # state sums the support, so pruning and merging visual rows moves the
+    # visible fractions the head decodes
+    m = model_from_config(ModelConfig(kind="composer", vocab=24, seed=3))
+    img = ImageDescriptor(tuple(range(4, 11)), 3)
+    assert img.n_tokens > SparsifyConfig().l_min
+    runs = {rate: decode(m, img, [1], SparsifyConfig(sparsity_rate=rate), DecodeConfig(max_len=8))
+            for rate in (1.0, 0.5)}
+    assert runs[1.0].tokens == [4, 9, 8, 7, 10, 5, 6]
+    assert runs[0.5].tokens == [4, 9, 10]
+    assert runs[1.0].diagnostics[0].retained_raw == [22]
+    assert runs[0.5].diagnostics[0].retained_raw == [11]
+
+
 def test_logical_sparsification_recomputed_each_step():
     m = transformer(23)
     img = ImageDescriptor((4, 5, 6), 3)
@@ -759,7 +774,7 @@ def test_beam_winner_keeps_its_full_diagnostics(cache_mode, eos_id):
     assert res.beam_audit
     # the prefill, then one forward per token on the winner's path (an EOS
     # ends the path without a forward)
-    assert len(res.forward_records) == res.prefill_len + len(res.tokens)
+    assert len(res.forward_records) == 60 + len(res.tokens)
     assert [d.chosen for d in res.diagnostics if not d.is_eos] == res.tokens
 
 
@@ -849,7 +864,7 @@ def test_rows_without_a_hidden_state_leave_the_same_engine_state(draw):
                           beta=draw["beta"], sac_input=draw["sac_input"], compact_band=2)
     img = ImageDescriptor(tuple(draw["findings"]), draw["per_finding"])
     embs = np.concatenate([m.embed_visual(img), m.embed_text(draw["prompt"])])
-    ctls = [EngineAttention(m.new_cache(scfg.mode, scfg.sac_input == "raw_scores"), scfg,
+    ctls = [EngineAttention(m.new_cache(scfg.sac_input == "raw_scores"), scfg,
                             keep_records=True) for _ in range(2)]
     last = len(embs) - 1
     for i, e in enumerate(embs):

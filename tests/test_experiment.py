@@ -9,11 +9,12 @@ import pytest
 from sparsevcd import experiment
 from sparsevcd.cli import main
 from sparsevcd.config import (DecodeConfig, ExperimentConfig, ModelConfig,
-                              SparsifyConfig, experiment_from_dict, load_experiment)
+                              SparsifyConfig, experiment_from_dict, flatten_config,
+                              load_experiment)
 from sparsevcd.corpus import GeneratorSpec, gen_corpus, load_corpus, write_corpus
 from sparsevcd.errors import ConfigError
-from sparsevcd.experiment import (apply_axis, dump_attention_stats,
-                                  run_experiment, sweep, write_rows_csv)
+from sparsevcd.experiment import (apply_axis, dump_attention_stats, run_experiment,
+                                  run_seed_row, sweep, write_rows_csv)
 from sparsevcd.rng import combine
 
 
@@ -95,15 +96,29 @@ def test_composer_row_builds_once_and_reseeds_each_example(small_corpus, tmp_pat
     assert models == [] and not (tmp_path / "rows.csv").exists()
 
 
-def test_decode_seed_does_not_reach_run_sessions(small_corpus):
+def test_decode_seed_does_not_reach_run_sessions(small_corpus, tmp_path, capsys):
     # run_seed_row seeds each session from the run seed and the example's
-    # index; the rows still record the decode.seed they were given
-    a, b = (run_experiment(composer_cfg(small_corpus, seed=s)) for s in (0, 99))
-    assert [r.config["decode.seed"] for r in b] == [99, 99]
+    # index, so run and sweep refuse a decode.seed their rows would record
+    # but no session would use
+    cfg = composer_cfg(small_corpus, seed=99)
+    with pytest.raises(ConfigError, match="decode.seed"):
+        run_experiment(cfg)
+    with pytest.raises(ConfigError, match="decode.seed"):
+        sweep(cfg, "alpha", [0.0])
+    path, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps(dataclasses.asdict(composer_cfg(small_corpus))))
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--set", "decode.seed=99"]) == 1
+    assert "decode.seed" in capsys.readouterr().err and not out.exists()
+    # run_seed_row itself still takes any decode.seed, and ignores it
+    corpus = load_corpus(small_corpus)
+    a, b = (run_seed_row(composer_cfg(small_corpus, seed=s), corpus, 1) for s in (0, 99))
+    assert b.config["decode.seed"] == 99
+
     def outcome(r):
         return r.seed, r.chair, r.recall, r.attn_error_mean, r.empty_generated, r.error
 
-    assert [outcome(r) for r in a] == [outcome(r) for r in b]
+    assert outcome(a) == outcome(b)
 
 
 def test_run_byte_identical(small_corpus, tmp_path):
@@ -172,6 +187,24 @@ def test_sweep_unknown_axis(small_corpus):
         sweep(composer_cfg(small_corpus), "temperature", [1.0])
     with pytest.raises(ConfigError):
         apply_axis(composer_cfg(small_corpus), "nope", 1)
+
+
+# each axis, the one flatten_config column it sets, a value of another
+# numeric type, and that value in the field's type
+@pytest.mark.parametrize("axis,column,value,expected", [
+    ("alpha", "decode.alpha", 1, 1.0),
+    ("beta", "sparsify.beta", 0, 0.0),
+    ("lambda", "sparsify.lambda_", 1, 1.0),
+    ("stop_layer", "decode.stop_layer", 1.0, 1),
+    ("sparsity", "sparsify.sparsity_rate", 1, 1.0),
+])
+def test_each_sweep_axis_sets_its_one_column(small_corpus, axis, column, value, expected):
+    cfg = transformer_cfg(small_corpus)
+    before = flatten_config(cfg)
+    after = flatten_config(apply_axis(cfg, axis, value))
+    assert [k for k in before if before[k] != after[k]] == [column]
+    assert type(after[column]) is type(expected) and after[column] == expected
+    assert flatten_config(cfg) == before
 
 
 def test_sweep_alpha_reduces_chair(small_corpus):

@@ -33,8 +33,7 @@ def prefill_state(overrides):
         cache, attend = m.new_cache(), None
     else:
         scfg = SparsifyConfig(l_min=8, **overrides)
-        cache = m.new_cache(mode=scfg.mode,
-                            accumulate_raw_scores=scfg.sac_input == "raw_scores")
+        cache = m.new_cache(accumulate_raw_scores=scfg.sac_input == "raw_scores")
         attend = EngineAttention(cache, scfg).attend
     steps = [(e, True) for e in m.embed_visual(img)] + [(e, False) for e in m.embed_text(prompt)]
     hidden = None
