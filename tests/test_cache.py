@@ -375,9 +375,11 @@ def test_set_sparsification_copies_the_mask(head):
     assert list(cache.mask_view(0, head)) == [True, False, True, True, True]
 
 
-def test_cached_row_counts_match_the_flag_rows():
+@pytest.mark.parametrize("mode", ["logical", "compacted"])
+def test_cached_row_counts_match_the_flag_rows(mode):
     """The visual-row and raw-row counts a layer keeps equal a recount of
-    its flag rows after appends, after compaction and on a clone."""
+    its flag rows after appends, after a plan ends the way ``mode`` ends it
+    (cleared in logical mode, compacted in compacted mode) and on a clone."""
     rng = np.random.default_rng(17)
 
     def append(cache, n):
@@ -410,8 +412,15 @@ def test_cached_row_counts_match_the_flag_rows():
                              rho_merge=0.5)
         cache.set_sparsification(layer, mask, MergedRecords(
             pruned[asg.members], asg.sizes, asg.weights, merge_clusters(asg, table).T))
-    cache.compact()
-    assert not cache.has_visual(0)
+    if mode == "compacted":
+        cache.compact()
+        assert not cache.has_visual(0)
+    else:
+        # a pending plan moves no row, and clearing it leaves every row present
+        check(cache)
+        for layer in range(cache.layers):
+            cache.clear_sparsification(layer)
+        assert cache.has_visual(0) and cache.rows(0) == 14
     check(cache)
     append(cache, 5)
     check(cache)
